@@ -19,10 +19,10 @@ convention ``invert_word`` reverses the sequence and inverts each entry, and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, perm
+from math import comb, lcm, perm
 from typing import Sequence, Tuple, Union
 
-from .element import WeylElement, commutator
+from .element import WeylElement, _lift, _settle, commutator
 from .poly import UniPoly
 
 
@@ -61,15 +61,17 @@ AutoWord = Tuple[Generator, ...]
 
 
 def _apply_fourier(e: WeylElement, inverse: bool) -> WeylElement:
+    den, terms = _lift(e.terms)
     out: dict = {}
-    for (i, j), c in e.terms.items():
-        sign = -1 if (i if inverse else j) % 2 else 1
+    get = out.get
+    for (i, j), n in terms:
+        if (i if inverse else j) % 2:
+            n = -n
         # image of x^i D^j is (+-1) D^i x^j, reordered term by term
         for t in range(min(i, j) + 1):
-            w = sign * perm(j, t) * comb(i, t)
             key = (j - t, i - t)
-            out[key] = out.get(key, 0) + w * c
-    return WeylElement._raw(out, e.side)
+            out[key] = get(key, 0) + perm(j, t) * comb(i, t) * n
+    return _settle(out, den, e.side)
 
 
 def _powers(base: WeylElement, n: int) -> list:
@@ -77,6 +79,28 @@ def _powers(base: WeylElement, n: int) -> list:
     for _ in range(n):
         pows.append(pows[-1] * base)
     return pows
+
+
+def _substitute(e: WeylElement, base: WeylElement, on_x: bool) -> WeylElement:
+    """Image of ``e`` when the coordinate (``on_x``) or the derivative is
+    replaced by ``base``: each ``x^i D^j`` goes to ``base^i D^j`` or
+    ``x^i base^j``, read off a power table of ``base``."""
+    pows = _powers(base, e.x_degree if on_x else e.order)
+    den_e, terms = _lift(e.terms)
+    den_p = lcm(*[c.denominator for p in pows for c in p.terms.values()])
+    table = [_lift(p.terms, den_p)[1] for p in pows]
+    out: dict = {}
+    get = out.get
+    for (i, j), n in terms:
+        if on_x:
+            for (a, b), pn in table[i]:
+                key = (a, b + j)
+                out[key] = get(key, 0) + pn * n
+        else:
+            for (a, b), pn in table[j]:
+                key = (a + i, b)
+                out[key] = get(key, 0) + pn * n
+    return _settle(out, den_e * den_p, e.side)
 
 
 def apply_generator(gen: Generator, e: WeylElement) -> WeylElement:
@@ -90,25 +114,13 @@ def apply_generator(gen: Generator, e: WeylElement) -> WeylElement:
         if shift.is_zero() or e.is_zero():
             return e
         base = WeylElement({(1, 0): 1}, e.side) + WeylElement.from_d_poly(shift, e.side)
-        pows = _powers(base, e.x_degree)
-        out: dict = {}
-        for (i, j), c in e.terms.items():
-            for (a, b), pc in pows[i].terms.items():
-                key = (a, b + j)
-                out[key] = out.get(key, 0) + pc * c
-        return WeylElement._raw(out, e.side)
+        return _substitute(e, base, on_x=True)
     if isinstance(gen, ShiftD):
         shift = gen.poly.derivative()
         if shift.is_zero() or e.is_zero():
             return e
         base = WeylElement({(0, 1): 1}, e.side) - WeylElement.from_x_poly(shift, e.side)
-        pows = _powers(base, e.order)
-        out = {}
-        for (i, j), c in e.terms.items():
-            for (a, b), pc in pows[j].terms.items():
-                key = (a + i, b)
-                out[key] = out.get(key, 0) + pc * c
-        return WeylElement._raw(out, e.side)
+        return _substitute(e, base, on_x=False)
     raise TypeError(f"unknown generator {gen!r}")
 
 

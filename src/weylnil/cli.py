@@ -57,6 +57,13 @@ class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
 
+    def _parse_optional(self, arg_string):
+        # An expression such as "-3*D" or "-x*D" is a positional argument:
+        # no option here is a single dash and a name other than "-h".
+        if arg_string[:1] == "-" and arg_string[:2] != "--" and arg_string not in self._option_string_actions:
+            return None
+        return super()._parse_optional(arg_string)
+
 
 def _print_verdict_text(verdict):
     doc = verdict_to_doc(verdict)

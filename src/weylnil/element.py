@@ -8,10 +8,18 @@ with the closed-form exchange rule
 
     D^j * x^i = sum_t  t! * C(j, t) * C(i, t) * x^(i-t) * D^(j-t),
 
-which is what ``_swap_weights`` tabulates.  Two independent copies of the
-algebra are supported, labelled by ``side``: the ``"x"`` side (printed with
-``x``/``D``) and the ``"z"`` side (printed with ``z``/``Dz``); mixing sides
-in one operation is an error.
+which is what ``_swap_weights`` tabulates.
+
+Coefficients are ``Fraction``s at the API, and ``terms`` is a read-only map
+of them.  The product kernel, and the shift and Fourier loops in
+``automorphism``, compute on integer numerators over one common denominator
+per operand: ``_lift`` scales a term map to integers over the least common
+multiple of its denominators, the loop runs on Python integers, and
+``_settle`` builds one ``Fraction`` per nonzero output term.
+
+Two independent copies of the algebra are supported, labelled by ``side``:
+the ``"x"`` side (printed with ``x``/``D``) and the ``"z"`` side (printed
+with ``z``/``Dz``); mixing sides in one operation is an error.
 
 All values are immutable after construction and all operations are pure, so
 concurrent use is safe.
@@ -22,9 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, perm
+from math import comb, lcm, perm
 from types import MappingProxyType
-from typing import Iterable, Mapping, Tuple, Union
+from typing import Iterable, Mapping, Optional, Tuple, Union
 
 from .errors import SideMismatchError
 from .poly import Scalar, UniPoly
@@ -38,6 +46,26 @@ Key = Tuple[int, int]
 def _swap_weights(j: int, i: int) -> tuple:
     """Integer weights for rewriting D^j x^i, indexed by the contraction t."""
     return tuple(perm(i, t) * comb(j, t) for t in range(min(i, j) + 1))
+
+
+def _lift(terms: Mapping[Key, Fraction], den: Optional[int] = None) -> Tuple[int, list]:
+    """``(den, [(key, n), ...])`` with every coefficient equal to ``n / den``.
+
+    ``den`` defaults to the least common multiple of the coefficient
+    denominators; a given ``den`` must be a multiple of each of them.
+    """
+    if den is None:
+        den = lcm(*[c.denominator for c in terms.values()])
+    return den, [(k, c.numerator * (den // c.denominator)) for k, c in terms.items()]
+
+
+def _settle(acc: Mapping[Key, int], den: int, side: str) -> "WeylElement":
+    """The element with coefficients ``n / den`` for the nonzero ``n`` of ``acc``."""
+    el = object.__new__(WeylElement)
+    el.side = side
+    el.terms = MappingProxyType({k: Fraction(n, den) for k, n in acc.items() if n})
+    el._hash = None
+    return el
 
 
 class WeylElement:
@@ -60,10 +88,10 @@ class WeylElement:
             if not (isinstance(i, int) and isinstance(j, int)) or i < 0 or j < 0:
                 raise ValueError(f"exponent pair must be nonnegative integers, got {key!r}")
             c = Fraction(coeff)
-            if c != 0:
-                clean[(i, j)] = clean.get((i, j), Fraction(0)) + c
+            if c:
+                clean[(i, j)] = clean[(i, j)] + c if (i, j) in clean else c
         self.side = side
-        self.terms = MappingProxyType({k: v for k, v in clean.items() if v != 0})
+        self.terms = MappingProxyType({k: v for k, v in clean.items() if v})
         self._hash = None
 
     @classmethod
@@ -71,7 +99,7 @@ class WeylElement:
         """Fast path for internal callers holding already-clean Fractions."""
         el = object.__new__(cls)
         el.side = side
-        el.terms = MappingProxyType({k: v for k, v in terms.items() if v != 0})
+        el.terms = MappingProxyType({k: v for k, v in terms.items() if v})
         el._hash = None
         return el
 
@@ -172,7 +200,7 @@ class WeylElement:
         self._check_side(other)
         out = dict(self.terms)
         for k, c in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) + c
+            out[k] = out[k] + c if k in out else c
         return WeylElement._raw(out, self.side)
 
     __radd__ = __add__
@@ -195,14 +223,18 @@ class WeylElement:
         if not isinstance(other, WeylElement):
             return NotImplemented
         self._check_side(other)
+        d1, left = _lift(self.terms)
+        d2, right = _lift(other.terms)
         out: dict = {}
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
-                c = c1 * c2
+        get = out.get
+        for (i1, j1), n1 in left:
+            for (i2, j2), n2 in right:
+                n = n1 * n2
+                i, j = i1 + i2, j1 + j2
                 for t, w in enumerate(_swap_weights(j1, i2)):
-                    key = (i1 + i2 - t, j1 + j2 - t)
-                    out[key] = out.get(key, Fraction(0)) + w * c
-        return WeylElement._raw(out, self.side)
+                    key = (i - t, j - t)
+                    out[key] = get(key, 0) + w * n
+        return _settle(out, d1 * d2, self.side)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):

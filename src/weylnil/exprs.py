@@ -11,7 +11,8 @@ Grammar (whitespace-insensitive between tokens)::
 
 ``^`` binds tightest, then ``*``, then ``+``/``-``; juxtaposition is not a
 product.  Products are operator products: ``D*x`` parses to ``x*D + 1``.
-One expression must stay on a single side.  Exponents are capped at 4096.
+One expression must stay on a single side.  Exponents are capped at 4096 and
+parentheses nest at most 100 deep.
 
 ``format_element`` prints terms sorted descending by (coordinate exponent,
 derivative exponent); the output always parses back to an equal element.
@@ -20,22 +21,23 @@ derivative exponent); the output always parses back to an equal element.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List
+from typing import List, NamedTuple
 
 from .element import WeylElement, coordinate, derivative
 from .errors import ParseError
 
 MAX_EXPONENT = 4096
+# Each nesting level takes a few stack frames of the recursive descent; the
+# limit keeps deep input a ParseError well inside Python's recursion limit.
+MAX_NESTING = 100
 
 _TOKEN = re.compile(r"\s*(?:(\d+(?:/\d+)?)|([A-Za-z]+)|([-+*^()])|(\S))")
 
 _SYMBOLS = {"x": ("x", False), "D": ("x", True), "z": ("z", False), "Dz": ("z", True)}
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "num" | "name" | "op" | "end"
     text: str
     pos: int
@@ -68,6 +70,7 @@ class _Parser:
         self.tokens = tokens
         self.idx = 0
         self.side = side
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.idx]
@@ -83,20 +86,17 @@ class _Parser:
             raise ParseError(f"expected {op!r}", tok.pos)
 
     def parse_expr(self) -> WeylElement:
-        sign = 1
+        parts = []
         tok = self.peek()
-        if tok.kind == "op" and tok.text in "+-":
-            self.take()
-            sign = -1 if tok.text == "-" else 1
-        acc = self.parse_term() * sign
         while True:
-            tok = self.peek()
+            sign = 1
             if tok.kind == "op" and tok.text in "+-":
                 self.take()
-                rhs = self.parse_term()
-                acc = acc - rhs if tok.text == "-" else acc + rhs
-            else:
-                return acc
+                sign = -1 if tok.text == "-" else 1
+            parts.extend((k, sign * c) for k, c in self.parse_term().terms.items())
+            tok = self.peek()
+            if not (tok.kind == "op" and tok.text in "+-"):
+                return WeylElement(parts, self.side)
 
     def parse_term(self) -> WeylElement:
         acc = self.parse_factor()
@@ -109,6 +109,7 @@ class _Parser:
                 return acc
 
     def parse_factor(self) -> WeylElement:
+        head = self.peek()
         base = self.parse_atom()
         tok = self.peek()
         if tok.kind == "op" and tok.text == "^":
@@ -119,6 +120,9 @@ class _Parser:
             n = int(exp.text)
             if n > MAX_EXPONENT:
                 raise ParseError(f"exponent overflow (limit {MAX_EXPONENT})", exp.pos)
+            if head.kind == "name":
+                is_deriv = _SYMBOLS[head.text][1]
+                return WeylElement({(0, n) if is_deriv else (n, 0): 1}, base.side)
             return base**n
         return base
 
@@ -133,7 +137,11 @@ class _Parser:
             side, is_deriv = _SYMBOLS[tok.text]
             return derivative(side) if is_deriv else coordinate(side)
         if tok.kind == "op" and tok.text == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", tok.pos)
+            self.depth += 1
             inner = self.parse_expr()
+            self.depth -= 1
             self.expect_op(")")
             return inner
         raise ParseError(f"unexpected {tok.text!r}" if tok.text else "unexpected end of input", tok.pos)

@@ -42,14 +42,19 @@ def weyl_elements(draw, max_terms=5, max_exp=4, side="x"):
 
 
 @st.composite
-def shift_polys(draw, max_deg=4):
+def shift_polys(draw, max_deg=4, max_den=1):
+    """Shift polynomials with coefficients p/q, |p| <= 4, q <= max_den; the
+    descent applies rational shifts such as V/(N*c)."""
     deg = draw(st.integers(1, max_deg))
-    coeffs = [0] + [draw(st.integers(-4, 4)) for _ in range(deg)]
+    coeffs = [0]
+    for _ in range(deg):
+        num = draw(st.integers(-4, 4))
+        coeffs.append(Fraction(num, draw(st.integers(1, max_den))) if max_den > 1 else num)
     return UniPoly(coeffs)
 
 
 @st.composite
-def auto_words(draw, max_len=3, max_deg=4, max_image=16, start=(3, 3)):
+def auto_words(draw, max_len=3, max_deg=4, max_image=16, start=(3, 3), max_den=1):
     """Generator words kept small enough for exact whole-image comparisons."""
     n = draw(st.integers(0, max_len))
     word: list = []
@@ -58,9 +63,9 @@ def auto_words(draw, max_len=3, max_deg=4, max_image=16, start=(3, 3)):
         if kind == "fourier":
             candidate = Fourier()
         elif kind == "shiftX":
-            candidate = ShiftX(draw(shift_polys(max_deg)))
+            candidate = ShiftX(draw(shift_polys(max_deg, max_den)))
         else:
-            candidate = ShiftD(draw(shift_polys(max_deg)))
+            candidate = ShiftD(draw(shift_polys(max_deg, max_den)))
         if shape_bound([candidate] + word, *start) > max_image:
             break
         word.insert(0, candidate)

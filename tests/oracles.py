@@ -3,7 +3,9 @@
 Monomial products are represented as letter words over {"x", "d"} and
 rewritten one adjacent ``d x -> x d + 1`` swap at a time until no ``d``
 stands left of an ``x``.  Deliberately naive; kept independent of the
-closed-form exchange rule used by the package.
+closed-form exchange rule and of the integer-numerator product kernel used
+by the package: rational coefficients enter only through scalar multiples
+and sums of ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -32,3 +34,12 @@ def slow_monomial_product(i1: int, j1: int, i2: int, j2: int) -> WeylElement:
     """Normal-ordered product of x^i1 d^j1 and x^i2 d^j2, by single swaps."""
     word = ("x",) * i1 + ("d",) * j1 + ("x",) * i2 + ("d",) * j2
     return WeylElement(dict(_normalize_word(word)))
+
+
+def slow_product(a: WeylElement, b: WeylElement) -> WeylElement:
+    """Normal-ordered product by bilinear expansion over monomial products."""
+    acc = WeylElement.zero(a.side)
+    for (i1, j1), c1 in a.terms.items():
+        for (i2, j2), c2 in b.terms.items():
+            acc = acc + slow_monomial_product(i1, j1, i2, j2) * (c1 * c2)
+    return acc

@@ -100,6 +100,17 @@ def test_word_application_is_multiplicative(w, a, b):
     assert apply_word(w, commutator(a, b)) == commutator(apply_word(w, a), apply_word(w, b))
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    w=auto_words(start=(4, 4), max_den=7),
+    a=weyl_elements(max_terms=2, max_exp=2),
+    b=weyl_elements(max_terms=2, max_exp=2),
+)
+def test_rational_word_application_is_multiplicative(w, a, b):
+    # shift polynomials with rational coefficients, as the descent applies
+    assert apply_word(w, a * b) == apply_word(w, a) * apply_word(w, b)
+
+
 @given(w=auto_words())
 def test_ccr_preserved_on_random_words(w):
     assert ccr_preserved(w)

@@ -131,3 +131,52 @@ def test_verify_rejects_tampered_certificate(capsys, tmp_path):
     code, out, _ = _run(capsys, "verify", "--cert", str(cert_path), "D^2 - x")
     assert code == 0
     assert out.strip() == "false"
+
+
+def test_decide_leading_minus_expression(capsys):
+    code, out, _ = _run(capsys, "decide", "-3*D")
+    assert code == 0
+    assert "verdict: strictly-nilpotent" in out
+    code, out, _ = _run(capsys, "decide", "-x*D", "--json")
+    assert code == 0
+    assert json.loads(out)["reason"] == "nonconstant-leading"
+
+
+def test_leading_minus_on_every_expression_subcommand(capsys, tmp_path):
+    word_path = tmp_path / "word.json"
+    word_path.write_text(json.dumps([{"kind": "fourier"}]))
+    _, out, _ = _run(capsys, "decide", "-D^2 + x", "--json")
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps(json.loads(out)["certificate"]))
+    cases = [
+        (("ad", "-D^2 + x", "-x"), "nilpotent at 3"),
+        (("partner", "-D^2 + x"), "lambda:"),
+        (("ccr", "-D", "-x"), "commutator equals 1: true"),
+        (("polygon", "-D^2 + x"), "weight:"),
+        (("apply", "--word", str(word_path), "-D"), "x"),
+        (("verify", "--cert", str(cert_path), "-D^2 + x"), "true"),
+    ]
+    for argv, expected in cases:
+        code, out, err = _run(capsys, *argv)
+        assert code == 0, (argv, err)
+        assert expected in out, argv
+
+
+def test_double_dash_still_ends_options(capsys):
+    code, out, _ = _run(capsys, "decide", "--json", "--", "-3*D")
+    assert code == 0
+    assert json.loads(out)["verdict"] == "strictly-nilpotent"
+
+
+def test_unknown_flag_is_usage_error(capsys):
+    code, _, err = _run(capsys, "decide", "--bogus", "x")
+    assert code == 1
+    assert "unrecognized arguments: --bogus" in err
+
+
+def test_deeply_nested_input_is_parse_error(capsys):
+    code, out, err = _run(capsys, "decide", "(" * 3000 + "x" + ")" * 3000)
+    assert code == 1
+    assert out == ""
+    assert "nested deeper than" in err
+    assert "Traceback" not in err

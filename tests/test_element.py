@@ -1,5 +1,6 @@
 """Core arithmetic: normal ordering, brackets, profiles, algebra laws."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,8 +19,8 @@ from weylnil import (
     profile,
 )
 
-from conftest import weyl_elements
-from oracles import slow_monomial_product
+from conftest import rand_element, weyl_elements
+from oracles import slow_monomial_product, slow_product
 
 x, d = generators()
 
@@ -154,3 +155,44 @@ def test_terms_are_read_only():
     e = x * d
     with pytest.raises(TypeError):
         e.terms[(5, 5)] = Fraction(1)
+
+
+def test_rational_products_match_monomial_oracle():
+    # denominators up to 100, so operands lift to different common denominators
+    rng = random.Random(31)
+    for _ in range(40):
+        a = rand_element(rng, max_terms=5, max_exp=4, max_num=100, max_den=100)
+        b = rand_element(rng, max_terms=5, max_exp=4, max_num=100, max_den=100)
+        assert a * b == slow_product(a, b)
+
+
+def _to_sympy(e, ring, sympy):
+    from sympy.holonomic.holonomic import DifferentialOperator
+
+    x = ring.base.gens[0]
+    slices = [sympy.S.Zero] * (e.order + 1)
+    for (i, j), c in e.terms.items():
+        slices[j] += sympy.Rational(c.numerator, c.denominator) * x**i
+    return DifferentialOperator([ring.base.from_sympy(p) for p in slices] or [ring.base.zero], ring)
+
+
+def _from_sympy(op, ring, sympy):
+    x = ring.base.gens[0]
+    terms = {}
+    for j, coeff in enumerate(op.listofpoly):
+        for (i,), c in sympy.Poly(ring.base.to_sympy(coeff), x).terms():
+            terms[(i, j)] = Fraction(int(c.p), int(c.q))
+    return WeylElement(terms)
+
+
+def test_products_match_sympy_differential_operators():
+    sympy = pytest.importorskip("sympy")
+    from sympy.holonomic import DifferentialOperators
+
+    ring, _ = DifferentialOperators(sympy.QQ.old_poly_ring(sympy.Symbol("x")), "Dx")
+    rng = random.Random(97)
+    for _ in range(30):
+        a = rand_element(rng, max_terms=5, max_exp=4, max_num=100, max_den=100)
+        b = rand_element(rng, max_terms=5, max_exp=4, max_num=100, max_den=100)
+        expected = _to_sympy(a, ring, sympy) * _to_sympy(b, ring, sympy)
+        assert a * b == _from_sympy(expected, ring, sympy)

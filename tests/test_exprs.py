@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 
 from weylnil import ParseError, WeylElement, format_element, generators, parse_expression
+from weylnil.exprs import MAX_NESTING
 from weylnil.element import coordinate, derivative
 
 from conftest import weyl_elements
@@ -103,3 +104,25 @@ def test_parse_format_round_trip_z(e):
         assert parse_expression(format_element(e)) == WeylElement(e.terms, "x")
     else:
         assert parse_expression(format_element(e)) == e
+
+
+def test_parse_nesting_limit():
+    assert parse_expression("(" * MAX_NESTING + "x" + ")" * MAX_NESTING) == x
+    with pytest.raises(ParseError) as info:
+        parse_expression("(" * (MAX_NESTING + 1) + "x" + ")" * (MAX_NESTING + 1))
+    assert info.value.position == MAX_NESTING
+
+
+def test_parse_symbol_powers_are_monomials():
+    assert parse_expression("D^7") == d**7
+    assert parse_expression("x^0") == WeylElement.one()
+    assert parse_expression("x^4096") == WeylElement({(4096, 0): 1})
+    assert parse_expression("Dz^3 * z") == WeylElement({(1, 3): 1, (0, 2): 3}, "z")
+    assert parse_expression("(x + D)^2") == x**2 + 2 * x * d + d**2 + 1
+
+
+def test_parse_long_sum_collects_terms():
+    text = " + ".join(f"{k}*x^{k}*D" for k in range(1, 2001)) + " - 1000*x^1000*D"
+    expected = WeylElement({(k, 1): k for k in range(1, 2001) if k != 1000})
+    assert parse_expression(text) == expected
+    assert parse_expression("x - x") == WeylElement.zero()
