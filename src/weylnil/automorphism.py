@@ -10,6 +10,12 @@ Three primitive generator kinds act on the algebra:
 Constant terms of the stored polynomials act trivially and are dropped on
 construction, so every generator has one canonical representation.
 
+Both shifts go through one substitution routine, ``_substitute``: it builds
+the powers of ``D - p(x)`` by a one-generator recurrence on Python integers
+over one denominator, with no general product.  ``ShiftX`` reaches it
+through the order-reversing swap ``x^i D^j <-> x^j D^i``, which turns
+``x + s(D)`` into ``D + s(x)``.
+
 A word is a sequence of generators read like a composition chain: the LAST
 entry is applied first, so ``apply_word([g, h], a) == g(h(a))``.  With this
 convention ``invert_word`` reverses the sequence and inverts each entry, and
@@ -19,7 +25,7 @@ convention ``invert_word`` reverses the sequence and inverts each entry, and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, lcm, perm
+from math import comb, perm
 from typing import Sequence, Tuple, Union
 
 from .element import WeylElement, _lift, _settle, commutator
@@ -74,33 +80,47 @@ def _apply_fourier(e: WeylElement, inverse: bool) -> WeylElement:
     return _settle(out, den, e.side)
 
 
-def _powers(base: WeylElement, n: int) -> list:
-    pows = [WeylElement.one(base.side)]
-    for _ in range(n):
-        pows.append(pows[-1] * base)
-    return pows
+def _substitute(e: WeylElement, p: UniPoly, swap: bool) -> WeylElement:
+    """Image of ``e`` under ``D -> D - p(x)``, ``x -> x``; with ``swap``, of
+    the swapped element, swapped back.
 
-
-def _substitute(e: WeylElement, base: WeylElement, on_x: bool) -> WeylElement:
-    """Image of ``e`` when the coordinate (``on_x``) or the derivative is
-    replaced by ``base``: each ``x^i D^j`` goes to ``base^i D^j`` or
-    ``x^i base^j``, read off a power table of ``base``."""
-    pows = _powers(base, e.x_degree if on_x else e.order)
+    The swap ``x^i D^j <-> x^j D^i`` reverses the order of products, so it
+    conjugates ``D -> D + s(x)`` into ``x -> x + s(D)``.  With ``den`` the
+    lcm of the denominators of ``p`` and ``P = den*p``, the integer table
+    ``den^k * (D - p)^k = (den*D - P)^k`` grows by left-multiplication with
+    ``den*D - P``, using ``D * x^a D^b = x^a D^(b+1) + a x^(a-1) D^b``.
+    Each ``x^i D^j`` then goes to ``x^i (D - p)^j``, over the one
+    denominator ``den_e * den^J`` of the element and the top power ``J``.
+    """
     den_e, terms = _lift(e.terms)
-    den_p = lcm(*[c.denominator for p in pows for c in p.terms.values()])
-    table = [_lift(p.terms, den_p)[1] for p in pows]
+    if swap:
+        terms = [((j, i), n) for (i, j), n in terms]
+    den, big_p = _lift({m: c for m, c in enumerate(p.coeffs) if c})
+    top = max(j for (_, j), _ in terms)
+    table = [{(0, 0): 1}]
+    for _ in range(top):
+        nxt: dict = {}
+        get = nxt.get
+        for (a, b), c in table[-1].items():
+            key = (a, b + 1)
+            nxt[key] = get(key, 0) + den * c
+            if a:
+                key = (a - 1, b)
+                nxt[key] = get(key, 0) + den * a * c
+            for m, pm in big_p:
+                key = (a + m, b)
+                nxt[key] = get(key, 0) - pm * c
+        table.append(nxt)
     out: dict = {}
     get = out.get
     for (i, j), n in terms:
-        if on_x:
-            for (a, b), pn in table[i]:
-                key = (a, b + j)
-                out[key] = get(key, 0) + pn * n
-        else:
-            for (a, b), pn in table[j]:
-                key = (a + i, b)
-                out[key] = get(key, 0) + pn * n
-    return _settle(out, den_e * den_p, e.side)
+        n *= den ** (top - j)
+        for (a, b), c in table[j].items():
+            key = (i + a, b)
+            out[key] = get(key, 0) + c * n
+    if swap:
+        out = {(j, i): n for (i, j), n in out.items()}
+    return _settle(out, den_e * den**top, e.side)
 
 
 def apply_generator(gen: Generator, e: WeylElement) -> WeylElement:
@@ -109,18 +129,13 @@ def apply_generator(gen: Generator, e: WeylElement) -> WeylElement:
         return _apply_fourier(e, inverse=False)
     if isinstance(gen, FourierInverse):
         return _apply_fourier(e, inverse=True)
-    if isinstance(gen, ShiftX):
+    if isinstance(gen, (ShiftX, ShiftD)):
         shift = gen.poly.derivative()
         if shift.is_zero() or e.is_zero():
             return e
-        base = WeylElement({(1, 0): 1}, e.side) + WeylElement.from_d_poly(shift, e.side)
-        return _substitute(e, base, on_x=True)
-    if isinstance(gen, ShiftD):
-        shift = gen.poly.derivative()
-        if shift.is_zero() or e.is_zero():
-            return e
-        base = WeylElement({(0, 1): 1}, e.side) - WeylElement.from_x_poly(shift, e.side)
-        return _substitute(e, base, on_x=False)
+        if isinstance(gen, ShiftX):
+            return _substitute(e, -shift, swap=True)
+        return _substitute(e, shift, swap=False)
     raise TypeError(f"unknown generator {gen!r}")
 
 

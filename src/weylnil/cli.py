@@ -9,6 +9,7 @@ internal invariant violations.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -202,6 +203,7 @@ def _cmd_verify(ns) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(prog="weylnil", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -45,7 +45,6 @@ from .element import (
     commutator,
     coordinate,
     derivative,
-    poly_at,
     profile,
 )
 from .errors import (
@@ -146,8 +145,8 @@ Verdict = Union[StrictlyNilpotent, NotStrictlyNilpotent, TriviallyConstant]
 
 def verify_certificate(e: WeylElement, cert: Certificate) -> bool:
     """Recompute the certified image and compare exactly."""
-    base = derivative(e.side) if cert.side == "d" else coordinate(e.side)
-    return apply_word(cert.word, poly_at(cert.gen_poly, base)) == e
+    build = WeylElement.from_d_poly if cert.side == "d" else WeylElement.from_x_poly
+    return apply_word(cert.word, build(cert.gen_poly, e.side)) == e
 
 
 def normalize_subleading(e: WeylElement) -> Tuple[WeylElement, Generator]:
@@ -641,6 +640,6 @@ def random_orbit_element(
     for _ in range(1000):
         word, q = _draw_word_and_poly(rng, word_len, max_deg, max_q_deg)
         if max_order is None or _order_bound(word, q.degree) <= max_order:
-            element = apply_word(word, poly_at(q, derivative("x")))
+            element = apply_word(word, WeylElement.from_d_poly(q))
             return element, Certificate(word, q, "d")
     raise ValueError("no draw satisfied the order bound; relax max_order")

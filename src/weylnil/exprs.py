@@ -14,6 +14,13 @@ product.  Products are operator products: ``D*x`` parses to ``x*D + 1``.
 One expression must stay on a single side.  Exponents are capped at 4096 and
 parentheses nest at most 100 deep.
 
+A term whose factors are numbers, symbols and symbol powers, with no
+coordinate factor right of a derivative factor (``-3/2*x^4*D^2``,
+``2*x*1/2``), is one monomial: the parser accumulates an integer numerator,
+an integer denominator and the two exponents, and builds one ``Fraction``
+for the term.  Only a parenthesised group, or a coordinate factor after a
+derivative factor (``D*x``), is multiplied on with the operator product.
+
 ``format_element`` prints terms sorted descending by (coordinate exponent,
 derivative exponent); the output always parses back to an equal element.
 """
@@ -24,7 +31,7 @@ import re
 from fractions import Fraction
 from typing import List, NamedTuple
 
-from .element import WeylElement, coordinate, derivative
+from .element import WeylElement
 from .errors import ParseError
 
 MAX_EXPONENT = 4096
@@ -33,8 +40,12 @@ MAX_EXPONENT = 4096
 MAX_NESTING = 100
 
 _TOKEN = re.compile(r"\s*(?:(\d+(?:/\d+)?)|([A-Za-z]+)|([-+*^()])|(\S))")
+# token kind by the index of the group that matched; group 4 is a bad character
+_KINDS = (None, "num", "name", "op")
 
 _SYMBOLS = {"x": ("x", False), "D": ("x", True), "z": ("z", False), "Dz": ("z", True)}
+
+_ONE = Fraction(1)
 
 
 class _Token(NamedTuple):
@@ -45,22 +56,11 @@ class _Token(NamedTuple):
 
 def _tokenize(text: str) -> List[_Token]:
     out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            break
-        num, name, op, junk = m.groups()
-        where = m.end() - len((num or name or op or junk or ""))
-        if junk is not None:
-            raise ParseError(f"unexpected character {junk!r}", where)
-        if num is not None:
-            out.append(_Token("num", num, where))
-        elif name is not None:
-            out.append(_Token("name", name, where))
-        else:
-            out.append(_Token("op", op, where))
-        pos = m.end()
+    for m in _TOKEN.finditer(text):
+        group = m.lastindex
+        if group == 4:
+            raise ParseError(f"unexpected character {m.group(4)!r}", m.start(4))
+        out.append(_Token(_KINDS[group], m.group(group), m.start(group)))
     out.append(_Token("end", "", len(text)))
     return out
 
@@ -86,65 +86,99 @@ class _Parser:
             raise ParseError(f"expected {op!r}", tok.pos)
 
     def parse_expr(self) -> WeylElement:
-        parts = []
+        out: dict = {}
         tok = self.peek()
         while True:
             sign = 1
             if tok.kind == "op" and tok.text in "+-":
                 self.take()
                 sign = -1 if tok.text == "-" else 1
-            parts.extend((k, sign * c) for k, c in self.parse_term().terms.items())
+            for key, c in self.parse_term(sign):
+                out[key] = out[key] + c if key in out else c
             tok = self.peek()
             if not (tok.kind == "op" and tok.text in "+-"):
-                return WeylElement(parts, self.side)
+                return WeylElement._raw(out, self.side)
 
-    def parse_term(self) -> WeylElement:
-        acc = self.parse_factor()
+    def parse_term(self, sign: int):
+        """The ``(key, coefficient)`` pairs of ``sign`` times the next term.
+
+        Numbers and symbol powers accumulate into one monomial
+        ``num/den * x^i * D^j``.  A group, or a coordinate power after a
+        derivative power, is multiplied on with ``*``: ``acc`` holds the
+        product of the factors before the open monomial.
+        """
+        num, den, i, j = sign, 1, 0, 0
+        acc = None
         while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text == "*":
-                self.take()
-                acc = acc * self.parse_factor()
+            tok = self.take()
+            if tok.kind == "num":
+                top, _, bottom = tok.text.partition("/")
+                bottom = int(bottom) if bottom else 1
+                if bottom == 0:
+                    raise ParseError("zero denominator", tok.pos)
+                n = self.parse_exponent()
+                num *= int(top) ** n
+                den *= bottom**n
+            elif tok.kind == "name":
+                n = self.parse_exponent()
+                if _SYMBOLS[tok.text][1]:
+                    j += n
+                elif j and n:
+                    acc = _times(acc, _monomial(i, j, self.side))
+                    i, j = n, 0
+                else:
+                    i += n
+            elif tok.kind == "op" and tok.text == "(":
+                group = self.parse_group(tok)
+                n = self.parse_exponent()
+                if i or j:
+                    acc = _times(acc, _monomial(i, j, self.side))
+                    i = j = 0
+                acc = _times(acc, group if n == 1 else group**n)
             else:
-                return acc
-
-    def parse_factor(self) -> WeylElement:
-        head = self.peek()
-        base = self.parse_atom()
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "^":
+                what = f"unexpected {tok.text!r}" if tok.text else "unexpected end of input"
+                raise ParseError(what, tok.pos)
+            tok = self.peek()
+            if not (tok.kind == "op" and tok.text == "*"):
+                break
             self.take()
-            exp = self.take()
-            if exp.kind != "num" or "/" in exp.text:
-                raise ParseError("exponent must be a nonnegative integer literal", exp.pos)
-            n = int(exp.text)
-            if n > MAX_EXPONENT:
-                raise ParseError(f"exponent overflow (limit {MAX_EXPONENT})", exp.pos)
-            if head.kind == "name":
-                is_deriv = _SYMBOLS[head.text][1]
-                return WeylElement({(0, n) if is_deriv else (n, 0): 1}, base.side)
-            return base**n
-        return base
+        coeff = Fraction(num, den)
+        if acc is None:
+            return (((i, j), coeff),)
+        if i or j:
+            acc = acc * _monomial(i, j, self.side)
+        return (acc * coeff).terms.items()
 
-    def parse_atom(self) -> WeylElement:
-        tok = self.take()
-        if tok.kind == "num":
-            num, _, den = tok.text.partition("/")
-            if den and int(den) == 0:
-                raise ParseError("zero denominator", tok.pos)
-            return WeylElement.scalar(Fraction(int(num), int(den) if den else 1), self.side)
-        if tok.kind == "name":
-            side, is_deriv = _SYMBOLS[tok.text]
-            return derivative(side) if is_deriv else coordinate(side)
-        if tok.kind == "op" and tok.text == "(":
-            if self.depth == MAX_NESTING:
-                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", tok.pos)
-            self.depth += 1
-            inner = self.parse_expr()
-            self.depth -= 1
-            self.expect_op(")")
-            return inner
-        raise ParseError(f"unexpected {tok.text!r}" if tok.text else "unexpected end of input", tok.pos)
+    def parse_exponent(self) -> int:
+        """The exponent after ``^``, or 1 when no ``^`` follows."""
+        tok = self.peek()
+        if not (tok.kind == "op" and tok.text == "^"):
+            return 1
+        self.take()
+        exp = self.take()
+        if exp.kind != "num" or "/" in exp.text:
+            raise ParseError("exponent must be a nonnegative integer literal", exp.pos)
+        n = int(exp.text)
+        if n > MAX_EXPONENT:
+            raise ParseError(f"exponent overflow (limit {MAX_EXPONENT})", exp.pos)
+        return n
+
+    def parse_group(self, opening: _Token) -> WeylElement:
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", opening.pos)
+        self.depth += 1
+        inner = self.parse_expr()
+        self.depth -= 1
+        self.expect_op(")")
+        return inner
+
+
+def _monomial(i: int, j: int, side: str) -> WeylElement:
+    return WeylElement._raw({(i, j): _ONE}, side)
+
+
+def _times(acc, e: WeylElement) -> WeylElement:
+    return e if acc is None else acc * e
 
 
 def parse_expression(text: str) -> WeylElement:

@@ -23,7 +23,8 @@ from weylnil import (
     invert_word,
 )
 
-from conftest import auto_words, rand_element, rand_word, weyl_elements
+from conftest import auto_words, rand_element, rand_word, shift_polys, weyl_elements
+from oracles import slow_shift
 
 x, d = generators()
 
@@ -154,3 +155,23 @@ def test_random_words_fix_nothing_but_identity_on_average():
         w = rand_word(rng, max_len=4, max_deg=4)
         e = rand_element(rng, max_terms=4, max_exp=4)
         assert apply_word(invert_word(w), apply_word(w, e)) == e
+
+
+def test_shifts_match_slow_substitution():
+    # rational shift polynomials of degree up to 5 on rational elements,
+    # against powers built by single-swap products
+    rng = random.Random(31)
+    for _ in range(60):
+        deg = rng.randint(1, 5)
+        poly = UniPoly([0] + [Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(deg)])
+        gen = rng.choice((ShiftX, ShiftD))(poly)
+        e = rand_element(rng, max_terms=4, max_exp=3, max_num=20, max_den=12)
+        assert apply_generator(gen, e) == slow_shift(gen, e), (gen, e)
+
+
+@settings(max_examples=100, deadline=None)
+@given(r=shift_polys(max_deg=5, max_den=7), e=weyl_elements(max_terms=4, max_exp=3))
+def test_shift_x_is_conjugate_shift_d(r, e):
+    # x -> x + r'(D) equals the Fourier conjugate of D -> D - r'(x)
+    conjugate = (Fourier(), ShiftD(r), FourierInverse())
+    assert apply_generator(ShiftX(r), e) == apply_word(conjugate, e)

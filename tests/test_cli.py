@@ -180,3 +180,21 @@ def test_deeply_nested_input_is_parse_error(capsys):
     assert out == ""
     assert "nested deeper than" in err
     assert "Traceback" not in err
+
+
+def test_repeated_runs_share_no_state(capsys):
+    # the argument parser is built once per process; no call may see the
+    # options of an earlier one
+    code, out, _ = _run(capsys, "decide", "--json", "D^2 - x")
+    assert code == 0
+    assert json.loads(out)["verdict"] == "strictly-nilpotent"
+    code, out, _ = _run(capsys, "decide", "x*D")
+    assert code == 0
+    assert out.startswith("verdict: not-strictly-nilpotent")
+    assert _run(capsys, "decide", "--bogus", "x")[0] == 1
+    assert _run(capsys, "decide", "D")[0] == 0
+    code, out, _ = _run(capsys, "ad", "x^3*D", "D", "--max-steps", "3")
+    assert out.strip().startswith("bound exhausted at 3 ")
+    code, out, _ = _run(capsys, "ad", "x^3*D", "D")
+    assert code == 0
+    assert out.strip().startswith("bound exhausted at 64 ")

@@ -1,13 +1,17 @@
 """Expression grammar and canonical printing."""
 
+from fractions import Fraction
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylnil import ParseError, WeylElement, format_element, generators, parse_expression
 from weylnil.exprs import MAX_NESTING
 from weylnil.element import coordinate, derivative
 
 from conftest import weyl_elements
+from oracles import slow_product
 
 x, d = generators()
 
@@ -126,3 +130,80 @@ def test_parse_long_sum_collects_terms():
     expected = WeylElement({(k, 1): k for k in range(1, 2001) if k != 1000})
     assert parse_expression(text) == expected
     assert parse_expression("x - x") == WeylElement.zero()
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("D*x", x * d + 1),
+        ("D^2*x*3/7*D", (x * d**3 + 2 * d**2) * Fraction(3, 7)),
+        ("2*x*1/2", x),
+        ("0*x + D", d),
+        ("x^0*D^0*3", WeylElement.scalar(3)),
+        ("2^3*x", 8 * x),
+        ("(1/2)^2*D", d / 4),
+        ("3/7^2*D", d * Fraction(9, 49)),
+        ("-D*x*D", -(x * d**2) - d),
+        ("x*D^0*x", x**2),
+    ],
+)
+def test_parse_product_terms(text, expected):
+    assert parse_expression(text) == expected
+
+
+@st.composite
+def factors(draw):
+    """A factor's text and the element it stands for."""
+    kind = draw(st.sampled_from(["number", "x", "D", "group"]))
+    if kind == "number":
+        value = Fraction(draw(st.integers(0, 12)), draw(st.integers(1, 9)))
+        text = f"{value.numerator}/{value.denominator}"
+        if value.denominator == 1 and draw(st.booleans()):
+            text = str(value.numerator)
+        base = WeylElement.scalar(value)
+    elif kind == "group":
+        base = draw(weyl_elements(max_terms=3, max_exp=2))
+        text = f"({format_element(base)})"
+    else:
+        text, base = kind, x if kind == "x" else d
+    power = 1
+    if draw(st.booleans()):
+        power = draw(st.integers(0, 2 if kind == "group" else 4))
+        text += f"^{power}"
+    value = WeylElement.one()
+    for _ in range(power):
+        value = slow_product(value, base)
+    return text, value
+
+
+@settings(max_examples=150, deadline=None)
+@given(parts=st.lists(factors(), min_size=1, max_size=6))
+def test_parse_product_matches_product_of_factors(parts):
+    expected = WeylElement.one()
+    for text, value in parts:
+        assert parse_expression(text) == value
+        expected = slow_product(expected, value)
+    assert parse_expression("*".join(text for text, _ in parts)) == expected
+
+
+@pytest.mark.parametrize(
+    "text, position, message",
+    [
+        ("x + $", 4, "unexpected character '$'"),
+        ("  x+D  @", 7, "unexpected character '@'"),
+        ("x + y*$", 6, "unexpected character '$'"),
+        ("D^2 *", 5, "unexpected end of input"),
+        ("x*(D+)", 5, "unexpected ')'"),
+        ("", 0, "unexpected end of input"),
+        ("3*q^2", 2, "unknown symbol 'q'"),
+        ("D*(x^2 + )", 9, "unexpected ')'"),
+        ("1/0*x^9", 0, "zero denominator"),
+        ("x^-1", 2, "exponent must be a nonnegative integer literal"),
+        ("x D", 2, "unexpected trailing 'D'"),
+    ],
+)
+def test_parse_error_positions(text, position, message):
+    with pytest.raises(ParseError) as info:
+        parse_expression(text)
+    assert info.value.position == position
+    assert str(info.value).startswith(message)
