@@ -67,10 +67,10 @@ AutoWord = Tuple[Generator, ...]
 
 
 def _apply_fourier(e: WeylElement, inverse: bool) -> WeylElement:
-    den, terms = _lift(e.terms)
+    den, nums = _lift(e)
     out: dict = {}
     get = out.get
-    for (i, j), n in terms:
+    for (i, j), n in nums.items():
         if (i if inverse else j) % 2:
             n = -n
         # image of x^i D^j is (+-1) D^i x^j, reordered term by term
@@ -92,10 +92,10 @@ def _substitute(e: WeylElement, p: UniPoly, swap: bool) -> WeylElement:
     Each ``x^i D^j`` then goes to ``x^i (D - p)^j``, over the one
     denominator ``den_e * den^J`` of the element and the top power ``J``.
     """
-    den_e, terms = _lift(e.terms)
-    if swap:
-        terms = [((j, i), n) for (i, j), n in terms]
+    den_e, nums = _lift(e)
+    terms = [((j, i), n) for (i, j), n in nums.items()] if swap else nums.items()
     den, big_p = _lift({m: c for m, c in enumerate(p.coeffs) if c})
+    big_p = big_p.items()
     top = max(j for (_, j), _ in terms)
     table = [{(0, 0): 1}]
     for _ in range(top):
@@ -186,7 +186,8 @@ def anti_involution(e: WeylElement) -> WeylElement:
     coefficients; anti-multiplicativity makes the image normal-ordered as is.
     """
     other = "z" if e.side == "x" else "x"
-    return WeylElement({(j, i): c for (i, j), c in e.terms.items()}, other)
+    den, nums = _lift(e)
+    return _settle({(j, i): n for (i, j), n in nums.items()}, den, other)
 
 
 def describe_generator(gen: Generator) -> str:

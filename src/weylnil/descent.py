@@ -42,6 +42,7 @@ from .automorphism import (
 )
 from .element import (
     WeylElement,
+    _lift,
     commutator,
     coordinate,
     derivative,
@@ -405,17 +406,21 @@ AdTestResult = Union[NilpotentAt, EigenObstruction, BoundExhausted]
 
 
 def _proportional(a: WeylElement, b: WeylElement) -> Optional[Fraction]:
-    """Scalar c with a == c*b, when one exists (b nonzero)."""
-    if a.terms.keys() != b.terms.keys():
+    """Scalar c with a == c*b, when one exists (b nonzero).
+
+    With ``a = na/da`` and ``b = nb/db`` on their integer pairs, the ratio
+    is constant exactly when the cross products ``na[k]*nb[k0]`` and
+    ``nb[k]*na[k0]`` agree for every key ``k`` and one fixed ``k0``.
+    """
+    da, na = _lift(a)
+    db, nb = _lift(b)
+    if na.keys() != nb.keys():
         return None
-    ratio = None
-    for k, c in a.terms.items():
-        r = c / b.terms[k]
-        if ratio is None:
-            ratio = r
-        elif r != ratio:
-            return None
-    return ratio
+    k0 = next(iter(na))
+    p, q = na[k0], nb[k0]
+    if any(n * q != nb[k] * p for k, n in na.items()):
+        return None
+    return Fraction(p * db, q * da)
 
 
 def ad_nilpotency_test(op: WeylElement, target: WeylElement, cap: int = 64) -> AdTestResult:

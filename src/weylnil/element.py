@@ -10,12 +10,20 @@ with the closed-form exchange rule
 
 which is what ``_swap_weights`` tabulates.
 
-Coefficients are ``Fraction``s at the API, and ``terms`` is a read-only map
-of them.  The product kernel, and the shift and Fourier loops in
-``automorphism``, compute on integer numerators over one common denominator
-per operand: ``_lift`` scales a term map to integers over the least common
-multiple of its denominators, the loop runs on Python integers, and
-``_settle`` builds one ``Fraction`` per nonzero output term.
+An element stores integer numerators over one shared denominator: ``nums``
+maps ``(i, j)`` to a nonzero ``int`` and the coefficient of ``x^i D^j`` is
+``nums[(i, j)] / den``.  The pair is canonical: ``den >= 1`` and
+``gcd(den, *nums.values()) == 1``, so ``den`` is the least common multiple
+of the reduced coefficient denominators and equal values have equal pairs.
+The zero element is ``den == 1`` with no numerators.  Every operation
+computes on Python integers over one denominator and ``_settle`` reduces its
+result with one multi-argument ``gcd``; equality, hashing, ``order``, the
+coefficient slices and the other structural queries read the pair.
+Other modules reach the pair only through ``_lift`` and ``_settle``.
+
+``terms`` is a read-only map of ``Fraction`` coefficients for the printer,
+the wire format and other readers of single coefficients.  It is built from
+the pair on first read and cached.
 
 Two independent copies of the algebra are supported, labelled by ``side``:
 the ``"x"`` side (printed with ``x``/``D``) and the ``"z"`` side (printed
@@ -30,9 +38,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm, perm
+from itertools import zip_longest
+from math import comb, gcd, lcm, perm
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional, Tuple, Union
+from typing import Iterable, Mapping, Tuple, Union
 
 from .errors import SideMismatchError
 from .poly import Scalar, UniPoly
@@ -48,35 +57,63 @@ def _swap_weights(j: int, i: int) -> tuple:
     return tuple(perm(i, t) * comb(j, t) for t in range(min(i, j) + 1))
 
 
-def _lift(terms: Mapping[Key, Fraction], den: Optional[int] = None) -> Tuple[int, list]:
-    """``(den, [(key, n), ...])`` with every coefficient equal to ``n / den``.
+def _lift(source: Union["WeylElement", Mapping[Key, Fraction]]) -> Tuple[int, Mapping[Key, int]]:
+    """``(den, nums)`` with every coefficient equal to ``nums[key] / den``.
 
-    ``den`` defaults to the least common multiple of the coefficient
-    denominators; a given ``den`` must be a multiple of each of them.
+    For an element this is its stored pair, returned as is; the caller must
+    not change ``nums``.  For a map of ``Fraction``s (polynomial
+    coefficients, constructor input) ``den`` is the least common multiple of
+    the denominators, so the pair of a map of nonzero ``Fraction``s is
+    already canonical.
     """
-    if den is None:
-        den = lcm(*[c.denominator for c in terms.values()])
-    return den, [(k, c.numerator * (den // c.denominator)) for k, c in terms.items()]
+    if isinstance(source, WeylElement):
+        return source.den, source.nums
+    den = lcm(*[c.denominator for c in source.values()])
+    return den, {k: c.numerator * (den // c.denominator) for k, c in source.items()}
+
+
+def _new(side: str, den: int, nums: dict) -> "WeylElement":
+    el = object.__new__(WeylElement)
+    el.side = side
+    el.den = den
+    el.nums = nums
+    el._terms = None
+    el._hash = None
+    return el
 
 
 def _settle(acc: Mapping[Key, int], den: int, side: str) -> "WeylElement":
-    """The element with coefficients ``n / den`` for the nonzero ``n`` of ``acc``."""
-    el = object.__new__(WeylElement)
-    el.side = side
-    el.terms = MappingProxyType({k: Fraction(n, den) for k, n in acc.items() if n})
-    el._hash = None
-    return el
+    """The element with coefficients ``n / den`` for the nonzero ``n`` of
+    ``acc`` (``den >= 1``), reduced to the canonical pair."""
+    nums = {k: n for k, n in acc.items() if n}
+    g = gcd(den, *nums.values())
+    if g != 1:
+        den //= g
+        nums = {k: n // g for k, n in nums.items()}
+    return _new(side, den, nums)
+
+
+def _sum(a: "WeylElement", b: "WeylElement", sign: int) -> "WeylElement":
+    """``a + sign*b`` on the numerators over ``lcm(a.den, b.den)``."""
+    den = lcm(a.den, b.den)
+    scale_a, scale_b = den // a.den, sign * (den // b.den)
+    out = dict(a.nums) if scale_a == 1 else {k: n * scale_a for k, n in a.nums.items()}
+    get = out.get
+    for k, n in b.nums.items():
+        out[k] = get(k, 0) + n * scale_b
+    return _settle(out, den, a.side)
 
 
 class WeylElement:
     """A normal-ordered operator; the universal operand of the package.
 
-    ``terms`` maps ``(x_exponent, d_exponent)`` pairs to nonzero rational
-    coefficients.  The zero element has an empty map, and two elements are
-    equal exactly when their sides and term maps agree.
+    ``den`` and ``nums`` are the canonical pair described in the module
+    docstring.  ``terms`` maps ``(x_exponent, d_exponent)`` pairs to the
+    nonzero ``Fraction`` coefficients.  The zero element has no terms, and
+    two elements are equal exactly when their sides and pairs agree.
     """
 
-    __slots__ = ("side", "terms", "_hash")
+    __slots__ = ("side", "den", "nums", "_terms", "_hash")
 
     def __init__(self, terms: Union[Mapping[Key, Scalar], Iterable] = (), side: str = "x"):
         if side not in SIDES:
@@ -91,17 +128,14 @@ class WeylElement:
             if c:
                 clean[(i, j)] = clean[(i, j)] + c if (i, j) in clean else c
         self.side = side
-        self.terms = MappingProxyType({k: v for k, v in clean.items() if v})
+        self.den, self.nums = _lift({k: v for k, v in clean.items() if v})
+        self._terms = None
         self._hash = None
 
     @classmethod
-    def _raw(cls, terms: dict, side: str) -> "WeylElement":
-        """Fast path for internal callers holding already-clean Fractions."""
-        el = object.__new__(cls)
-        el.side = side
-        el.terms = MappingProxyType({k: v for k, v in terms.items() if v})
-        el._hash = None
-        return el
+    def _raw(cls, terms: Mapping[Key, Fraction], side: str) -> "WeylElement":
+        """Fast path for internal callers holding ``Fraction``s, zeros allowed."""
+        return _new(side, *_lift({k: v for k, v in terms.items() if v}))
 
     @classmethod
     def zero(cls, side: str = "x") -> "WeylElement":
@@ -127,26 +161,34 @@ class WeylElement:
     # structure
     # ------------------------------------------------------------------
 
+    @property
+    def terms(self) -> Mapping[Key, Fraction]:
+        """Read-only map of the nonzero ``Fraction`` coefficients."""
+        if self._terms is None:
+            den = self.den
+            self._terms = MappingProxyType({k: Fraction(n, den) for k, n in self.nums.items()})
+        return self._terms
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def is_constant(self) -> bool:
-        return all(k == (0, 0) for k in self.terms)
+        return all(k == (0, 0) for k in self.nums)
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError("element is not constant")
-        return self.terms.get((0, 0), Fraction(0))
+        return Fraction(self.nums.get((0, 0), 0), self.den)
 
     @property
     def order(self) -> int:
         """Maximal derivative exponent; -1 for the zero element."""
-        return max((j for _, j in self.terms), default=-1)
+        return max((j for _, j in self.nums), default=-1)
 
     @property
     def x_degree(self) -> int:
         """Maximal coordinate exponent; -1 for the zero element."""
-        return max((i for i, _ in self.terms), default=-1)
+        return max((i for i, _ in self.nums), default=-1)
 
     def depends_on_x(self) -> bool:
         return self.x_degree > 0
@@ -158,15 +200,17 @@ class WeylElement:
         """Coefficient of D^j, as a polynomial in the coordinate."""
         if j < 0:
             return UniPoly.zero()
-        top = max((i for i, jj in self.terms if jj == j), default=-1)
-        return UniPoly(tuple(self.terms.get((i, j), 0) for i in range(top + 1)))
+        nums, den = self.nums, self.den
+        top = max((i for i, jj in nums if jj == j), default=-1)
+        return UniPoly(tuple(Fraction(nums.get((i, j), 0), den) for i in range(top + 1)))
 
     def x_slice(self, i: int) -> UniPoly:
         """Coefficient of x^i, as a polynomial in the derivative."""
         if i < 0:
             return UniPoly.zero()
-        top = max((jj for ii, jj in self.terms if ii == i), default=-1)
-        return UniPoly(tuple(self.terms.get((i, j), 0) for j in range(top + 1)))
+        nums, den = self.nums, self.den
+        top = max((jj for ii, jj in nums if ii == i), default=-1)
+        return UniPoly(tuple(Fraction(nums.get((i, j), 0), den) for j in range(top + 1)))
 
     def to_x_poly(self) -> UniPoly:
         if self.depends_on_d():
@@ -198,52 +242,58 @@ class WeylElement:
         if not isinstance(other, WeylElement):
             return NotImplemented
         self._check_side(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out[k] + c if k in out else c
-        return WeylElement._raw(out, self.side)
+        return _sum(self, other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return WeylElement._raw({k: -c for k, c in self.terms.items()}, self.side)
+        return _new(self.side, self.den, {k: -n for k, n in self.nums.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
         if not isinstance(other, WeylElement):
             return NotImplemented
-        return self + (-other)
+        self._check_side(other)
+        return _sum(self, other, -1)
 
     def __rsub__(self, other):
-        return (-self) + other
+        other = self._coerce(other)
+        if not isinstance(other, WeylElement):
+            return NotImplemented
+        return _sum(other, self, -1)
+
+    def _scaled(self, c: Scalar) -> "WeylElement":
+        num = c.numerator
+        return _settle({k: n * num for k, n in self.nums.items()}, self.den * c.denominator, self.side)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return WeylElement._raw({k: c * other for k, c in self.terms.items()}, self.side)
+            return self._scaled(other)
         if not isinstance(other, WeylElement):
             return NotImplemented
         self._check_side(other)
-        d1, left = _lift(self.terms)
-        d2, right = _lift(other.terms)
+        right = other.nums.items()
         out: dict = {}
         get = out.get
-        for (i1, j1), n1 in left:
+        for (i1, j1), n1 in self.nums.items():
             for (i2, j2), n2 in right:
                 n = n1 * n2
                 i, j = i1 + i2, j1 + j2
                 for t, w in enumerate(_swap_weights(j1, i2)):
                     key = (i - t, j - t)
                     out[key] = get(key, 0) + w * n
-        return _settle(out, d1 * d2, self.side)
+        return _settle(out, self.den * other.den, self.side)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self * other
+            return self._scaled(other)
         return NotImplemented
 
     def __truediv__(self, scalar):
         s = Fraction(scalar)
-        return WeylElement._raw({k: c / s for k, c in self.terms.items()}, self.side)
+        if not s:
+            raise ZeroDivisionError("division of an element by zero")
+        return self._scaled(1 / s)
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -262,11 +312,11 @@ class WeylElement:
             other = WeylElement.scalar(other, self.side)
         if not isinstance(other, WeylElement):
             return NotImplemented
-        return self.side == other.side and dict(self.terms) == dict(other.terms)
+        return self.side == other.side and self.den == other.den and self.nums == other.nums
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.side, tuple(sorted(self.terms.items()))))
+            self._hash = hash((self.side, self.den, frozenset(self.nums.items())))
         return self._hash
 
     # ------------------------------------------------------------------
@@ -323,8 +373,31 @@ def normalize_product(a: WeylElement, b: WeylElement) -> WeylElement:
 
 
 def commutator(a: WeylElement, b: WeylElement) -> WeylElement:
-    """a*b - b*a, normal-ordered."""
-    return a * b - b * a
+    """a*b - b*a, normal-ordered, in one pass over the monomial pairs.
+
+    Of the two products, ``x^i1 D^j1 * x^i2 D^j2`` and ``x^i2 D^j2 * x^i1
+    D^j1`` share their contraction-free (``t = 0``) term ``x^(i1+i2)
+    D^(j1+j2)`` with the same coefficient, so it cancels.  The pass adds
+    only the ``t >= 1`` terms, each with the weight ``perm(i2, t)*C(j1, t) -
+    perm(i1, t)*C(j2, t)``, the difference of the two ``_swap_weights``
+    rows, on integer numerators over ``a.den * b.den``, and settles once.
+    """
+    a._check_side(b)
+    right = b.nums.items()
+    out: dict = {}
+    get = out.get
+    for (i1, j1), n1 in a.nums.items():
+        for (i2, j2), n2 in right:
+            ab, ba = _swap_weights(j1, i2), _swap_weights(j2, i1)
+            if ab == ba:
+                continue
+            n = n1 * n2
+            i, j = i1 + i2, j1 + j2
+            for t, (u, v) in enumerate(zip_longest(ab, ba, fillvalue=0)):
+                if u != v:
+                    key = (i - t, j - t)
+                    out[key] = get(key, 0) + (u - v) * n
+    return _settle(out, a.den * b.den, a.side)
 
 
 def ad_power(op: WeylElement, target: WeylElement, steps: int) -> WeylElement:

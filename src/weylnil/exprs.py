@@ -21,8 +21,10 @@ an integer denominator and the two exponents, and builds one ``Fraction``
 for the term.  Only a parenthesised group, or a coordinate factor after a
 derivative factor (``D*x``), is multiplied on with the operator product.
 
-``format_element`` prints terms sorted descending by (coordinate exponent,
-derivative exponent); the output always parses back to an equal element.
+``format_element`` prints terms sorted descending by (derivative exponent,
+coordinate exponent), so ``x^2 + D + x*D^3 + x^3`` prints as
+``x*D^3 + D + x^3 + x^2``; the output always parses back to an equal
+element.
 """
 
 from __future__ import annotations

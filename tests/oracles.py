@@ -3,16 +3,20 @@
 Monomial products are represented as letter words over {"x", "d"} and
 rewritten one adjacent ``d x -> x d + 1`` swap at a time until no ``d``
 stands left of an ``x``.  Deliberately naive; kept independent of the
-closed-form exchange rule and of the integer-numerator product kernel used
-by the package: rational coefficients enter only through scalar multiples
-and sums of ``Fraction``s.  ``slow_shift`` substitutes the shift
-generators monomial by monomial on top of ``slow_product``, independent of
-the integer power recurrence in ``automorphism``.
+closed-form exchange rule and of the integer-numerator arithmetic of the
+package: sums and scalar multiples are taken on plain dicts of
+``Fraction``s, and a ``WeylElement`` is built once per result.
+``slow_commutator`` subtracts the two ``slow_product`` expansions on such a
+dict.  ``slow_shift`` substitutes the shift generators monomial by monomial
+on top of the same expansion, independent of the integer power recurrence
+in ``automorphism``.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
+from typing import Mapping
 
 from weylnil import ShiftX, WeylElement
 
@@ -32,25 +36,47 @@ def _normalize_word(word: tuple) -> tuple:
     return (((word.count("x"), word.count("d")), 1),)
 
 
+def _monomial_product(i1: int, j1: int, i2: int, j2: int) -> tuple:
+    """``((i, j), integer coeff)`` pairs of x^i1 d^j1 * x^i2 d^j2, by single swaps."""
+    return _normalize_word(("x",) * i1 + ("d",) * j1 + ("x",) * i2 + ("d",) * j2)
+
+
 def slow_monomial_product(i1: int, j1: int, i2: int, j2: int) -> WeylElement:
     """Normal-ordered product of x^i1 d^j1 and x^i2 d^j2, by single swaps."""
-    word = ("x",) * i1 + ("d",) * j1 + ("x",) * i2 + ("d",) * j2
-    return WeylElement(dict(_normalize_word(word)))
+    return WeylElement(dict(_monomial_product(i1, j1, i2, j2)))
+
+
+def _add_into(acc: dict, terms, scale: Fraction) -> None:
+    """``acc += scale * terms`` on a plain dict of ``Fraction``s."""
+    for key, c in terms:
+        acc[key] = acc.get(key, Fraction(0)) + scale * c
+
+
+def _product_terms(a: Mapping, b: Mapping) -> dict:
+    """Bilinear expansion of two ``Fraction`` term maps over monomial products."""
+    acc: dict = {}
+    for (i1, j1), c1 in a.items():
+        for (i2, j2), c2 in b.items():
+            _add_into(acc, _monomial_product(i1, j1, i2, j2), c1 * c2)
+    return acc
 
 
 def slow_product(a: WeylElement, b: WeylElement) -> WeylElement:
     """Normal-ordered product by bilinear expansion over monomial products."""
-    acc = WeylElement.zero(a.side)
-    for (i1, j1), c1 in a.terms.items():
-        for (i2, j2), c2 in b.terms.items():
-            acc = acc + slow_monomial_product(i1, j1, i2, j2) * (c1 * c2)
-    return acc
+    return WeylElement(_product_terms(a.terms, b.terms), a.side)
 
 
-def _slow_power(base: WeylElement, n: int) -> WeylElement:
-    acc = WeylElement.one(base.side)
+def slow_commutator(a: WeylElement, b: WeylElement) -> WeylElement:
+    """``a*b - b*a`` from the two expansions, subtracted on a plain dict."""
+    acc = _product_terms(a.terms, b.terms)
+    _add_into(acc, _product_terms(b.terms, a.terms).items(), Fraction(-1))
+    return WeylElement(acc, a.side)
+
+
+def _slow_power(base: Mapping, n: int) -> dict:
+    acc = {(0, 0): Fraction(1)}
     for _ in range(n):
-        acc = slow_product(acc, base)
+        acc = _product_terms(acc, base)
     return acc
 
 
@@ -58,18 +84,20 @@ def slow_shift(gen, e: WeylElement) -> WeylElement:
     """Image of ``e`` under ``ShiftX`` or ``ShiftD`` by monomial substitution:
     ``x^i D^j`` goes to ``(x + p(D))^i D^j`` or ``x^i (D - p(x))^j`` with
     ``p`` the derivative of the generator polynomial, every power and
-    product taken with ``slow_product``."""
+    product taken by the bilinear expansion of ``slow_product``."""
     coeffs = gen.poly.derivative().coeffs
     on_x = isinstance(gen, ShiftX)
     if on_x:
-        base = WeylElement([((1, 0), 1)] + [((0, k), c) for k, c in enumerate(coeffs)], e.side)
+        base = {(0, k): c for k, c in enumerate(coeffs)}
+        base[(1, 0)] = Fraction(1)
     else:
-        base = WeylElement([((0, 1), 1)] + [((k, 0), -c) for k, c in enumerate(coeffs)], e.side)
-    acc = WeylElement.zero(e.side)
+        base = {(k, 0): -c for k, c in enumerate(coeffs)}
+        base[(0, 1)] = Fraction(1)
+    acc: dict = {}
     for (i, j), c in e.terms.items():
         if on_x:
-            image = slow_product(_slow_power(base, i), WeylElement({(0, j): c}, e.side))
+            image = _product_terms(_slow_power(base, i), {(0, j): c})
         else:
-            image = slow_product(WeylElement({(i, 0): c}, e.side), _slow_power(base, j))
-        acc = acc + image
-    return acc
+            image = _product_terms({(i, 0): c}, _slow_power(base, j))
+        _add_into(acc, image.items(), Fraction(1))
+    return WeylElement(acc, e.side)

@@ -38,11 +38,13 @@ from weylnil import (
     descent_step,
     generators,
     normalize_subleading,
+    parse_expression,
     poly_at,
     random_orbit_element,
     verify_certificate,
 )
 
+from conftest import rand_shift_poly
 
 x, d = generators()
 airy = d**2 - x
@@ -255,6 +257,13 @@ def test_ad_test_derivative_on_coordinate():
     assert ad_nilpotency_test(d, x) == NilpotentAt(2)
 
 
+def test_ad_test_eigen_obstruction_with_rational_ratios():
+    # the ratio comes from cross-multiplied numerators over two denominators
+    assert ad_nilpotency_test(Fraction(2, 3) * x * d, x / 5) == EigenObstruction(Fraction(2, 3))
+    assert ad_nilpotency_test(-2 * x * d + Fraction(1, 7), x**2 / 3) == EigenObstruction(Fraction(-4))
+    assert ad_nilpotency_test(x * d / 4, x**3 * d / 3 + x**2 / 6) == EigenObstruction(Fraction(1, 2))
+
+
 def test_ad_test_bound_exhausted():
     out = ad_nilpotency_test(d**2 + x**2, x, cap=16)
     assert isinstance(out, BoundExhausted)
@@ -427,3 +436,48 @@ def test_eigen_obstruction_inputs_are_rejected_by_decide():
             assert isinstance(v, NotStrictlyNilpotent)
             found += 1
     assert found > 0
+
+
+# ----------------------------------------------------------------------
+# metamorphic checks: rejection is orbit-invariant, scaling keeps the kind
+# ----------------------------------------------------------------------
+
+# the fixed negative corpus of acceptance criterion 2
+NEGATIVE_CORPUS = ("x*D", "D^2 + x^2", "D^2 + 5*x^2", "D^3 + x*D", "x^2*D^2")
+
+
+def _random_word(rng):
+    word = []
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.choice((ShiftX, ShiftD, Fourier))
+        word.append(Fourier() if kind is Fourier else kind(rand_shift_poly(rng, 1, 5)))
+    return tuple(word)
+
+
+def test_rejection_is_invariant_under_random_words():
+    rng = random.Random(41)
+    checked = 0
+    for text in NEGATIVE_CORPUS:
+        operator = parse_expression(text)
+        for _ in range(20):
+            word = _random_word(rng)
+            image = apply_word(word, operator)
+            if len(image.terms) > 200:
+                continue
+            assert isinstance(decide(image), NotStrictlyNilpotent), (text, word)
+            checked += 1
+    assert checked >= 90
+
+
+def test_scaling_keeps_the_verdict_kind():
+    rng = random.Random(43)
+    operators = [
+        random_orbit_element(seed, word_len=seed % 4, max_deg=4, max_q_deg=3, max_order=10)[0]
+        for seed in range(10)
+    ]
+    operators += [parse_expression(text) for text in NEGATIVE_CORPUS]
+    for e in operators:
+        kind = type(decide(e))
+        for _ in range(6):
+            c = Fraction(rng.choice((-1, 1)) * rng.randint(1, 20), rng.randint(1, 20))
+            assert type(decide(c * e)) is kind, (e, c)

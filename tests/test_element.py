@@ -2,14 +2,20 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
 
 from weylnil import (
+    Fourier,
+    FourierInverse,
+    ShiftD,
+    ShiftX,
     SideMismatchError,
     UniPoly,
     WeylElement,
+    apply_generator,
     ad_power,
     commutator,
     coordinate,
@@ -20,7 +26,7 @@ from weylnil import (
 )
 
 from conftest import rand_element, weyl_elements
-from oracles import slow_monomial_product, slow_product
+from oracles import slow_commutator, slow_monomial_product, slow_product
 
 x, d = generators()
 
@@ -196,3 +202,108 @@ def test_products_match_sympy_differential_operators():
         b = rand_element(rng, max_terms=5, max_exp=4, max_num=100, max_den=100)
         expected = _to_sympy(a, ring, sympy) * _to_sympy(b, ring, sympy)
         assert a * b == _from_sympy(expected, ring, sympy)
+
+
+def test_commutator_matches_two_product_oracle():
+    # denominators up to 100; the fused pass must equal a*b - b*a expanded apart
+    rng = random.Random(53)
+    for _ in range(40):
+        a = rand_element(rng, max_terms=5, max_exp=4, max_num=100, max_den=100)
+        b = rand_element(rng, max_terms=5, max_exp=4, max_num=100, max_den=100)
+        assert commutator(a, b) == slow_commutator(a, b)
+        assert commutator(b, a) == slow_commutator(b, a)
+
+
+def test_commutator_with_zero_or_constant_operand():
+    a = rand_element(random.Random(7), max_terms=5, max_exp=4, max_num=100, max_den=100)
+    for c in (WeylElement.zero(), WeylElement.scalar(Fraction(-7, 3))):
+        assert commutator(a, c) == slow_commutator(a, c) == WeylElement.zero()
+        assert commutator(c, a) == slow_commutator(c, a) == WeylElement.zero()
+
+
+def test_commutator_side_mismatch():
+    z, dz = generators("z")
+    with pytest.raises(SideMismatchError):
+        commutator(x, z)
+    with pytest.raises(SideMismatchError):
+        commutator(dz, d)
+
+
+def _assert_canonical(e):
+    assert e.den >= 1
+    assert all(n != 0 for n in e.nums.values())
+    assert gcd(e.den, *e.nums.values()) == 1
+    assert e.terms.keys() == e.nums.keys()
+    for k, n in e.nums.items():
+        assert e.terms[k] == Fraction(n, e.den)
+
+
+def test_operation_results_are_canonical():
+    rng = random.Random(19)
+    for _ in range(30):
+        a = rand_element(rng, max_terms=5, max_exp=3, max_num=100, max_den=100)
+        b = rand_element(rng, max_terms=5, max_exp=3, max_num=100, max_den=100)
+        s = Fraction(rng.randint(-50, 50), rng.randint(1, 50))
+        results = [a + b, a - b, -a, a * b, a * s, s * a, a * 6, a / 4]
+        if s:
+            results.append(a / s)
+        results.append(commutator(a, b))
+        r = UniPoly([0] + [Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(3)])
+        for gen in (ShiftX(r), ShiftD(r), Fourier(), FourierInverse()):
+            results.append(apply_generator(gen, a))
+        for e in results:
+            _assert_canonical(e)
+
+
+def test_cancelling_results_reduce_the_denominator():
+    half = WeylElement({(1, 1): Fraction(1, 2)})
+    assert (half + half).den == 1
+    assert (half + half) == x * d
+    _assert_canonical(half + half)
+    assert ((x * d) / 6 * 3).den == 2
+    zero = half - half
+    assert zero.den == 1 and not zero.nums
+    _assert_canonical(zero)
+
+
+def test_equal_values_have_equal_pairs_and_hashes():
+    rng = random.Random(23)
+    a, b, c = (rand_element(rng, max_terms=4, max_exp=3, max_num=100, max_den=100) for _ in range(3))
+    cases = [
+        (WeylElement({(2, 1): Fraction(2, 4)}), WeylElement({(2, 1): Fraction(1, 2)})),
+        ((a * b) * c, a * (b * c)),
+        (a - a, WeylElement.zero()),
+    ]
+    for left, right in cases:
+        assert left == right
+        assert (left.den, left.nums) == (right.den, right.nums)
+        assert hash(left) == hash(right)
+
+
+def test_division_by_zero_and_scaling_by_zero():
+    e = x * d + Fraction(1, 3)
+    with pytest.raises(ZeroDivisionError):
+        e / 0
+    with pytest.raises(ZeroDivisionError):
+        e / Fraction(0)
+    for zero in (e * 0, 0 * e, e * Fraction(0)):
+        assert zero.is_zero()
+        assert zero.den == 1 and not zero.nums
+        assert zero == WeylElement.zero()
+
+
+def test_structural_queries_read_the_pair():
+    e = commutator(x**3 * d / 2, d**2 + x / 3)
+    f = commutator(x**3 * d / 2, d**2 + x / 3)
+    assert e == f and hash(e) == hash(f)
+    assert not e.is_zero() and not e.is_constant()
+    assert (e.order, e.x_degree) == (2, 3)
+    assert e._terms is None and f._terms is None
+    assert e.terms[(3, 0)] == Fraction(1, 6)
+
+
+def test_terms_view_of_computed_results_is_read_only():
+    for e in (commutator(x**2, d), (x * d + 1) / 3, -d):
+        with pytest.raises(TypeError):
+            e.terms[(5, 5)] = Fraction(1)
+        assert e.terms is e.terms
