@@ -10,11 +10,13 @@ Three primitive generator kinds act on the algebra:
 Constant terms of the stored polynomials act trivially and are dropped on
 construction, so every generator has one canonical representation.
 
-Both shifts go through one substitution routine, ``_substitute``: it builds
-the powers of ``D - p(x)`` by a one-generator recurrence on Python integers
-over one denominator, with no general product.  ``ShiftX`` reaches it
-through the order-reversing swap ``x^i D^j <-> x^j D^i``, which turns
-``x + s(D)`` into ``D + s(x)``.
+Both shifts go through one substitution routine, ``_substitute``: it
+rewrites the element in anti-normal order (derivative powers left of
+coordinate powers) and applies ``D -> D - p(x)`` by Horner's rule in the
+shifted derivative, left-multiplying one accumulator by ``D - p(x)`` on
+Python integers over one denominator, with no general product and no table
+of powers.  ``ShiftX`` reaches it through the order-reversing swap
+``x^i D^j <-> x^j D^i``, which turns ``x + s(D)`` into ``D + s(x)``.
 
 A word is a sequence of generators read like a composition chain: the LAST
 entry is applied first, so ``apply_word([g, h], a) == g(h(a))``.  With this
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 from math import comb, perm
 from typing import Sequence, Tuple, Union
 
-from .element import WeylElement, _lift, _settle, commutator
+from .element import WeylElement, _lift, _settle, _swap_weights, commutator
 from .poly import UniPoly
 
 
@@ -85,42 +87,53 @@ def _substitute(e: WeylElement, p: UniPoly, swap: bool) -> WeylElement:
     the swapped element, swapped back.
 
     The swap ``x^i D^j <-> x^j D^i`` reverses the order of products, so it
-    conjugates ``D -> D + s(x)`` into ``x -> x + s(D)``.  With ``den`` the
-    lcm of the denominators of ``p`` and ``P = den*p``, the integer table
-    ``den^k * (D - p)^k = (den*D - P)^k`` grows by left-multiplication with
-    ``den*D - P``, using ``D * x^a D^b = x^a D^(b+1) + a x^(a-1) D^b``.
-    Each ``x^i D^j`` then goes to ``x^i (D - p)^j``, over the one
-    denominator ``den_e * den^J`` of the element and the top power ``J``.
+    conjugates ``D -> D + s(x)`` into ``x -> x + s(D)``.  The element is
+    first rewritten in anti-normal order, ``sum_j D^j b_j(x)``, by
+    ``x^i D^j = sum_t (-1)^t w_t D^(j-t) x^(i-t)`` with the exchange weights
+    ``w_t`` of ``_swap_weights(j, i)``; its image ``sum_j (D - p)^j b_j`` is
+    then taken by Horner's rule.  With ``den`` the lcm of the denominators
+    of ``p`` and ``P = den*p``, the integer accumulator runs
+    ``R <- (den*D - P) R + den^(J-j) b_j`` for ``j = J-1`` down to 0 from
+    ``R = b_J``, left-multiplying with ``D * x^a D^b = x^a D^(b+1) + a
+    x^(a-1) D^b``, and ends over the one denominator ``den_e * den^J`` of the
+    element and its order ``J``.  No power of ``D - p`` is stored.
     """
     den_e, nums = _lift(e)
     terms = [((j, i), n) for (i, j), n in nums.items()] if swap else nums.items()
     den, big_p = _lift({m: c for m, c in enumerate(p.coeffs) if c})
     big_p = big_p.items()
     top = max(j for (_, j), _ in terms)
-    table = [{(0, 0): 1}]
-    for _ in range(top):
+    # rows[k][a]: numerator of D^k x^a in anti-normal order
+    rows: list = [{} for _ in range(top + 1)]
+    for (i, j), n in terms:
+        row = rows[j]
+        row[i] = row.get(i, 0) + n
+        weights = _swap_weights(j, i)
+        for t in range(1, len(weights)):
+            row = rows[j - t]
+            row[i - t] = row.get(i - t, 0) + (-n if t & 1 else n) * weights[t]
+    acc = {(a, 0): n for a, n in rows[top].items()}
+    for k in range(top - 1, -1, -1):
         nxt: dict = {}
         get = nxt.get
-        for (a, b), c in table[-1].items():
+        for (a, b), c in acc.items():
+            dc = den * c
             key = (a, b + 1)
-            nxt[key] = get(key, 0) + den * c
+            nxt[key] = get(key, 0) + dc
             if a:
                 key = (a - 1, b)
-                nxt[key] = get(key, 0) + den * a * c
+                nxt[key] = get(key, 0) + a * dc
             for m, pm in big_p:
                 key = (a + m, b)
                 nxt[key] = get(key, 0) - pm * c
-        table.append(nxt)
-    out: dict = {}
-    get = out.get
-    for (i, j), n in terms:
-        n *= den ** (top - j)
-        for (a, b), c in table[j].items():
-            key = (i + a, b)
-            out[key] = get(key, 0) + c * n
+        scale = den ** (top - k)
+        for a, n in rows[k].items():
+            key = (a, 0)
+            nxt[key] = get(key, 0) + scale * n
+        acc = nxt
     if swap:
-        out = {(j, i): n for (i, j), n in out.items()}
-    return _settle(out, den_e * den**top, e.side)
+        acc = {(j, i): n for (i, j), n in acc.items()}
+    return _settle(acc, den_e * den**top, e.side)
 
 
 def apply_generator(gen: Generator, e: WeylElement) -> WeylElement:

@@ -74,8 +74,6 @@ class Reason(Enum):
     NONCONSTANT_LEADING = "nonconstant-leading"
     ASSOC_NOT_FACTORED = "assoc-not-factored"
     POSITIVE_Y_MULTIPLICITY = "positive-y-multiplicity"
-    STRICTLY_SEMISIMPLE = "strictly-semisimple"
-    IRRATIONAL_DATA_REQUIRED = "irrational-data-required"
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,9 @@ The zero element is ``den == 1`` with no numerators.  Every operation
 computes on Python integers over one denominator and ``_settle`` reduces its
 result with one multi-argument ``gcd``; equality, hashing, ``order``, the
 coefficient slices and the other structural queries read the pair.
-Other modules reach the pair only through ``_lift`` and ``_settle``.
+Other modules reach the pair only through ``_lift`` and ``_settle``, and
+the shift substitution in ``automorphism`` shares the cached exchange
+weights of ``_swap_weights``.
 
 ``terms`` is a read-only map of ``Fraction`` coefficients for the printer,
 the wire format and other readers of single coefficients.  It is built from
@@ -131,11 +133,6 @@ class WeylElement:
         self.den, self.nums = _lift({k: v for k, v in clean.items() if v})
         self._terms = None
         self._hash = None
-
-    @classmethod
-    def _raw(cls, terms: Mapping[Key, Fraction], side: str) -> "WeylElement":
-        """Fast path for internal callers holding ``Fraction``s, zeros allowed."""
-        return _new(side, *_lift({k: v for k, v in terms.items() if v}))
 
     @classmethod
     def zero(cls, side: str = "x") -> "WeylElement":

@@ -11,6 +11,7 @@ from weylnil import (
     ShiftD,
     ShiftX,
     UniPoly,
+    WeylElement,
     anti_involution,
     apply_generator,
     apply_word,
@@ -166,6 +167,24 @@ def test_shifts_match_slow_substitution():
         poly = UniPoly([0] + [Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(deg)])
         gen = rng.choice((ShiftX, ShiftD))(poly)
         e = rand_element(rng, max_terms=4, max_exp=3, max_num=20, max_den=12)
+        assert apply_generator(gen, e) == slow_shift(gen, e), (gen, e)
+
+
+def test_shifts_match_slow_substitution_at_high_exponents():
+    # exponents up to 8 put contractions of order 4 and more into the
+    # anti-normal rewrite; single-row inputs (x^i alone, D^j alone) start
+    # and end the Horner recurrence on one row
+    rng = random.Random(47)
+    for case in range(80):
+        deg = rng.randint(1, 3)
+        poly = UniPoly([0] + [Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(deg)])
+        gen = (ShiftX, ShiftD)[case % 2](poly)
+        shape = case // 2 % 4
+        if shape < 2:
+            e = rand_element(rng, max_terms=4, max_exp=8, max_num=20, max_den=12)
+        else:
+            k = rng.randint(1, 8)
+            e = WeylElement({(k, 0) if shape == 2 else (0, k): Fraction(rng.randint(1, 9), rng.randint(1, 5))})
         assert apply_generator(gen, e) == slow_shift(gen, e), (gen, e)
 
 

@@ -1,5 +1,7 @@
 """Expression grammar and canonical printing."""
 
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -200,6 +202,20 @@ def test_parse_product_matches_product_of_factors(parts):
         ("1/0*x^9", 0, "zero denominator"),
         ("x^-1", 2, "exponent must be a nonnegative integer literal"),
         ("x D", 2, "unexpected trailing 'D'"),
+        ("x + + $", 6, "unexpected character '$'"),
+        ("x + + y", 6, "unknown symbol 'y'"),
+        ("x + + z", 0, "expression mixes x-side and z-side symbols"),
+        ("1/2/3", 3, "unexpected character '/'"),
+        ("Dzz", 0, "unknown symbol 'Dzz'"),
+        ("x*Dz", 0, "expression mixes x-side and z-side symbols"),
+        ("x^5000*D", 2, "exponent overflow"),
+        ("3/0*x", 0, "zero denominator"),
+        ("x + -D", 4, "unexpected '-'"),
+        ("- - x", 2, "unexpected '-'"),
+        ("(x + D", 6, "expected ')'"),
+        ("x^2^3", 3, "unexpected trailing '^'"),
+        ("(x)D", 3, "unexpected trailing 'D'"),
+        ("D*x2", 3, "unexpected trailing '2'"),
     ],
 )
 def test_parse_error_positions(text, position, message):
@@ -207,3 +223,70 @@ def test_parse_error_positions(text, position, message):
         parse_expression(text)
     assert info.value.position == position
     assert str(info.value).startswith(message)
+
+
+def _spaced(text: str) -> str:
+    return text.replace("*", " * ").replace("^", " ^ ")
+
+
+@settings(max_examples=150, deadline=None)
+@given(e=weyl_elements(max_terms=6, max_exp=5), side=st.sampled_from(["x", "z"]))
+def test_spaced_and_grouped_forms_parse_alike(e, side):
+    # spaces around every * and ^ take every term off the printed-term match
+    e = WeylElement(e.terms, side)
+    text = format_element(e)
+    expected = e if not e.is_constant() else WeylElement(e.terms, "x")
+    assert parse_expression(_spaced(text)) == expected
+    assert parse_expression("(" + text + ")") == expected
+    assert parse_expression("(" + _spaced(text) + ")") == expected
+
+
+def test_parse_time_is_linear_in_whitespace():
+    started = time.perf_counter()
+    assert parse_expression("x" + " " * 20000) == x
+    with pytest.raises(ParseError) as info:
+        parse_expression("x +" + " " * 20000)
+    assert info.value.position == 20003
+    assert parse_expression(" " * 20000 + "x*" + " " * 20000 + "D") == x * d
+    assert parse_expression(" " * 2500 + "x*" + " " * 2500 + "D") == x * d
+    assert time.perf_counter() - started < 2
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [
+        ("1" * 5000 + "*x", 0),  # printed-term match
+        ("x + " + "1" * 5000 + "/3*D", 4),
+        ("x + 3/" + "1" * 5000 + "*D", 4),
+        ("x^" + "1" * 5000, 2),  # factor loop
+        ("D*x*" + "1" * 5000, 4),
+        ("(" + "1" * 5000 + ")", 1),
+    ],
+)
+def test_long_literal_is_parse_error(text, position):
+    with pytest.raises(ParseError) as info:
+        parse_expression(text)
+    assert info.value.position == position
+    assert str(info.value).startswith("number literal too long")
+
+
+_FUZZ_TOKENS = ["x", "D", "z", "Dz", "y", "0", "2", "3/4", "1/0", "+", "-", "*", "^", "(", ")",
+                " ", " + ", " - ", "$", "/"]
+
+
+def test_fuzzed_strings_raise_only_parse_errors():
+    rng = random.Random(5)
+    for _ in range(20000):
+        tokens = []
+        for _ in range(rng.randint(0, 12)):
+            tok = rng.choice(_FUZZ_TOKENS)
+            # no two number tokens in a row: that would make long exponents
+            # and slow group powers
+            if tokens and tok[0].isdigit() and tokens[-1][-1].isdigit():
+                tok = "*"
+            tokens.append(tok)
+        text = "".join(tokens)
+        try:
+            parse_expression(text)
+        except ParseError:
+            pass
