@@ -9,7 +9,6 @@ from .element import (
     coordinate,
     derivative,
     generators,
-    normalize_product,
     poly_at,
     profile,
 )
@@ -40,6 +39,7 @@ from .automorphism import (
     compose,
     invert_generator,
     invert_word,
+    shape_bound,
 )
 from .descent import (
     AdTestResult,
@@ -70,7 +70,6 @@ from .descent import (
     verify_certificate,
 )
 from .errors import (
-    ConstantCoefficientsSignal,
     InvariantViolation,
     NotNormalizableError,
     NotStrictlyNilpotentError,
@@ -79,79 +78,6 @@ from .errors import (
     UnsupportedSideError,
     WireFormatError,
 )
-from .exprs import format_element, parse_expression
+from .exprs import parse_expression
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AdTestResult",
-    "AutoWord",
-    "BispectralPartner",
-    "BoundExhausted",
-    "Certificate",
-    "ConstantCoefficientsSignal",
-    "CounterexampleCandidate",
-    "DescentRejection",
-    "DescentStep",
-    "EigenObstruction",
-    "FactoredForm",
-    "FormDiagnostic",
-    "FormIssue",
-    "Fourier",
-    "FourierInverse",
-    "GenerationWitness",
-    "Generator",
-    "InvariantViolation",
-    "NewtonData",
-    "NilpotentAt",
-    "NotNormalizableError",
-    "NotStrictlyNilpotent",
-    "NotStrictlyNilpotentError",
-    "OperatorProfile",
-    "ParseError",
-    "Reason",
-    "ShiftD",
-    "ShiftX",
-    "SideMismatchError",
-    "StageRecord",
-    "StrictlyNilpotent",
-    "TriviallyConstant",
-    "UniPoly",
-    "UnsupportedSideError",
-    "Verdict",
-    "WeylElement",
-    "Weight",
-    "WireFormatError",
-    "ad_nilpotency_test",
-    "ad_power",
-    "anti_involution",
-    "apply_generator",
-    "apply_word",
-    "associated_poly",
-    "bispectral_partner",
-    "ccr_check",
-    "ccr_preserved",
-    "ccr_to_generators",
-    "centralizer_generator",
-    "choose_weights",
-    "commutator",
-    "compose",
-    "coordinate",
-    "decide",
-    "derivative",
-    "descent_step",
-    "factor_form",
-    "format_bivariate",
-    "format_element",
-    "generators",
-    "invert_generator",
-    "invert_word",
-    "normalize_product",
-    "normalize_subleading",
-    "parse_expression",
-    "poly_at",
-    "profile",
-    "random_orbit_element",
-    "verify_certificate",
-    "weight_value",
-]

@@ -69,17 +69,16 @@ AutoWord = Tuple[Generator, ...]
 
 
 def _apply_fourier(e: WeylElement, inverse: bool) -> WeylElement:
-    den, nums = _lift(e)
     out: dict = {}
     get = out.get
-    for (i, j), n in nums.items():
+    for (i, j), n in e.nums.items():
         if (i if inverse else j) % 2:
             n = -n
         # image of x^i D^j is (+-1) D^i x^j, reordered term by term
         for t in range(min(i, j) + 1):
             key = (j - t, i - t)
             out[key] = get(key, 0) + perm(j, t) * comb(i, t) * n
-    return _settle(out, den, e.side)
+    return _settle(out, e.den, e.side)
 
 
 def _substitute(e: WeylElement, p: UniPoly, swap: bool) -> WeylElement:
@@ -95,11 +94,10 @@ def _substitute(e: WeylElement, p: UniPoly, swap: bool) -> WeylElement:
     of ``p`` and ``P = den*p``, the integer accumulator runs
     ``R <- (den*D - P) R + den^(J-j) b_j`` for ``j = J-1`` down to 0 from
     ``R = b_J``, left-multiplying with ``D * x^a D^b = x^a D^(b+1) + a
-    x^(a-1) D^b``, and ends over the one denominator ``den_e * den^J`` of the
+    x^(a-1) D^b``, and ends over the one denominator ``e.den * den^J`` of the
     element and its order ``J``.  No power of ``D - p`` is stored.
     """
-    den_e, nums = _lift(e)
-    terms = [((j, i), n) for (i, j), n in nums.items()] if swap else nums.items()
+    terms = [((j, i), n) for (i, j), n in e.nums.items()] if swap else e.nums.items()
     den, big_p = _lift({m: c for m, c in enumerate(p.coeffs) if c})
     big_p = big_p.items()
     top = max(j for (_, j), _ in terms)
@@ -133,7 +131,7 @@ def _substitute(e: WeylElement, p: UniPoly, swap: bool) -> WeylElement:
         acc = nxt
     if swap:
         acc = {(j, i): n for (i, j), n in acc.items()}
-    return _settle(acc, den_e * den**top, e.side)
+    return _settle(acc, e.den * den**top, e.side)
 
 
 def apply_generator(gen: Generator, e: WeylElement) -> WeylElement:
@@ -157,6 +155,28 @@ def apply_word(word: Sequence[Generator], e: WeylElement) -> WeylElement:
     for gen in reversed(word):
         e = apply_generator(gen, e)
     return e
+
+
+def shape_bound(word: Sequence[Generator], x_deg: int, order: int) -> Tuple[int, int]:
+    """Bounds ``(x_deg, order)`` for the x-degree and order of the image
+    under ``word`` of any element of x-degree at most ``x_deg`` and order at
+    most ``order`` (last word entry applied first).
+
+    ``ShiftD(r)`` sends ``x^i D^j`` to ``x^i (D - r'(x))^j``, of x-degree at
+    most ``i + j*(deg r - 1)`` and the same order; ``ShiftX`` is the mirror
+    image, and a Fourier swap exchanges the two degrees.  The zero
+    element's degrees of -1 start the bound at 0, since a negative degree
+    would shrink it.
+    """
+    x_deg, order = max(x_deg, 0), max(order, 0)
+    for gen in reversed(word):
+        if isinstance(gen, (Fourier, FourierInverse)):
+            x_deg, order = order, x_deg
+        elif isinstance(gen, ShiftD):
+            x_deg += order * max(gen.poly.degree - 1, 0)
+        elif isinstance(gen, ShiftX):
+            order += x_deg * max(gen.poly.degree - 1, 0)
+    return x_deg, order
 
 
 def invert_generator(gen: Generator) -> Generator:
@@ -199,8 +219,7 @@ def anti_involution(e: WeylElement) -> WeylElement:
     coefficients; anti-multiplicativity makes the image normal-ordered as is.
     """
     other = "z" if e.side == "x" else "x"
-    den, nums = _lift(e)
-    return _settle({(j, i): n for (i, j), n in nums.items()}, den, other)
+    return _settle({(j, i): n for (i, j), n in e.nums.items()}, e.den, other)
 
 
 def describe_generator(gen: Generator) -> str:

@@ -13,6 +13,7 @@ import functools
 import json
 import sys
 
+from .automorphism import apply_word
 from .descent import (
     CounterexampleCandidate,
     NotStrictlyNilpotent,
@@ -32,13 +33,12 @@ from .errors import (
     InvariantViolation,
     NotNormalizableError,
     NotStrictlyNilpotentError,
-    ConstantCoefficientsSignal,
     ParseError,
     SideMismatchError,
     UnsupportedSideError,
     WireFormatError,
 )
-from .exprs import format_element, parse_expression
+from .exprs import parse_expression
 from .filtration import FormDiagnostic, associated_poly, choose_weights, factor_form, format_bivariate
 from .wire import (
     certificate_from_doc,
@@ -120,9 +120,9 @@ def _cmd_partner(ns) -> int:
         print("no partner: operator is not strictly nilpotent")
         _print_verdict_text(exc.verdict)
         return 0
-    print(f"lambda: {format_element(partner.lambda_op)}")
+    print(f"lambda: {partner.lambda_op}")
     print(f"f: {partner.f_poly.format('z')}")
-    print(f"theta: {format_element(partner.theta)}")
+    print("theta: x")
     return 0
 
 
@@ -155,11 +155,10 @@ def _cmd_polygon(ns) -> int:
         print("diagnostic: operator has no constant top coefficient of order >= 1")
         return 0
     monic = e / prof.leading.constant_value()
-    try:
-        weight, point = choose_weights(monic)
-    except ConstantCoefficientsSignal:
+    if not monic.depends_on_x():
         print("diagnostic: operator has constant coefficients; no edge to choose")
         return 0
+    weight, point = choose_weights(monic)
     nd = associated_poly(monic, weight)
     print(f"weight: {weight.as_tuple()}")
     print(f"value: {nd.value}")
@@ -176,9 +175,7 @@ def _cmd_polygon(ns) -> int:
 def _cmd_apply(ns) -> int:
     with open(ns.word, "r", encoding="utf-8") as fh:
         word = word_from_doc(json.load(fh))
-    from .automorphism import apply_word
-
-    print(format_element(apply_word(word, parse_expression(ns.expr))))
+    print(apply_word(word, parse_expression(ns.expr)))
     return 0
 
 
@@ -188,7 +185,7 @@ def _cmd_random(ns) -> int:
     )
     doc = {
         "element": element_to_doc(element),
-        "printed": format_element(element),
+        "printed": str(element),
         "certificate": certificate_to_doc(cert),
     }
     print(json.dumps(doc, indent=2))

@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from enum import Enum
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from .automorphism import (
     AutoWord,
@@ -39,10 +39,10 @@ from .automorphism import (
     invert_generator,
     invert_word,
     is_identity_generator,
+    shape_bound,
 )
 from .element import (
     WeylElement,
-    _lift,
     commutator,
     coordinate,
     derivative,
@@ -118,10 +118,6 @@ class StrictlyNilpotent:
     certificate: Certificate
     prologue: Tuple[str, ...] = ()
     stages: Tuple[StageRecord, ...] = ()
-
-    @property
-    def stage_count(self) -> int:
-        return len(self.stages)
 
 
 @dataclass(frozen=True)
@@ -410,15 +406,14 @@ def _proportional(a: WeylElement, b: WeylElement) -> Optional[Fraction]:
     is constant exactly when the cross products ``na[k]*nb[k0]`` and
     ``nb[k]*na[k0]`` agree for every key ``k`` and one fixed ``k0``.
     """
-    da, na = _lift(a)
-    db, nb = _lift(b)
+    na, nb = a.nums, b.nums
     if na.keys() != nb.keys():
         return None
     k0 = next(iter(na))
     p, q = na[k0], nb[k0]
     if any(n * q != nb[k] * p for k, n in na.items()):
         return None
-    return Fraction(p * db, q * da)
+    return Fraction(p * b.den, q * a.den)
 
 
 def ad_nilpotency_test(op: WeylElement, target: WeylElement, cap: int = 64) -> AdTestResult:
@@ -448,13 +443,13 @@ class BispectralPartner:
     """Partner operator in the spectral variable together with its data.
 
     ``lambda_op`` lives on the z side; for the certified operator L with
-    certificate (word, q) the eigenvalue polynomial is ``f(z) = q(z)`` and
-    the dual eigenvalue function is ``theta(x) = x``.
+    certificate (word, q) the eigenvalue polynomial is ``f(z) = q(z)``.
+    The dual eigenvalue function is always the coordinate, ``theta(x) = x``,
+    so it is not stored.
     """
 
     lambda_op: WeylElement
     f_poly: UniPoly
-    theta: WeylElement
 
 
 def _require_certified(e: WeylElement) -> StrictlyNilpotent:
@@ -480,7 +475,7 @@ def bispectral_partner(e: WeylElement) -> BispectralPartner:
             "partner construction is unsupported for coordinate-side certificates"
         )
     pre_image = apply_word(invert_word(cert.word), coordinate("x"))
-    return BispectralPartner(anti_involution(pre_image), cert.gen_poly, coordinate("x"))
+    return BispectralPartner(anti_involution(pre_image), cert.gen_poly)
 
 
 def centralizer_generator(e: WeylElement) -> WeylElement:
@@ -601,19 +596,6 @@ def _draw_word_and_poly(
     return tuple(word), UniPoly(q_coeffs)
 
 
-def _order_bound(word: Sequence[Generator], q_degree: int) -> int:
-    """Upper bound for the order of ``apply_word(word, q(D))``."""
-    x_deg, order = 0, q_degree
-    for gen in reversed(word):
-        if isinstance(gen, (Fourier, FourierInverse)):
-            x_deg, order = order, x_deg
-        elif isinstance(gen, ShiftD):
-            x_deg += order * max(gen.poly.degree - 1, 0)
-        elif isinstance(gen, ShiftX):
-            order += x_deg * max(gen.poly.degree - 1, 0)
-    return order
-
-
 def random_orbit_element(
     seed: int,
     word_len: int = 3,
@@ -642,7 +624,7 @@ def random_orbit_element(
     rng = random.Random(seed)
     for _ in range(1000):
         word, q = _draw_word_and_poly(rng, word_len, max_deg, max_q_deg)
-        if max_order is None or _order_bound(word, q.degree) <= max_order:
+        if max_order is None or shape_bound(word, 0, q.degree)[1] <= max_order:
             element = apply_word(word, WeylElement.from_d_poly(q))
             return element, Certificate(word, q, "d")
     raise ValueError("no draw satisfied the order bound; relax max_order")

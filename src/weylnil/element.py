@@ -19,9 +19,10 @@ The zero element is ``den == 1`` with no numerators.  Every operation
 computes on Python integers over one denominator and ``_settle`` reduces its
 result with one multi-argument ``gcd``; equality, hashing, ``order``, the
 coefficient slices and the other structural queries read the pair.
-Other modules reach the pair only through ``_lift`` and ``_settle``, and
-the shift substitution in ``automorphism`` shares the cached exchange
-weights of ``_swap_weights``.
+Other modules read ``den`` and ``nums`` directly and build results through
+``_settle``; ``_lift`` turns a map of ``Fraction``s into a pair, and the
+shift substitution in ``automorphism`` shares the cached exchange weights of
+``_swap_weights``.
 
 ``terms`` is a read-only map of ``Fraction`` coefficients for the printer,
 the wire format and other readers of single coefficients.  It is built from
@@ -46,30 +47,30 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Tuple, Union
 
 from .errors import SideMismatchError
-from .poly import Scalar, UniPoly
+from .poly import Scalar, UniPoly, _format_terms
 
 SIDES = ("x", "z")
 
 Key = Tuple[int, int]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _swap_weights(j: int, i: int) -> tuple:
-    """Integer weights for rewriting D^j x^i, indexed by the contraction t."""
+    """Integer weights for rewriting D^j x^i, indexed by the contraction t.
+
+    The cache is bounded because exponents reach 4096, so the keys of a
+    long-lived process fed varied input would grow without limit.
+    """
     return tuple(perm(i, t) * comb(j, t) for t in range(min(i, j) + 1))
 
 
-def _lift(source: Union["WeylElement", Mapping[Key, Fraction]]) -> Tuple[int, Mapping[Key, int]]:
-    """``(den, nums)`` with every coefficient equal to ``nums[key] / den``.
+def _lift(source: Mapping[Key, Fraction]) -> Tuple[int, dict]:
+    """``(den, nums)`` with every ``Fraction`` of ``source`` equal to
+    ``nums[key] / den``.
 
-    For an element this is its stored pair, returned as is; the caller must
-    not change ``nums``.  For a map of ``Fraction``s (polynomial
-    coefficients, constructor input) ``den`` is the least common multiple of
-    the denominators, so the pair of a map of nonzero ``Fraction``s is
-    already canonical.
+    ``den`` is the least common multiple of the denominators, so the pair of
+    a map of nonzero ``Fraction``s is already canonical.
     """
-    if isinstance(source, WeylElement):
-        return source.den, source.nums
     den = lcm(*[c.denominator for c in source.values()])
     return den, {k: c.numerator * (den // c.denominator) for k, c in source.items()}
 
@@ -321,31 +322,11 @@ class WeylElement:
     # ------------------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
+        terms = self.terms
         xs, ds = ("x", "D") if self.side == "x" else ("z", "Dz")
-        parts = []
         # leading derivative first, conventional operator notation
-        for i, j in sorted(self.terms, key=lambda k: (k[1], k[0]), reverse=True):
-            c = self.terms[(i, j)]
-            mag = abs(c)
-            factors = []
-            if i == 1:
-                factors.append(xs)
-            elif i > 1:
-                factors.append(f"{xs}^{i}")
-            if j == 1:
-                factors.append(ds)
-            elif j > 1:
-                factors.append(f"{ds}^{j}")
-            if mag != 1 or not factors:
-                factors.insert(0, str(mag))
-            body = "*".join(factors)
-            if not parts:
-                parts.append(f"-{body}" if c < 0 else body)
-            else:
-                parts.append(f" - {body}" if c < 0 else f" + {body}")
-        return "".join(parts)
+        keys = sorted(terms, key=lambda k: (k[1], k[0]), reverse=True)
+        return _format_terms((terms[k], ((xs, k[0]), (ds, k[1]))) for k in keys)
 
     def __repr__(self) -> str:
         return f"WeylElement({str(self)!r}, side={self.side!r})"
@@ -362,11 +343,6 @@ def derivative(side: str = "x") -> WeylElement:
 def generators(side: str = "x") -> tuple:
     """The pair (coordinate, derivative) for one side."""
     return coordinate(side), derivative(side)
-
-
-def normalize_product(a: WeylElement, b: WeylElement) -> WeylElement:
-    """Normal-ordered product of two elements of the same side."""
-    return a * b
 
 
 def commutator(a: WeylElement, b: WeylElement) -> WeylElement:

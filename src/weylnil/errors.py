@@ -9,13 +9,6 @@ class NotNormalizableError(ValueError):
     """The operator's top coefficient is not a nonzero constant."""
 
 
-class ConstantCoefficientsSignal(Exception):
-    """Internal signal: the operator does not depend on the coordinate.
-
-    Callers short-circuit on this; it never reaches users of `decide`.
-    """
-
-
 class UnsupportedSideError(ValueError):
     """The construction exists only for derivative-side certificates."""
 

@@ -1,4 +1,4 @@
-"""Operator expression grammar: parsing and canonical printing.
+"""Operator expression grammar and its parser.
 
 Grammar (whitespace-insensitive between tokens)::
 
@@ -38,7 +38,7 @@ time linear in the length of the text: the term pattern matches no
 whitespace beyond its fixed separators, and whitespace before the end of
 the text is one token match.
 
-``format_element`` prints terms sorted descending by (derivative exponent,
+``str`` of an element prints terms sorted descending by (derivative exponent,
 coordinate exponent), so ``x^2 + D + x*D^3 + x^3`` prints as
 ``x*D^3 + D + x^3 + x^2``; the output always parses back to an equal
 element.
@@ -50,7 +50,7 @@ import re
 from math import lcm
 from typing import List, NamedTuple, Tuple
 
-from .element import Key, WeylElement, _lift, _settle
+from .element import Key, WeylElement, _settle
 from .errors import ParseError
 
 MAX_EXPONENT = 4096
@@ -233,8 +233,7 @@ class _Parser:
             return [((i, j), num, den)]
         if i or j:
             acc = acc * _monomial(i, j, self.side)
-        acc_den, nums = _lift(acc)
-        return [(key, n * num, acc_den * den) for key, n in nums.items()]
+        return [(key, n * num, acc.den * den) for key, n in acc.nums.items()]
 
     def parse_exponent(self) -> int:
         """The exponent after ``^``, or 1 when no ``^`` follows."""
@@ -284,8 +283,3 @@ def parse_expression(text: str) -> WeylElement:
         _raise_scan_error(text)
         raise
     return _element(parts, parser.side)
-
-
-def format_element(e: WeylElement) -> str:
-    """Canonical text for an element; parses back to an equal value."""
-    return str(e)

@@ -18,7 +18,8 @@ from math import comb, gcd
 from typing import Dict, Optional, Tuple, Union
 
 from .element import WeylElement, profile
-from .errors import ConstantCoefficientsSignal, InvariantViolation, NotNormalizableError
+from .errors import InvariantViolation, NotNormalizableError
+from .poly import _format_terms
 
 BiPoly = Dict[Tuple[int, int], Fraction]
 
@@ -50,7 +51,7 @@ def weight_value(e: WeylElement, w: Weight) -> int:
     return max(w.of(i, j) for i, j in e.terms)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class NewtonData:
     """Top-weight data of one element for one weight pair.
 
@@ -61,52 +62,20 @@ class NewtonData:
 
     weight: Weight
     value: int
-    top_support: frozenset
     assoc: BiPoly
-
-    def __eq__(self, other):
-        if not isinstance(other, NewtonData):
-            return NotImplemented
-        return (
-            self.weight == other.weight
-            and self.value == other.value
-            and self.top_support == other.top_support
-            and dict(self.assoc) == dict(other.assoc)
-        )
 
 
 def associated_poly(e: WeylElement, w: Weight) -> NewtonData:
     """Collect the top-weight terms of ``e`` into a commutative polynomial."""
     v = weight_value(e, w)
     assoc = {k: c for k, c in e.terms.items() if w.of(*k) == v}
-    return NewtonData(w, v, frozenset(assoc), assoc)
+    return NewtonData(w, v, assoc)
 
 
 def format_bivariate(assoc: BiPoly) -> str:
     """Render an associated polynomial like ``Y^4 + 2*X*Y^2 + X^2``."""
-    if not assoc:
-        return "0"
-    parts = []
-    for i, j in sorted(assoc, key=lambda k: (-k[1], k[0])):
-        c = assoc[(i, j)]
-        mag = abs(c)
-        factors = []
-        if i == 1:
-            factors.append("X")
-        elif i > 1:
-            factors.append(f"X^{i}")
-        if j == 1:
-            factors.append("Y")
-        elif j > 1:
-            factors.append(f"Y^{j}")
-        if mag != 1 or not factors:
-            factors.insert(0, str(mag))
-        body = "*".join(factors)
-        if not parts:
-            parts.append(f"-{body}" if c < 0 else body)
-        else:
-            parts.append(f" - {body}" if c < 0 else f" + {body}")
-    return "".join(parts)
+    keys = sorted(assoc, key=lambda k: (-k[1], k[0]))
+    return _format_terms((assoc[k], (("X", k[0]), ("Y", k[1]))) for k in keys)
 
 
 def choose_weights(e: WeylElement) -> Tuple[Weight, Tuple[int, int]]:
@@ -116,14 +85,15 @@ def choose_weights(e: WeylElement) -> Tuple[Weight, Tuple[int, int]]:
     ``k0 > 0`` such that all support lies on or below it, then returns the
     primitive positive solution of ``N*sigma == k0*rho + m0*sigma`` together
     with the anchor point.  Among points on the line the one with the
-    greatest coordinate exponent is reported.
+    greatest coordinate exponent is reported.  An operator that does not
+    depend on the coordinate has no such point and raises ``ValueError``.
     """
     prof = profile(e)
     n = prof.order
     if n < 1 or not prof.leading.is_constant():
         raise NotNormalizableError("operator must have a constant nonzero top coefficient")
     if not e.depends_on_x():
-        raise ConstantCoefficientsSignal()
+        raise ValueError("operator has constant coefficients; no edge to choose")
 
     best: Optional[Tuple[int, int]] = None
     for i, j in e.terms:

@@ -7,9 +7,33 @@ polynomials of automorphisms, and certificate polynomials.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Tuple, Union
 
 Scalar = Union[int, Fraction]
+
+
+def _format_terms(terms: Iterable[Tuple[Fraction, Sequence[Tuple[str, int]]]]) -> str:
+    """Signed sum of ``(coeff, factors)`` terms, in the order given.
+
+    ``factors`` are ``(symbol, exponent)`` pairs: exponent 0 leaves the
+    factor out and 1 prints the bare symbol.  The magnitude of a coefficient
+    prints like ``str`` of a ``Fraction``, and not at all when it is one and
+    a factor follows; no terms print as ``"0"``.  Only the coefficient's
+    integer numerator and denominator are read, which is much cheaper than
+    arithmetic on the ``Fraction``.
+    """
+    parts = []
+    for c, factors in terms:
+        n, q = c.numerator, c.denominator
+        body = [s if e == 1 else f"{s}^{e}" for s, e in factors if e]
+        if q != 1 or not body or (n != 1 and n != -1):
+            body.insert(0, f"{abs(n)}/{q}" if q != 1 else str(abs(n)))
+        parts.append(" - " if n < 0 else " + ")
+        parts.append("*".join(body))
+    if not parts:
+        return "0"
+    parts[0] = "-" if parts[0] == " - " else ""
+    return "".join(parts)
 
 
 class UniPoly:
@@ -45,11 +69,6 @@ class UniPoly:
         if degree < 0:
             raise ValueError("degree must be nonnegative")
         return cls((0,) * degree + (coeff,))
-
-    @classmethod
-    def identity(cls) -> "UniPoly":
-        """The polynomial t."""
-        return cls((0, 1))
 
     @property
     def degree(self) -> int:
@@ -149,27 +168,8 @@ class UniPoly:
         return UniPoly((0,) + self.coeffs[1:])
 
     def format(self, var: str = "t") -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for deg in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[deg]
-            if c == 0:
-                continue
-            mag = abs(c)
-            factors = []
-            if deg == 1:
-                factors.append(var)
-            elif deg > 1:
-                factors.append(f"{var}^{deg}")
-            if mag != 1 or not factors:
-                factors.insert(0, str(mag))
-            body = "*".join(factors)
-            if not parts:
-                parts.append(f"-{body}" if c < 0 else body)
-            else:
-                parts.append(f" - {body}" if c < 0 else f" + {body}")
-        return "".join(parts)
+        cs = self.coeffs
+        return _format_terms((cs[d], ((var, d),)) for d in range(len(cs) - 1, -1, -1) if cs[d])
 
     def __repr__(self) -> str:
         return f"UniPoly({self.format()!r})"

@@ -12,20 +12,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from weylnil import Fourier, FourierInverse, ShiftD, ShiftX, UniPoly, WeylElement
-
-
-def shape_bound(word, x_deg: int, order: int) -> int:
-    """Upper bound for max(x-degree, order) of the image of an element with
-    the given shape under the word (last entry applied first)."""
-    for gen in reversed(word):
-        if isinstance(gen, (Fourier, FourierInverse)):
-            x_deg, order = order, x_deg
-        elif isinstance(gen, ShiftD):
-            x_deg += order * max(gen.poly.degree - 1, 0)
-        elif isinstance(gen, ShiftX):
-            order += x_deg * max(gen.poly.degree - 1, 0)
-    return max(x_deg, order)
+from weylnil import Fourier, ShiftD, ShiftX, UniPoly, WeylElement, shape_bound
 
 
 @st.composite
@@ -66,7 +53,7 @@ def auto_words(draw, max_len=3, max_deg=4, max_image=16, start=(3, 3), max_den=1
             candidate = ShiftX(draw(shift_polys(max_deg, max_den)))
         else:
             candidate = ShiftD(draw(shift_polys(max_deg, max_den)))
-        if shape_bound([candidate] + word, *start) > max_image:
+        if max(shape_bound([candidate] + word, *start)) > max_image:
             break
         word.insert(0, candidate)
     return tuple(word)
@@ -101,5 +88,5 @@ def rand_word(rng: random.Random, max_len=4, max_deg=5, max_image=16):
                 word.append(ShiftX(rand_shift_poly(rng, 1, max_deg)))
             else:
                 word.append(ShiftD(rand_shift_poly(rng, 1, max_deg)))
-        if shape_bound(word, 3, 3) <= max_image:
+        if max(shape_bound(word, 3, 3)) <= max_image:
             return tuple(word)

@@ -22,6 +22,7 @@ from weylnil import (
     derivative,
     generators,
     invert_word,
+    shape_bound,
 )
 
 from conftest import auto_words, rand_element, rand_word, shift_polys, weyl_elements
@@ -52,6 +53,22 @@ def test_fourier_images():
 def test_word_composition_chain():
     word = (Fourier(), ShiftD(UniPoly((0, 0, 0, Fraction(-1, 3)))))
     assert apply_word(word, d) == d**2 - x
+
+
+def test_shape_bound_bounds_images():
+    rng = random.Random(2024)
+    for _ in range(150):
+        e = rand_element(rng, max_terms=4, max_exp=3, max_num=9, max_den=4)
+        word = rand_word(rng, max_len=3, max_deg=4, max_image=24)
+        image = apply_word(word, e)
+        x_bound, order_bound = shape_bound(word, e.x_degree, e.order)
+        assert image.x_degree <= x_bound and image.order <= order_bound
+    # the zero element's degrees are -1; they must not shrink the bound
+    assert shape_bound((ShiftD(UniPoly((0, 0, 0, 1))),), -1, -1) == (0, 0)
+    # D^2 -> (D - 3x^2)^2 -> swapped: the bound is reached
+    word = (Fourier(), ShiftD(UniPoly((0, 0, 0, 1))))
+    image = apply_word(word, d**2)
+    assert (image.x_degree, image.order) == shape_bound(word, 0, 2) == (2, 4)
 
 
 def test_generators_drop_constant_terms():

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from weylnil.cli import run
 from weylnil.wire import certificate_from_doc
 
@@ -10,6 +12,64 @@ def _run(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+AIRY_TEXT = """\
+verdict: strictly-nilpotent
+side: d
+q: t
+word: [{"kind": "shiftX", "poly": ["0", "0", "0", "-1/3"]}, {"kind": "fourier"}]
+note: stagewise soundness uses invariance of the nilpotency class under the generator maps
+stage 1: order 2, weight [2, 1], value 2, point [1, 0], assoc Y^2 - X, \
+generators ['shiftX(1/3*D^3)', 'fourier^-1'], order after 1
+"""
+
+AIRY_DOC = {
+    "verdict": "strictly-nilpotent",
+    "certificate": {
+        "word": [{"kind": "shiftX", "poly": ["0", "0", "0", "-1/3"]}, {"kind": "fourier"}],
+        "q": ["0", "1"],
+        "side": "d",
+    },
+    "prologue": ["stagewise soundness uses invariance of the nilpotency class under the generator maps"],
+    "stages": [
+        {
+            "stage": 1,
+            "order": 2,
+            "weight": [2, 1],
+            "value": 2,
+            "support_point": [1, 0],
+            "assoc": "Y^2 - X",
+            "form": {"y_power": 0, "ratio": 2, "multiplicity": 1, "scale": "1"},
+            "shift_image": "-x",
+            "generators": ["shiftX(1/3*D^3)", "fourier^-1"],
+            "scale": "1",
+            "order_after": 1,
+        }
+    ],
+}
+
+QUARTIC_POLYGON = """\
+weight: (2, 1)
+value: 4
+support point: (2, 0)
+assoc: Y^4 + 2*X*Y^2 + X^2
+factored: (Y^2 + X)^2
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (("decide", "D^2 - x"), AIRY_TEXT),
+        (("decide", "--json", "D^2 - x"), json.dumps(AIRY_DOC, indent=2) + "\n"),
+        (("partner", "D^2 - x"), "lambda: Dz^2 - z\nf: z\ntheta: x\n"),
+        (("polygon", "D^3 + 2*D"), "diagnostic: operator has constant coefficients; no edge to choose\n"),
+        (("polygon", "D^4 + 2*x*D^2 + 2*D + x^2"), QUARTIC_POLYGON),
+    ],
+)
+def test_golden_output(capsys, argv, text):
+    assert _run(capsys, *argv) == (0, text, "")
 
 
 def test_decide_airy_json_pipeline(capsys, tmp_path):

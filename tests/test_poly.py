@@ -50,6 +50,24 @@ def test_format():
     assert UniPoly((0, 0, 0, Fraction(1, 3))).format("x") == "1/3*x^3"
 
 
+@pytest.mark.parametrize(
+    "coeffs, var, text",
+    [
+        ((), "z", "0"),
+        ((1,), "t", "1"),
+        ((-1,), "x", "-1"),
+        ((Fraction(5, 4),), "t", "5/4"),
+        ((-1, 1, -1), "x", "-x^2 + x - 1"),
+        ((0, -1), "D", "-D"),
+        ((0, 1), "z", "z"),
+        ((Fraction(-1, 2), 0, 3), "t", "3*t^2 - 1/2"),
+        ((0, Fraction(2, 3), Fraction(-5, 7)), "z", "-5/7*z^2 + 2/3*z"),
+    ],
+)
+def test_format_golden(coeffs, var, text):
+    assert UniPoly(coeffs).format(var) == text
+
+
 def test_drop_constant():
     assert UniPoly((7, 1)).drop_constant() == UniPoly((0, 1))
     assert UniPoly.zero().drop_constant().is_zero()
