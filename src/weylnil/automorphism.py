@@ -15,8 +15,13 @@ rewrites the element in anti-normal order (derivative powers left of
 coordinate powers) and applies ``D -> D - p(x)`` by Horner's rule in the
 shifted derivative, left-multiplying one accumulator by ``D - p(x)`` on
 Python integers over one denominator, with no general product and no table
-of powers.  ``ShiftX`` reaches it through the order-reversing swap
-``x^i D^j <-> x^j D^i``, which turns ``x + s(D)`` into ``D + s(x)``.
+of powers.  The accumulator is one integer per coordinate exponent, with
+the derivative exponents packed into signed fixed-width slots (Kronecker
+substitution), so a Horner step costs a few big-integer operations per row;
+the slot width comes from a 1-norm bound on the image and the slots are
+read out once, at the end.  ``ShiftX`` reaches the routine through the
+order-reversing swap ``x^i D^j <-> x^j D^i``, which turns ``x + s(D)`` into
+``D + s(x)``.
 
 A word is a sequence of generators read like a composition chain: the LAST
 entry is applied first, so ``apply_word([g, h], a) == g(h(a))``.  With this
@@ -27,10 +32,10 @@ convention ``invert_word`` reverses the sequence and inverts each entry, and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, perm
+from math import comb, gcd, lcm, perm
 from typing import Sequence, Tuple, Union
 
-from .element import WeylElement, _lift, _settle, _swap_weights, commutator
+from .element import WeylElement, _settle, _swap_weights, commutator
 from .poly import UniPoly
 
 
@@ -81,57 +86,99 @@ def _apply_fourier(e: WeylElement, inverse: bool) -> WeylElement:
     return _settle(out, e.den, e.side)
 
 
-def _substitute(e: WeylElement, p: UniPoly, swap: bool) -> WeylElement:
-    """Image of ``e`` under ``D -> D - p(x)``, ``x -> x``; with ``swap``, of
-    the swapped element, swapped back.
+def _substitute(e: WeylElement, gen: Union[ShiftX, ShiftD]) -> WeylElement:
+    """Image of a nonzero ``e`` under a shift with nonzero derivative.
 
-    The swap ``x^i D^j <-> x^j D^i`` reverses the order of products, so it
-    conjugates ``D -> D + s(x)`` into ``x -> x + s(D)``.  The element is
-    first rewritten in anti-normal order, ``sum_j D^j b_j(x)``, by
-    ``x^i D^j = sum_t (-1)^t w_t D^(j-t) x^(i-t)`` with the exchange weights
-    ``w_t`` of ``_swap_weights(j, i)``; its image ``sum_j (D - p)^j b_j`` is
-    then taken by Horner's rule.  With ``den`` the lcm of the denominators
-    of ``p`` and ``P = den*p``, the integer accumulator runs
-    ``R <- (den*D - P) R + den^(J-j) b_j`` for ``j = J-1`` down to 0 from
-    ``R = b_J``, left-multiplying with ``D * x^a D^b = x^a D^(b+1) + a
-    x^(a-1) D^b``, and ends over the one denominator ``e.den * den^J`` of the
-    element and its order ``J``.  No power of ``D - p`` is stored.
+    ``ShiftD(r)`` sends ``D -> D - p(x)`` with ``p = r'``.  ``ShiftX(s)`` is
+    taken on the swapped element, swapped back: the swap ``x^i D^j <-> x^j
+    D^i`` reverses the order of products, so it conjugates ``D -> D + s'(x)``
+    into ``x -> x + s'(D)``.  The element is first rewritten in anti-normal
+    order, ``sum_j D^j b_j(x)``, by ``x^i D^j = sum_t (-1)^t w_t D^(j-t)
+    x^(i-t)`` with the exchange weights ``w_t`` of ``_swap_weights(j, i)``;
+    its image ``sum_j (D - p)^j b_j`` is then taken by Horner's rule.  With
+    ``den`` the lcm of the denominators of ``p`` and ``P = den*p``, the
+    integer accumulator runs ``R <- (den*D - P) R + den^(J-j) b_j`` for
+    ``j = J-1`` down to 0 from ``R = b_J``, left-multiplying with ``D * x^a
+    D^b = x^a D^(b+1) + a x^(a-1) D^b``, and ends over the one denominator
+    ``e.den * den^J`` of the element and its order ``J``.
+
+    ``R`` is held as one integer ``R[a]`` per coordinate exponent ``a``, with
+    the coefficient of ``x^a D^b`` in the signed ``W``-bit slot ``b``,
+    ``R[a] = sum_b c_ab 2^(W*b)`` (Kronecker substitution ``D = 2^W``).  A
+    step is then a few big-integer operations per row,
+
+        N[a] = den*((R[a] << W) + (a+1)*R[a+1]) - sum_m P_m R[a-m] + den^(J-j) b_j[a],
+
+    and the slots are read out once, at the end.  Every step is linear in
+    the packed integers, so each intermediate ``R[a]`` is exactly the packed
+    value of its coefficients whatever its slots hold, and only the final
+    read-out needs slots wide enough for the output.  A step multiplies the
+    1-norm of ``R`` by at most ``c = den*(1 + amax) + ||P||_1``, where
+    ``amax`` is the largest coordinate exponent of the image, taken from
+    ``shape_bound``, which bounds the ``a`` of ``D * x^a``.  As ``den <=
+    c``, the accumulator after ``b_j`` has 1-norm at most ``c^(J-j)`` times
+    the 1-norm of ``b_J, ..., b_j``.  Every output coefficient is so at
+    most ``c^J * ||b||_1 < 2^(W-1)`` in absolute value, for ``W =
+    J*bitlen(c) + bitlen(||b||_1) + 1``.  No power of ``D - p`` is stored.
     """
-    terms = [((j, i), n) for (i, j), n in e.nums.items()] if swap else e.nums.items()
-    den, big_p = _lift({m: c for m, c in enumerate(p.coeffs) if c})
-    big_p = big_p.items()
-    top = max(j for (_, j), _ in terms)
+    swap = isinstance(gen, ShiftX)
+    # p = r', or -s' for ShiftX, as reduced (m, numerator, denominator)
+    # triples read off the generator's coefficients, with no Fraction arithmetic
+    p = []
+    for m, coeff in enumerate(gen.poly.coeffs[1:]):
+        if coeff:
+            n, q = (m + 1) * coeff.numerator, coeff.denominator
+            g = gcd(n, q)
+            p.append((m, -n // g if swap else n // g, q // g))
+    den = lcm(*[q for _, _, q in p])
+    big_p = [(m, n * (den // q)) for m, n, q in p]
+    x_deg, order = e.x_degree, e.order
+    amax = shape_bound((gen,), x_deg, order)[swap]
+    top = x_deg if swap else order
     # rows[k][a]: numerator of D^k x^a in anti-normal order
     rows: list = [{} for _ in range(top + 1)]
-    for (i, j), n in terms:
+    for (i, j), n in e.nums.items():
+        if swap:
+            i, j = j, i
         row = rows[j]
         row[i] = row.get(i, 0) + n
         weights = _swap_weights(j, i)
         for t in range(1, len(weights)):
             row = rows[j - t]
             row[i - t] = row.get(i - t, 0) + (-n if t & 1 else n) * weights[t]
-    acc = {(a, 0): n for a, n in rows[top].items()}
+    norm = sum(abs(n) for row in rows for n in row.values())
+    c = den * (1 + amax) + sum(abs(pm) for _, pm in big_p)
+    w = top * c.bit_length() + norm.bit_length() + 1
+    acc = [0] * (amax + 2)  # a zero row past amax, read as R[amax + 1]
+    for a, n in rows[top].items():
+        acc[a] = n
     for k in range(top - 1, -1, -1):
-        nxt: dict = {}
-        get = nxt.get
-        for (a, b), c in acc.items():
-            dc = den * c
-            key = (a, b + 1)
-            nxt[key] = get(key, 0) + dc
-            if a:
-                key = (a - 1, b)
-                nxt[key] = get(key, 0) + a * dc
-            for m, pm in big_p:
-                key = (a + m, b)
-                nxt[key] = get(key, 0) - pm * c
+        nxt = [0] * (amax + 2)
+        for a in range(amax + 1):
+            r, r1 = acc[a], acc[a + 1]
+            if r or r1:
+                nxt[a] += den * ((r << w) + (a + 1) * r1)
+            if r:
+                for m, pm in big_p:
+                    nxt[a + m] -= pm * r
         scale = den ** (top - k)
         for a, n in rows[k].items():
-            key = (a, 0)
-            nxt[key] = get(key, 0) + scale * n
+            nxt[a] += scale * n
         acc = nxt
-    if swap:
-        acc = {(j, i): n for (i, j), n in acc.items()}
-    return _settle(acc, e.den * den**top, e.side)
+    out = {}
+    mask, half = (1 << w) - 1, 1 << (w - 1)
+    for a, v in enumerate(acc):
+        for b in range(top + 1):
+            if not v:
+                break
+            s = v & mask
+            v >>= w
+            if s >= half:
+                s -= mask + 1
+                v += 1
+            if s:
+                out[(b, a) if swap else (a, b)] = s
+    return _settle(out, e.den * den**top, e.side)
 
 
 def apply_generator(gen: Generator, e: WeylElement) -> WeylElement:
@@ -141,12 +188,11 @@ def apply_generator(gen: Generator, e: WeylElement) -> WeylElement:
     if isinstance(gen, FourierInverse):
         return _apply_fourier(e, inverse=True)
     if isinstance(gen, (ShiftX, ShiftD)):
-        shift = gen.poly.derivative()
-        if shift.is_zero() or e.is_zero():
+        # constants are dropped on construction, so degree 1 or more means a
+        # nonzero derivative
+        if gen.poly.degree < 1 or e.is_zero():
             return e
-        if isinstance(gen, ShiftX):
-            return _substitute(e, -shift, swap=True)
-        return _substitute(e, shift, swap=False)
+        return _substitute(e, gen)
     raise TypeError(f"unknown generator {gen!r}")
 
 

@@ -47,7 +47,8 @@ class UniPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [Fraction(c) for c in coeffs]
+        # a Fraction is immutable and already reduced, so it is kept as is
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs: tuple = tuple(cs)

@@ -8,8 +8,8 @@ package: sums and scalar multiples are taken on plain dicts of
 ``Fraction``s, and a ``WeylElement`` is built once per result.
 ``slow_commutator`` subtracts the two ``slow_product`` expansions on such a
 dict.  ``slow_shift`` substitutes the shift generators monomial by monomial
-on top of the same expansion, independent of the integer power recurrence
-in ``automorphism``.
+on top of the same expansion, independent of the packed Horner kernel in
+``automorphism``.
 """
 
 from __future__ import annotations

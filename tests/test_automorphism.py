@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import comb, gcd
 
 from hypothesis import given, settings
 
@@ -202,6 +203,64 @@ def test_shifts_match_slow_substitution_at_high_exponents():
         else:
             k = rng.randint(1, 8)
             e = WeylElement({(k, 0) if shape == 2 else (0, k): Fraction(rng.randint(1, 9), rng.randint(1, 5))})
+        assert apply_generator(gen, e) == slow_shift(gen, e), (gen, e)
+
+
+def test_shift_unpack_signed_slot_edges():
+    # The kernel packs the D exponents of each x^a row into signed slots of
+    # one integer.  Each target image below puts a sign pattern into its
+    # rows; the input is its preimage under the inverse shift, taken by the
+    # oracle, so the kernel must read the pattern back out exactly.
+    targets = [
+        # adjacent slots of opposite sign, in one row and at both ends
+        {(0, 0): 5, (0, 1): -5, (0, 2): 7, (0, 3): -1},
+        {(1, 0): -3, (1, 1): 3, (2, 2): Fraction(-1, 2), (2, 3): Fraction(1, 2)},
+        # a -1 slot beside zero slots: the borrow crosses the zero slots
+        {(2, 0): -1, (2, 3): 1},
+        {(1, 0): 1, (1, 4): -1},
+        {(0, 2): -1, (3, 0): 2},
+        # negative top slots, alone and above a positive slot
+        {(0, 5): -1},
+        {(1, 0): 4, (1, 1): -9, (0, 3): -2},
+    ]
+    for r in (UniPoly((0, 0, Fraction(1, 2))), UniPoly((0, 1, -2, 1)), UniPoly((0, Fraction(-2, 3), 0, 5))):
+        for kind in (ShiftD, ShiftX):
+            for target in targets:
+                # ShiftX reads rows of the swapped element, so swap the pattern too
+                t = WeylElement(target if kind is ShiftD else {(j, i): c for (i, j), c in target.items()})
+                e = slow_shift(kind(-r), t)
+                assert apply_generator(kind(r), e) == t, (kind, r, target)
+
+
+def test_shift_coefficients_at_the_slot_bound():
+    # D -> D - c0 sends n*D^J to n*(D - c0)^J.  The slot width bounds every
+    # output coefficient by cb^J * |n| with cb = q + |c0*q| for c0 over q;
+    # with cb = 2^k - 1 and |n| = 2^m - 1 the constant term comes within 2x
+    # of that bound, so its slot has no spare bit.  ShiftX(c0*t) is the
+    # mirror image: n*x^J goes to n*(x + c0)^J.
+    for k, m, q, big_j in ((4, 3, 1, 5), (8, 1, 1, 12), (9, 7, 3, 6), (6, 20, 1, 3), (11, 5, 7, 9)):
+        a = 2**k - 1 - q
+        assert gcd(a, q) == 1
+        for c0 in (Fraction(a, q), Fraction(-a, q)):
+            n = (2**m - 1) * (-1) ** big_j
+            bound = (q + a) ** big_j * abs(n)
+            expected = {(0, b): n * comb(big_j, b) * (-c0) ** (big_j - b) for b in range(big_j + 1)}
+            assert 2 * max(abs(c) for c in expected.values()) * q**big_j > bound
+            image = apply_generator(ShiftD(UniPoly((0, c0))), WeylElement({(0, big_j): n}))
+            assert image == WeylElement(expected)
+            image = apply_generator(ShiftX(UniPoly((0, c0))), WeylElement({(big_j, 0): n}))
+            assert image == WeylElement({(b, 0): c * (-1) ** (big_j - b) for (_, b), c in expected.items()})
+
+
+def test_shifts_match_slow_substitution_with_large_denominators():
+    # denominators up to 10^6 and exponents up to 12 give slots of several
+    # hundred bits; odd cases take ShiftX through the swap
+    rng = random.Random(59)
+    for case in range(200):
+        deg = rng.randint(1, 3)
+        poly = UniPoly([0] + [Fraction(rng.randint(-1000, 1000), rng.randint(1, 10**6)) for _ in range(deg)])
+        gen = (ShiftD, ShiftX)[case % 2](poly)
+        e = rand_element(rng, max_terms=3, max_exp=12, max_num=1000, max_den=10**6)
         assert apply_generator(gen, e) == slow_shift(gen, e), (gen, e)
 
 

@@ -192,7 +192,9 @@ def test_homogeneity_of_top_part(e, rho, sigma):
         return
     nd = associated_poly(e, w)
     assert all(w.of(i, j) == nd.value for i, j in nd.assoc)
-    assert all(w.of(i, j) == nd.value for i, j in nd.assoc.keys())
+    # complete: the top weight of the support, with every term of that weight
+    assert nd.value == max(w.of(i, j) for i, j in e.nums)
+    assert nd.assoc == {k: Fraction(n, e.den) for k, n in e.nums.items() if w.of(*k) == nd.value}
 
 
 @given(a=weyl_elements(max_terms=4), b=weyl_elements(max_terms=4))
