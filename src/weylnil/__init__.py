@@ -5,6 +5,7 @@ from .element import (
     OperatorProfile,
     WeylElement,
     ad_power,
+    ccr_check,
     commutator,
     coordinate,
     derivative,
@@ -47,7 +48,6 @@ from .descent import (
     BoundExhausted,
     Certificate,
     CounterexampleCandidate,
-    DescentRejection,
     DescentStep,
     EigenObstruction,
     GenerationWitness,
@@ -60,7 +60,6 @@ from .descent import (
     Verdict,
     ad_nilpotency_test,
     bispectral_partner,
-    ccr_check,
     ccr_to_generators,
     centralizer_generator,
     decide,

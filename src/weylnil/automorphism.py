@@ -32,10 +32,10 @@ convention ``invert_word`` reverses the sequence and inverts each entry, and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, gcd, lcm, perm
+from math import gcd, lcm
 from typing import Sequence, Tuple, Union
 
-from .element import WeylElement, _settle, _swap_weights, commutator
+from .element import WeylElement, _settle, _swap_weights, ccr_check
 from .poly import UniPoly
 
 
@@ -80,9 +80,9 @@ def _apply_fourier(e: WeylElement, inverse: bool) -> WeylElement:
         if (i if inverse else j) % 2:
             n = -n
         # image of x^i D^j is (+-1) D^i x^j, reordered term by term
-        for t in range(min(i, j) + 1):
+        for t, w in enumerate(_swap_weights(i, j)):
             key = (j - t, i - t)
-            out[key] = get(key, 0) + perm(j, t) * comb(i, t) * n
+            out[key] = get(key, 0) + w * n
     return _settle(out, e.den, e.side)
 
 
@@ -255,7 +255,7 @@ def ccr_preserved(word: Sequence[Generator], side: str = "x") -> bool:
     """Self-check that [word(D), word(x)] == 1."""
     wd = apply_word(word, WeylElement({(0, 1): 1}, side))
     wx = apply_word(word, WeylElement({(1, 0): 1}, side))
-    return commutator(wd, wx) == WeylElement.one(side)
+    return ccr_check(wd, wx)
 
 
 def anti_involution(e: WeylElement) -> WeylElement:

@@ -20,7 +20,6 @@ from .descent import (
     StrictlyNilpotent,
     ad_nilpotency_test,
     bispectral_partner,
-    ccr_check,
     ccr_to_generators,
     decide,
     EigenObstruction,
@@ -28,7 +27,7 @@ from .descent import (
     random_orbit_element,
     verify_certificate,
 )
-from .element import profile
+from .element import ccr_check, profile
 from .errors import (
     InvariantViolation,
     NotNormalizableError,
@@ -41,6 +40,7 @@ from .errors import (
 from .exprs import parse_expression
 from .filtration import FormDiagnostic, associated_poly, choose_weights, factor_form, format_bivariate
 from .wire import (
+    _poly_to_strings,
     certificate_from_doc,
     certificate_to_doc,
     element_to_doc,
@@ -142,7 +142,7 @@ def _cmd_ccr(ns) -> int:
             "word": word_to_doc(outcome.word),
             "a": str(outcome.a),
             "b": str(outcome.b),
-            "r": [str(c) for c in outcome.tail.coeffs] or ["0"],
+            "r": _poly_to_strings(outcome.tail),
         }
         print(json.dumps(doc, indent=2))
     return 0

@@ -20,7 +20,7 @@ recomputation before it is returned.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from enum import Enum
 from typing import List, Optional, Tuple, Union
@@ -43,6 +43,7 @@ from .automorphism import (
 )
 from .element import (
     WeylElement,
+    ccr_check,
     commutator,
     coordinate,
     derivative,
@@ -177,26 +178,14 @@ class DescentStep:
     record: StageRecord
 
 
-@dataclass(frozen=True)
-class DescentRejection:
-    reason: Reason
-    detail: str
-    diagnostic: Optional[FormDiagnostic]
-
-
-def _reason_for(diag: FormDiagnostic) -> Reason:
-    if diag.issue is FormIssue.POSITIVE_Y_POWER:
-        return Reason.POSITIVE_Y_MULTIPLICITY
-    return Reason.ASSOC_NOT_FACTORED
-
-
-def descent_step(e: WeylElement, stage: int = 1) -> Union[DescentStep, DescentRejection]:
+def descent_step(e: WeylElement, stage: int = 1) -> Union[DescentStep, NotStrictlyNilpotent]:
     """One order-reducing stage of the descent.
 
     Requires a monic operator of order >= 1 with vanishing next-to-top
     coefficient that depends on the coordinate.  On success the returned
     operator is monic of order ``multiplicity = order/ratio``, normalized the
-    same way, ready for the next stage.
+    same way, ready for the next stage.  A failed shape test returns the
+    rejection at ``stage``, with no prologue or earlier stages.
     """
     prof = profile(e)
     n = prof.order
@@ -211,7 +200,11 @@ def descent_step(e: WeylElement, stage: int = 1) -> Union[DescentStep, DescentRe
     nd = associated_poly(e, w)
     ff = factor_form(nd, n)
     if isinstance(ff, FormDiagnostic):
-        return DescentRejection(_reason_for(ff), ff.message, ff)
+        if ff.issue is FormIssue.POSITIVE_Y_POWER:
+            reason = Reason.POSITIVE_Y_MULTIPLICITY
+        else:
+            reason = Reason.ASSOC_NOT_FACTORED
+        return NotStrictlyNilpotent(reason, stage=stage, detail=ff.message, diagnostic=ff)
     r, k, lam = ff.ratio, ff.multiplicity, ff.scale
     if r < 2:
         raise InvariantViolation(
@@ -292,12 +285,12 @@ def decide(e: WeylElement) -> Verdict:
         return TriviallyConstant(e.constant_value())
     if not e.depends_on_d():
         return StrictlyNilpotent(
-            Certificate((), e.to_x_poly(), "x"),
+            Certificate((), e.d_slice(0), "x"),
             prologue=("input is a polynomial in the coordinate alone",),
         )
     if not e.depends_on_x():
         return StrictlyNilpotent(
-            Certificate((), e.to_d_poly(), "d"),
+            Certificate((), e.x_slice(0), "d"),
             prologue=("input is a polynomial in the derivative alone",),
         )
 
@@ -340,22 +333,15 @@ def decide(e: WeylElement) -> Verdict:
     stage = 0
     while True:
         if not cur.depends_on_x():
-            side, q_base = "d", cur.to_d_poly()
+            side, q_base = "d", cur.x_slice(0)
             break
         if not cur.depends_on_d():
-            side, q_base = "x", cur.to_x_poly()
+            side, q_base = "x", cur.d_slice(0)
             break
         stage += 1
         out = descent_step(cur, stage)
-        if isinstance(out, DescentRejection):
-            return NotStrictlyNilpotent(
-                out.reason,
-                stage=stage,
-                detail=out.detail,
-                diagnostic=out.diagnostic,
-                prologue=tuple(prologue),
-                stages=tuple(stages),
-            )
+        if isinstance(out, NotStrictlyNilpotent):
+            return replace(out, prologue=tuple(prologue), stages=tuple(stages))
         chrono.extend(out.generators)
         scale *= out.scale
         cur = out.element
@@ -496,11 +482,6 @@ def centralizer_generator(e: WeylElement) -> WeylElement:
     return gen
 
 
-def ccr_check(a: WeylElement, b: WeylElement) -> bool:
-    """Exact test of the commutation identity [a, b] == 1."""
-    return commutator(a, b) == WeylElement.one(a.side)
-
-
 @dataclass(frozen=True)
 class GenerationWitness:
     """Constructive proof that a commutation pair generates the algebra.
@@ -572,10 +553,12 @@ def ccr_to_generators(
 # ----------------------------------------------------------------------
 
 
-def _random_shift_poly(rng: random.Random, degree: int) -> UniPoly:
-    coeffs = [Fraction(0)] + [Fraction(rng.randint(-3, 3)) for _ in range(degree - 1)]
-    lead = rng.choice((-3, -2, -1, 1, 2, 3))
-    coeffs.append(Fraction(lead))
+def _random_poly(rng: random.Random, degree: int, low: int) -> UniPoly:
+    """A polynomial of degree ``degree``: zero below degree ``low``, drawn
+    from -3..3 from ``low`` up to ``degree - 1``, and a nonzero leading
+    coefficient drawn from -3..3."""
+    coeffs = [0] * low + [rng.randint(-3, 3) for _ in range(low, degree)]
+    coeffs.append(rng.choice((-3, -2, -1, 1, 2, 3)))
     return UniPoly(coeffs)
 
 
@@ -587,13 +570,10 @@ def _draw_word_and_poly(
     for idx in range(word_len):
         degree = rng.randint(3, max_deg)
         kind = ShiftD if (idx % 2 == 0) == start_with_d else ShiftX
-        word.append(kind(_random_shift_poly(rng, degree)))
+        word.append(kind(_random_poly(rng, degree, 1)))
     if word_len > 0 and rng.random() < 0.5:
         word.append(Fourier())
-    q_deg = rng.randint(1, max_q_deg)
-    q_coeffs = [Fraction(rng.randint(-3, 3)) for _ in range(q_deg)]
-    q_coeffs.append(Fraction(rng.choice((-3, -2, -1, 1, 2, 3))))
-    return tuple(word), UniPoly(q_coeffs)
+    return tuple(word), _random_poly(rng, rng.randint(1, max_q_deg), 0)
 
 
 def random_orbit_element(

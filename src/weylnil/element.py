@@ -20,13 +20,14 @@ computes on Python integers over one denominator and ``_settle`` reduces its
 result with one multi-argument ``gcd``; equality, hashing, ``order``, the
 coefficient slices and the other structural queries read the pair.
 Other modules read ``den`` and ``nums`` directly and build results through
-``_settle``; ``_lift`` turns a map of ``Fraction``s into a pair, and the
-shift substitution in ``automorphism`` shares the cached exchange weights of
-``_swap_weights``.
+``_settle``; ``_element`` builds an element from ``(key, numerator,
+denominator)`` parts, for the constructor and the parser, and the shift
+substitution and the Fourier swap in ``automorphism`` share the cached
+exchange weights of ``_swap_weights``.
 
-``terms`` is a read-only map of ``Fraction`` coefficients for the printer,
-the wire format and other readers of single coefficients.  It is built from
-the pair on first read and cached.
+``terms`` is a read-only map of ``Fraction`` coefficients for the wire
+format and other readers of single coefficients; ``str`` prints from the
+pair.  The map is built from the pair on first read and cached.
 
 Two independent copies of the algebra are supported, labelled by ``side``:
 the ``"x"`` side (printed with ``x``/``D``) and the ``"z"`` side (printed
@@ -44,7 +45,7 @@ from functools import lru_cache
 from itertools import zip_longest
 from math import comb, gcd, lcm, perm
 from types import MappingProxyType
-from typing import Iterable, Mapping, Tuple, Union
+from typing import Iterable, List, Mapping, Tuple, Union
 
 from .errors import SideMismatchError
 from .poly import Scalar, UniPoly, _format_terms
@@ -52,6 +53,8 @@ from .poly import Scalar, UniPoly, _format_terms
 SIDES = ("x", "z")
 
 Key = Tuple[int, int]
+# (key, numerator, denominator) of one term
+Part = Tuple[Key, int, int]
 
 
 @lru_cache(maxsize=1024)
@@ -62,17 +65,6 @@ def _swap_weights(j: int, i: int) -> tuple:
     long-lived process fed varied input would grow without limit.
     """
     return tuple(perm(i, t) * comb(j, t) for t in range(min(i, j) + 1))
-
-
-def _lift(source: Mapping[Key, Fraction]) -> Tuple[int, dict]:
-    """``(den, nums)`` with every ``Fraction`` of ``source`` equal to
-    ``nums[key] / den``.
-
-    ``den`` is the least common multiple of the denominators, so the pair of
-    a map of nonzero ``Fraction``s is already canonical.
-    """
-    den = lcm(*[c.denominator for c in source.values()])
-    return den, {k: c.numerator * (den // c.denominator) for k, c in source.items()}
 
 
 def _new(side: str, den: int, nums: dict) -> "WeylElement":
@@ -94,6 +86,17 @@ def _settle(acc: Mapping[Key, int], den: int, side: str) -> "WeylElement":
         den //= g
         nums = {k: n // g for k, n in nums.items()}
     return _new(side, den, nums)
+
+
+def _element(parts: List[Part], side: str) -> "WeylElement":
+    """The sum of the terms ``numerator/denominator * x^i D^j`` of ``parts``
+    (positive denominators; keys may repeat), as a canonical element."""
+    den = lcm(*{d for _, _, d in parts})
+    acc: dict = {}
+    get = acc.get
+    for key, n, d in parts:
+        acc[key] = get(key, 0) + n * (den // d)
+    return _settle(acc, den, side)
 
 
 def _sum(a: "WeylElement", b: "WeylElement", sign: int) -> "WeylElement":
@@ -122,16 +125,16 @@ class WeylElement:
         if side not in SIDES:
             raise ValueError(f"side must be one of {SIDES}, got {side!r}")
         items = terms.items() if isinstance(terms, Mapping) else terms
-        clean = {}
+        parts = []
         for key, coeff in items:
             i, j = key
             if not (isinstance(i, int) and isinstance(j, int)) or i < 0 or j < 0:
                 raise ValueError(f"exponent pair must be nonnegative integers, got {key!r}")
             c = Fraction(coeff)
-            if c:
-                clean[(i, j)] = clean[(i, j)] + c if (i, j) in clean else c
+            parts.append(((i, j), c.numerator, c.denominator))
+        built = _element(parts, side)
         self.side = side
-        self.den, self.nums = _lift({k: v for k, v in clean.items() if v})
+        self.den, self.nums = built.den, built.nums
         self._terms = None
         self._hash = None
 
@@ -209,16 +212,6 @@ class WeylElement:
         nums, den = self.nums, self.den
         top = max((jj for ii, jj in nums if ii == i), default=-1)
         return UniPoly(tuple(Fraction(nums.get((i, j), 0), den) for j in range(top + 1)))
-
-    def to_x_poly(self) -> UniPoly:
-        if self.depends_on_d():
-            raise ValueError("element depends on the derivative")
-        return self.d_slice(0)
-
-    def to_d_poly(self) -> UniPoly:
-        if self.depends_on_x():
-            raise ValueError("element depends on the coordinate")
-        return self.x_slice(0)
 
     # ------------------------------------------------------------------
     # arithmetic
@@ -322,11 +315,15 @@ class WeylElement:
     # ------------------------------------------------------------------
 
     def __str__(self) -> str:
-        terms = self.terms
+        nums, den = self.nums, self.den
         xs, ds = ("x", "D") if self.side == "x" else ("z", "Dz")
         # leading derivative first, conventional operator notation
-        keys = sorted(terms, key=lambda k: (k[1], k[0]), reverse=True)
-        return _format_terms((terms[k], ((xs, k[0]), (ds, k[1]))) for k in keys)
+        terms = []
+        for k in sorted(nums, key=lambda k: (k[1], k[0]), reverse=True):
+            n = nums[k]
+            g = gcd(n, den)
+            terms.append((n // g, den // g, ((xs, k[0]), (ds, k[1]))))
+        return _format_terms(terms)
 
     def __repr__(self) -> str:
         return f"WeylElement({str(self)!r}, side={self.side!r})"
@@ -371,6 +368,11 @@ def commutator(a: WeylElement, b: WeylElement) -> WeylElement:
                     key = (i - t, j - t)
                     out[key] = get(key, 0) + (u - v) * n
     return _settle(out, a.den * b.den, a.side)
+
+
+def ccr_check(a: WeylElement, b: WeylElement) -> bool:
+    """Exact test of the commutation identity [a, b] == 1."""
+    return commutator(a, b) == WeylElement.one(a.side)
 
 
 def ad_power(op: WeylElement, target: WeylElement, steps: int) -> WeylElement:

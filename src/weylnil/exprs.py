@@ -47,10 +47,9 @@ element.
 from __future__ import annotations
 
 import re
-from math import lcm
-from typing import List, NamedTuple, Tuple
+from typing import List, NamedTuple
 
-from .element import Key, WeylElement, _settle
+from .element import Part, WeylElement, _element, _settle
 from .errors import ParseError
 
 MAX_EXPONENT = 4096
@@ -65,9 +64,6 @@ _KINDS = (None, "num", "name", "op")
 _NAME = re.compile(r"[A-Za-z]+")
 
 _SYMBOLS = {"x": ("x", False), "D": ("x", True), "z": ("z", False), "Dz": ("z", True)}
-
-# (key, numerator, denominator) of one term; the denominator is nonzero
-Part = Tuple[Key, int, int]
 
 
 def _term_pattern(xs: str, ds: str) -> "re.Pattern":
@@ -120,15 +116,6 @@ def _raise_scan_error(text: str) -> None:
         sides.add(_SYMBOLS[m.group(2)][0])
     if len(sides) > 1:
         raise ParseError("expression mixes x-side and z-side symbols", 0)
-
-
-def _element(parts: List[Part], side: str) -> WeylElement:
-    den = lcm(*{d for _, _, d in parts})
-    acc: dict = {}
-    get = acc.get
-    for key, n, d in parts:
-        acc[key] = get(key, 0) + n * (den // d)
-    return _settle(acc, den, side)
 
 
 class _Parser:

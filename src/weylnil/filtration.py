@@ -48,7 +48,7 @@ def weight_value(e: WeylElement, w: Weight) -> int:
     """Maximal weight over the support; undefined for the zero element."""
     if e.is_zero():
         raise ValueError("weight value of the zero element is undefined")
-    return max(w.of(i, j) for i, j in e.terms)
+    return max(w.of(i, j) for i, j in e.nums)
 
 
 @dataclass(frozen=True)
@@ -68,14 +68,16 @@ class NewtonData:
 def associated_poly(e: WeylElement, w: Weight) -> NewtonData:
     """Collect the top-weight terms of ``e`` into a commutative polynomial."""
     v = weight_value(e, w)
-    assoc = {k: c for k, c in e.terms.items() if w.of(*k) == v}
+    assoc = {k: Fraction(n, e.den) for k, n in e.nums.items() if w.of(*k) == v}
     return NewtonData(w, v, assoc)
 
 
 def format_bivariate(assoc: BiPoly) -> str:
     """Render an associated polynomial like ``Y^4 + 2*X*Y^2 + X^2``."""
     keys = sorted(assoc, key=lambda k: (-k[1], k[0]))
-    return _format_terms((assoc[k], (("X", k[0]), ("Y", k[1]))) for k in keys)
+    return _format_terms(
+        (assoc[k].numerator, assoc[k].denominator, (("X", k[0]), ("Y", k[1]))) for k in keys
+    )
 
 
 def choose_weights(e: WeylElement) -> Tuple[Weight, Tuple[int, int]]:
@@ -96,7 +98,7 @@ def choose_weights(e: WeylElement) -> Tuple[Weight, Tuple[int, int]]:
         raise ValueError("operator has constant coefficients; no edge to choose")
 
     best: Optional[Tuple[int, int]] = None
-    for i, j in e.terms:
+    for i, j in e.nums:
         if i == 0:
             continue
         if best is None:
@@ -113,7 +115,7 @@ def choose_weights(e: WeylElement) -> Tuple[Weight, Tuple[int, int]]:
     g = gcd(n - m0, k0)
     w = Weight((n - m0) // g, k0 // g)
     limit = n * w.d_weight
-    if any(w.of(i, j) > limit for i, j in e.terms):
+    if any(w.of(i, j) > limit for i, j in e.nums):
         raise InvariantViolation("support escapes above the chosen Newton edge")
     return w, (k0, m0)
 
@@ -144,12 +146,8 @@ class FactoredForm:
         return out
 
     def format(self) -> str:
-        y = "Y" if self.ratio == 1 else f"Y^{self.ratio}"
         c = self.scale
-        if c > 0:
-            inner = f"{y} - {c}*X" if c != 1 else f"{y} - X"
-        else:
-            inner = f"{y} + {-c}*X" if c != -1 else f"{y} + X"
+        inner = _format_terms(((1, 1, (("Y", self.ratio),)), (-c.numerator, c.denominator, (("X", 1),))))
         body = f"({inner})^{self.multiplicity}" if self.multiplicity != 1 else f"({inner})"
         if self.y_power == 0:
             return body

@@ -12,19 +12,18 @@ from typing import Iterable, Sequence, Tuple, Union
 Scalar = Union[int, Fraction]
 
 
-def _format_terms(terms: Iterable[Tuple[Fraction, Sequence[Tuple[str, int]]]]) -> str:
-    """Signed sum of ``(coeff, factors)`` terms, in the order given.
+def _format_terms(terms: Iterable[Tuple[int, int, Sequence[Tuple[str, int]]]]) -> str:
+    """Signed sum of ``(numerator, denominator, factors)`` terms, in the
+    order given.
 
+    Each coefficient is a reduced fraction with a positive denominator.
     ``factors`` are ``(symbol, exponent)`` pairs: exponent 0 leaves the
     factor out and 1 prints the bare symbol.  The magnitude of a coefficient
     prints like ``str`` of a ``Fraction``, and not at all when it is one and
-    a factor follows; no terms print as ``"0"``.  Only the coefficient's
-    integer numerator and denominator are read, which is much cheaper than
-    arithmetic on the ``Fraction``.
+    a factor follows; no terms print as ``"0"``.
     """
     parts = []
-    for c, factors in terms:
-        n, q = c.numerator, c.denominator
+    for n, q, factors in terms:
         body = [s if e == 1 else f"{s}^{e}" for s, e in factors if e]
         if q != 1 or not body or (n != 1 and n != -1):
             body.insert(0, f"{abs(n)}/{q}" if q != 1 else str(abs(n)))
@@ -170,7 +169,9 @@ class UniPoly:
 
     def format(self, var: str = "t") -> str:
         cs = self.coeffs
-        return _format_terms((cs[d], ((var, d),)) for d in range(len(cs) - 1, -1, -1) if cs[d])
+        return _format_terms(
+            (cs[d].numerator, cs[d].denominator, ((var, d),)) for d in range(len(cs) - 1, -1, -1) if cs[d]
+        )
 
     def __repr__(self) -> str:
         return f"UniPoly({self.format()!r})"

@@ -69,7 +69,8 @@ def element_from_doc(doc) -> WeylElement:
         if not isinstance(entry, dict) or set(entry) != {"xexp", "dexp", "coeff"}:
             raise WireFormatError("term entry must have exactly xexp, dexp, coeff")
         i, j = entry["xexp"], entry["dexp"]
-        if not isinstance(i, int) or not isinstance(j, int) or i < 0 or j < 0:
+        # a JSON boolean decodes to a bool, which is an int subclass
+        if not all(type(n) is int and n >= 0 for n in (i, j)):
             raise WireFormatError("term exponents must be nonnegative integers")
         if (i, j) in terms:
             raise WireFormatError(f"duplicate term ({i}, {j})")

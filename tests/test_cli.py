@@ -57,6 +57,48 @@ assoc: Y^4 + 2*X*Y^2 + X^2
 factored: (Y^2 + X)^2
 """
 
+SOUNDNESS_NOTE = "stagewise soundness uses invariance of the nilpotency class under the generator maps"
+
+POSITIVE_Y_TEXT = f"""\
+verdict: not-strictly-nilpotent
+reason: positive-y-multiplicity
+stage: 1
+detail: positive Y power: factors as Y*(Y^2 + X)
+note: {SOUNDNESS_NOTE}
+"""
+
+POSITIVE_Y_DOC = {
+    "verdict": "not-strictly-nilpotent",
+    "reason": "positive-y-multiplicity",
+    "stage": 1,
+    "detail": "positive Y power: factors as Y*(Y^2 + X)",
+    "prologue": [SOUNDNESS_NOTE],
+    "stages": [],
+}
+
+OSCILLATOR_TEXT = f"""\
+verdict: not-strictly-nilpotent
+reason: assoc-not-factored
+stage: 1
+detail: cross term at X*Y^1 absent
+note: {SOUNDNESS_NOTE}
+"""
+
+EULER_TEXT = """\
+verdict: not-strictly-nilpotent
+reason: nonconstant-leading
+stage: 0
+detail: top coefficient is nonconstant in both representations
+"""
+
+POSITIVE_Y_POLYGON = """\
+weight: (2, 1)
+value: 3
+support point: (1, 1)
+assoc: Y^3 + X*Y
+diagnostic: positive-y-power: positive Y power: factors as Y*(Y^2 + X)
+"""
+
 
 @pytest.mark.parametrize(
     "argv, text",
@@ -66,6 +108,11 @@ factored: (Y^2 + X)^2
         (("partner", "D^2 - x"), "lambda: Dz^2 - z\nf: z\ntheta: x\n"),
         (("polygon", "D^3 + 2*D"), "diagnostic: operator has constant coefficients; no edge to choose\n"),
         (("polygon", "D^4 + 2*x*D^2 + 2*D + x^2"), QUARTIC_POLYGON),
+        (("decide", "D^3 + x*D"), POSITIVE_Y_TEXT),
+        (("decide", "--json", "D^3 + x*D"), json.dumps(POSITIVE_Y_DOC, indent=2) + "\n"),
+        (("decide", "D^2 + x^2"), OSCILLATOR_TEXT),
+        (("decide", "x*D"), EULER_TEXT),
+        (("polygon", "D^3 + x*D"), POSITIVE_Y_POLYGON),
     ],
 )
 def test_golden_output(capsys, argv, text):

@@ -8,7 +8,6 @@ import pytest
 from weylnil import (
     BoundExhausted,
     Certificate,
-    DescentRejection,
     DescentStep,
     EigenObstruction,
     Fourier,
@@ -106,7 +105,7 @@ def test_descent_step_airy_single_shift():
 
 def test_descent_step_rejects_positive_y_power():
     out = descent_step(d**3 + x * d)
-    assert isinstance(out, DescentRejection)
+    assert isinstance(out, NotStrictlyNilpotent)
     assert out.reason is Reason.POSITIVE_Y_MULTIPLICITY
 
 

@@ -306,3 +306,42 @@ def test_terms_view_of_computed_results_is_read_only():
         with pytest.raises(TypeError):
             e.terms[(5, 5)] = Fraction(1)
         assert e.terms is e.terms
+
+
+def test_constructor_merges_repeated_keys_to_the_canonical_pair():
+    third = Fraction(1, 3)
+    cases = [
+        # repeated keys, one pair cancelling to zero
+        ([((1, 0), third), ((0, 2), 2), ((1, 0), Fraction(1, 6)), ((3, 3), 5), ((3, 3), -5)],
+         {(1, 0): Fraction(1, 2), (0, 2): Fraction(2)}),
+        # zero coefficients, and int, Fraction and str coefficients
+        ({(0, 0): 0, (2, 1): "3/4", (1, 1): 6, (0, 1): Fraction(-5, 10), (4, 0): "0"},
+         {(2, 1): Fraction(3, 4), (1, 1): Fraction(6), (0, 1): Fraction(-1, 2)}),
+        ([((2, 2), "1/4"), ((2, 2), "-1/4")], {}),
+        ([((0, 0), Fraction(1, 6)), ((0, 0), Fraction(1, 3)), ((1, 1), "-2/6")],
+         {(0, 0): Fraction(1, 2), (1, 1): Fraction(-1, 3)}),
+    ]
+    for terms, expected in cases:
+        for side in ("x", "z"):
+            e = WeylElement(terms, side)
+            reference = WeylElement(expected, side)
+            _assert_canonical(e)
+            assert (e.side, e.den, e.nums) == (reference.side, reference.den, reference.nums)
+            assert dict(e.terms) == expected
+
+
+@pytest.mark.parametrize(
+    "terms, side",
+    [
+        ({(0, 0): 1}, "y"),
+        ({(0, 0): 1}, "D"),
+        ({(-1, 0): 1}, "x"),
+        ([((0, -2), 1)], "z"),
+        ({(1.0, 0): 1}, "x"),
+        ([((0, Fraction(1)), 1)], "x"),
+        ([(("1", 0), 1)], "x"),
+    ],
+)
+def test_constructor_rejects_bad_side_and_exponents(terms, side):
+    with pytest.raises(ValueError):
+        WeylElement(terms, side)

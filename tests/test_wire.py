@@ -1,5 +1,6 @@
 """JSON document round trips and schema validation."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -60,6 +61,13 @@ def test_element_document_validation():
         element_from_doc({"side": "x", "terms": [{"xexp": 0, "dexp": 0, "coeff": "1.5"}]})
     with pytest.raises(WireFormatError):
         element_from_doc({"side": "x"})
+
+
+@pytest.mark.parametrize("xexp, dexp", [("true", "false"), ("1", "true"), ("false", "0")])
+def test_element_document_rejects_boolean_exponents(xexp, dexp):
+    text = f'{{"side": "x", "terms": [{{"xexp": {xexp}, "dexp": {dexp}, "coeff": "2"}}]}}'
+    with pytest.raises(WireFormatError):
+        element_from_doc(json.loads(text))
 
 
 def test_word_document_round_trip_seeded():
