@@ -247,10 +247,6 @@ def compose(first: Sequence[Generator], then: Sequence[Generator]) -> AutoWord:
     return tuple(then) + tuple(first)
 
 
-def is_identity_generator(gen: Generator) -> bool:
-    return isinstance(gen, (ShiftX, ShiftD)) and gen.poly.is_zero()
-
-
 def ccr_preserved(word: Sequence[Generator], side: str = "x") -> bool:
     """Self-check that [word(D), word(x)] == 1."""
     wd = apply_word(word, WeylElement({(0, 1): 1}, side))

@@ -28,15 +28,7 @@ from .descent import (
     verify_certificate,
 )
 from .element import ccr_check, profile
-from .errors import (
-    InvariantViolation,
-    NotNormalizableError,
-    NotStrictlyNilpotentError,
-    ParseError,
-    SideMismatchError,
-    UnsupportedSideError,
-    WireFormatError,
-)
+from .errors import InvariantViolation, NotStrictlyNilpotentError, WireFormatError
 from .exprs import parse_expression
 from .filtration import FormDiagnostic, associated_poly, choose_weights, factor_form, format_bivariate
 from .wire import (
@@ -172,9 +164,17 @@ def _cmd_polygon(ns) -> int:
     return 0
 
 
+def _read_json(path):
+    """The decoded JSON document in the file at ``path``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise WireFormatError("JSON document is nested too deeply") from None
+
+
 def _cmd_apply(ns) -> int:
-    with open(ns.word, "r", encoding="utf-8") as fh:
-        word = word_from_doc(json.load(fh))
+    word = word_from_doc(_read_json(ns.word))
     print(apply_word(word, parse_expression(ns.expr)))
     return 0
 
@@ -193,8 +193,7 @@ def _cmd_random(ns) -> int:
 
 
 def _cmd_verify(ns) -> int:
-    with open(ns.cert, "r", encoding="utf-8") as fh:
-        cert = certificate_from_doc(json.load(fh))
+    cert = certificate_from_doc(_read_json(ns.cert))
     ok = verify_certificate(parse_expression(ns.expr), cert)
     print("true" if ok else "false")
     return 0
@@ -263,16 +262,7 @@ def run(argv=None) -> int:
     except InvariantViolation as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return 2
-    except (
-        ParseError,
-        WireFormatError,
-        SideMismatchError,
-        UnsupportedSideError,
-        NotNormalizableError,
-        json.JSONDecodeError,
-        OSError,
-        ValueError,
-    ) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -38,7 +38,6 @@ from .automorphism import (
     describe_generator,
     invert_generator,
     invert_word,
-    is_identity_generator,
     shape_bound,
 )
 from .element import (
@@ -170,11 +169,10 @@ def normalize_subleading(e: WeylElement) -> Tuple[WeylElement, Generator]:
 @dataclass(frozen=True)
 class DescentStep:
     """Successful stage: ``generators`` applied to the input (first entry
-    first) equal ``scale`` times the monic, normalized ``element``."""
+    first) equal ``record.scale`` times the monic, normalized ``element``."""
 
     element: WeylElement
     generators: Tuple[Generator, ...]
-    scale: Fraction
     record: StageRecord
 
 
@@ -182,10 +180,14 @@ def descent_step(e: WeylElement, stage: int = 1) -> Union[DescentStep, NotStrict
     """One order-reducing stage of the descent.
 
     Requires a monic operator of order >= 1 with vanishing next-to-top
-    coefficient that depends on the coordinate.  On success the returned
-    operator is monic of order ``multiplicity = order/ratio``, normalized the
-    same way, ready for the next stage.  A failed shape test returns the
-    rejection at ``stage``, with no prologue or earlier stages.
+    coefficient that depends on the coordinate.  After the collapse and the
+    clearing shift the iterate is ``c*x^k`` plus slices ``x^i q_i(D)`` with
+    ``i <= k-2``, which the inverse Fourier swap sends to order ``<= i``; so
+    the swapped operator already has a vanishing next-to-top coefficient,
+    and one division by its leading coefficient ``lam^k`` makes it monic of
+    order ``multiplicity = order/ratio``, ready for the next stage.  A failed
+    shape test returns the rejection at ``stage``, with no prologue or
+    earlier stages.
     """
     prof = profile(e)
     n = prof.order
@@ -211,47 +213,40 @@ def descent_step(e: WeylElement, stage: int = 1) -> Union[DescentStep, NotStrict
             "weight ratio 1 after normalization contradicts the vanishing next-to-top coefficient"
         )
 
-    gens: List[Generator] = []
-    total = Fraction(1)
-
     # collapse the derivative structure: x -> x + lam^-1 D^r
     g_main = ShiftX(UniPoly.monomial(r + 1, Fraction(1, r + 1) / lam))
     cur = apply_generator(g_main, e)
-    gens.append(g_main)
+    gens: List[Generator] = [g_main]
     shift_image = str(cur)
 
     c_top = (-lam) ** k
     if cur.x_degree != k or cur.x_slice(k) != UniPoly.const(c_top):
         raise InvariantViolation("collapse did not produce the expected top coordinate slice")
-    cur = cur / c_top
-    total *= c_top
 
     # clear the x^(k-1) slice; its degree must sit strictly below the ratio
     edge = cur.x_slice(k - 1)
     if not edge.is_zero():
         if edge.degree >= r:
             raise InvariantViolation("next-to-top coordinate slice exceeds the weight bound")
-        g_edge = ShiftX((edge / -k).antiderivative())
+        g_edge = ShiftX((edge / (-k * c_top)).antiderivative())
         cur = apply_generator(g_edge, cur)
         gens.append(g_edge)
         if not cur.x_slice(k - 1).is_zero():
             raise InvariantViolation("next-to-top coordinate slice survived the clearing shift")
 
-    # swap back to a derivative-side operator and rescale monic
+    # swap back to a derivative-side operator, already normalized; rescale monic
     g_swap = FourierInverse()
     cur = apply_generator(g_swap, cur)
     gens.append(g_swap)
-    sign = Fraction((-1) ** k)
+    scale = lam**k
     new_prof = profile(cur)
-    if new_prof.order != k or new_prof.leading != UniPoly.const(sign):
-        raise InvariantViolation("swapped operator is not monic of the predicted order")
-    if sign != 1:
-        cur = cur / sign
-        total *= sign
-
-    cur, g_norm = normalize_subleading(cur)
-    if not is_identity_generator(g_norm):
-        gens.append(g_norm)
+    if (
+        new_prof.order != k
+        or new_prof.leading != UniPoly.const(scale)
+        or not new_prof.subleading.is_zero()
+    ):
+        raise InvariantViolation("swapped operator is not lam^k*D^k plus terms of order k-2 or less")
+    cur = cur / scale
 
     record = StageRecord(
         stage=stage,
@@ -263,10 +258,10 @@ def descent_step(e: WeylElement, stage: int = 1) -> Union[DescentStep, NotStrict
         form=ff,
         shift_image=shift_image,
         generators=tuple(describe_generator(g) for g in gens),
-        scale=total,
+        scale=scale,
         order_after=k,
     )
-    return DescentStep(cur, tuple(gens), total, record)
+    return DescentStep(cur, tuple(gens), record)
 
 
 def decide(e: WeylElement) -> Verdict:
@@ -276,10 +271,11 @@ def decide(e: WeylElement) -> Verdict:
     polynomials certify immediately with an empty word.  Otherwise the input
     is scaled monic (switching representation through an inverse Fourier
     swap if only the coordinate-leading side is constant), normalized, and
-    descended stage by stage.  The certificate word is the inverse of the
-    accumulated generators and the certificate polynomial absorbs all scale
-    factors, so the reconstruction is exact; it is re-verified before being
-    returned.
+    descended stage by stage.  Every iterate has order at least one, so the
+    loop ends on the derivative side, once the iterate is free of the
+    coordinate.  The certificate word is the inverse of the accumulated
+    generators and the certificate polynomial absorbs all scale factors, so
+    the reconstruction is exact; it is re-verified before being returned.
     """
     if e.is_constant():
         return TriviallyConstant(e.constant_value())
@@ -301,19 +297,16 @@ def decide(e: WeylElement) -> Verdict:
 
     prof = profile(cur)
     if not prof.leading.is_constant():
-        swapped = apply_generator(FourierInverse(), cur)
-        if profile(swapped).leading.is_constant():
-            chrono.append(FourierInverse())
-            cur = swapped
-            prof = profile(cur)
-            prologue.append("top coefficient depends on the coordinate; representation swapped")
-        else:
+        cur = apply_generator(FourierInverse(), cur)
+        prof = profile(cur)
+        if not prof.leading.is_constant():
             return NotStrictlyNilpotent(
                 Reason.NONCONSTANT_LEADING,
                 stage=0,
                 detail="top coefficient is nonconstant in both representations",
-                prologue=tuple(prologue),
             )
+        chrono.append(FourierInverse())
+        prologue.append("top coefficient depends on the coordinate; representation swapped")
 
     lead = prof.leading.constant_value()
     if lead != 1:
@@ -322,7 +315,7 @@ def decide(e: WeylElement) -> Verdict:
         prologue.append(f"scaled monic by {1 / lead}")
 
     cur, g_norm = normalize_subleading(cur)
-    if not is_identity_generator(g_norm):
+    if not g_norm.poly.is_zero():
         chrono.append(g_norm)
         prologue.append(f"next-to-top coefficient cleared by {describe_generator(g_norm)}")
     prologue.append(
@@ -330,25 +323,17 @@ def decide(e: WeylElement) -> Verdict:
     )
 
     stages: List[StageRecord] = []
-    stage = 0
-    while True:
-        if not cur.depends_on_x():
-            side, q_base = "d", cur.x_slice(0)
-            break
-        if not cur.depends_on_d():
-            side, q_base = "x", cur.d_slice(0)
-            break
-        stage += 1
-        out = descent_step(cur, stage)
+    while cur.depends_on_x():
+        out = descent_step(cur, len(stages) + 1)
         if isinstance(out, NotStrictlyNilpotent):
             return replace(out, prologue=tuple(prologue), stages=tuple(stages))
         chrono.extend(out.generators)
-        scale *= out.scale
+        scale *= out.record.scale
         cur = out.element
         stages.append(out.record)
 
     word = tuple(invert_generator(g) for g in chrono)
-    cert = Certificate(word, q_base * scale, side)
+    cert = Certificate(word, cur.x_slice(0) * scale, "d")
     if not verify_certificate(e, cert):
         raise InvariantViolation("assembled certificate failed re-verification")
     return StrictlyNilpotent(cert, tuple(prologue), tuple(stages))

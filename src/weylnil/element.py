@@ -128,7 +128,8 @@ class WeylElement:
         parts = []
         for key, coeff in items:
             i, j = key
-            if not (isinstance(i, int) and isinstance(j, int)) or i < 0 or j < 0:
+            # bool is an int subclass, so test the exact type
+            if not (type(i) is int and type(j) is int) or i < 0 or j < 0:
                 raise ValueError(f"exponent pair must be nonnegative integers, got {key!r}")
             c = Fraction(coeff)
             parts.append(((i, j), c.numerator, c.denominator))

@@ -39,7 +39,7 @@ from .element import WeylElement
 from .errors import WireFormatError
 from .poly import UniPoly
 
-_RATIONAL = re.compile(r"-?\d+(/\d+)?\Z")
+_RATIONAL = re.compile(r"-?\d+(/0*[1-9]\d*)?\Z")
 
 
 def _coeff_from_str(s) -> Fraction:

@@ -100,6 +100,21 @@ diagnostic: positive-y-power: positive Y power: factors as Y*(Y^2 + X)
 """
 
 
+SWAPPED_DOC = {
+    "verdict": "not-strictly-nilpotent",
+    "reason": "assoc-not-factored",
+    "stage": 1,
+    "detail": "cross term at X*Y^2 absent",
+    "prologue": [
+        "top coefficient depends on the coordinate; representation swapped",
+        "scaled monic by -1",
+        "next-to-top coefficient cleared by shiftD(-1/6*x^2)",
+        SOUNDNESS_NOTE,
+    ],
+    "stages": [],
+}
+
+
 @pytest.mark.parametrize(
     "argv, text",
     [
@@ -113,6 +128,9 @@ diagnostic: positive-y-power: positive Y power: factors as Y*(Y^2 + X)
         (("decide", "D^2 + x^2"), OSCILLATOR_TEXT),
         (("decide", "x*D"), EULER_TEXT),
         (("polygon", "D^3 + x*D"), POSITIVE_Y_POLYGON),
+        (("decide", "7/2"), "verdict: trivially-constant\nvalue: 7/2\n"),
+        (("polygon", "x*D"), "diagnostic: operator has no constant top coefficient of order >= 1\n"),
+        (("decide", "--json", "x^2*D + x^3"), json.dumps(SWAPPED_DOC, indent=2) + "\n"),
     ],
 )
 def test_golden_output(capsys, argv, text):
@@ -287,6 +305,35 @@ def test_deeply_nested_input_is_parse_error(capsys):
     assert out == ""
     assert "nested deeper than" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "flag, doc",
+    [
+        ("--word", [{"kind": "shiftD", "poly": ["0", "1/0"]}]),
+        ("--cert", {"word": [], "q": ["0", "1/0"], "side": "d"}),
+        ("--cert", {"word": [{"kind": "shiftX", "poly": ["0", "0", "2/0"]}], "q": ["0", "1"], "side": "d"}),
+    ],
+)
+def test_zero_denominator_in_document_is_wire_error(capsys, tmp_path, flag, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    command = "apply" if flag == "--word" else "verify"
+    code, out, err = _run(capsys, command, flag, str(path), "D")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: coefficient must be a rational string")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, flag", [("apply", "--word"), ("verify", "--cert")])
+def test_deeply_nested_document_is_wire_error(capsys, tmp_path, command, flag):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    code, out, err = _run(capsys, command, flag, str(path), "D")
+    assert code == 1
+    assert out == ""
+    assert err == "error: JSON document is nested too deeply\n"
 
 
 def test_repeated_runs_share_no_state(capsys):

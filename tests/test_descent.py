@@ -100,7 +100,7 @@ def test_descent_step_airy_single_shift():
     assert step.record.shift_image == "-x"
     assert step.generators[0] == ShiftX(UniPoly((0, 0, 0, Fraction(1, 3))))
     assert step.element == d
-    assert step.scale == 1
+    assert step.record.scale == 1
 
 
 def test_descent_step_rejects_positive_y_power():
@@ -125,6 +125,9 @@ def test_descent_step_halves_order():
         assert isinstance(v, StrictlyNilpotent)
         for rec in v.stages:
             assert 2 * rec.order_after <= rec.order
+            # the clearing shift leaves the swapped operator normalized
+            assert rec.generators[-1] == "fourier^-1"
+            assert not any(g.startswith("shiftD") for g in rec.generators)
             checked += 1
     assert checked > 10
 
@@ -197,9 +200,16 @@ def test_decide_swaps_representation_when_needed():
     # coordinate-heavy operator whose swapped form is constant-leading
     e = x**3 + x * d
     v = decide(e)
-    assert isinstance(v, (StrictlyNilpotent, NotStrictlyNilpotent))
-    if isinstance(v, StrictlyNilpotent):
-        assert verify_certificate(e, v.certificate)
+    assert isinstance(v, NotStrictlyNilpotent)
+    assert v.reason is Reason.POSITIVE_Y_MULTIPLICITY
+    assert v.stage == 1
+    assert v.detail == "positive Y power: factors as Y*(Y^2 + X)"
+    assert v.prologue == (
+        "top coefficient depends on the coordinate; representation swapped",
+        "scaled monic by -1",
+        "stagewise soundness uses invariance of the nilpotency class under the generator maps",
+    )
+    assert v.stages == ()
 
 
 def test_decide_monic_scaling_absorbed_into_polynomial():

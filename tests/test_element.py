@@ -340,6 +340,9 @@ def test_constructor_merges_repeated_keys_to_the_canonical_pair():
         ({(1.0, 0): 1}, "x"),
         ([((0, Fraction(1)), 1)], "x"),
         ([(("1", 0), 1)], "x"),
+        ({(True, 0): 2}, "x"),
+        ({(0, False): 2}, "x"),
+        ({(True, True): 1}, "z"),
     ],
 )
 def test_constructor_rejects_bad_side_and_exponents(terms, side):

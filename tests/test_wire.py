@@ -70,6 +70,21 @@ def test_element_document_rejects_boolean_exponents(xexp, dexp):
         element_from_doc(json.loads(text))
 
 
+@pytest.mark.parametrize("coeff", ["1/0", "-3/00", "0/0"])
+def test_documents_reject_zero_denominators(coeff):
+    with pytest.raises(WireFormatError):
+        element_from_doc({"side": "x", "terms": [{"xexp": 0, "dexp": 1, "coeff": coeff}]})
+    with pytest.raises(WireFormatError):
+        word_from_doc([{"kind": "shiftD", "poly": ["0", coeff]}])
+    with pytest.raises(WireFormatError):
+        certificate_from_doc({"word": [], "q": ["0", coeff], "side": "d"})
+
+
+def test_documents_accept_denominators_with_leading_zeros():
+    doc = {"side": "x", "terms": [{"xexp": 0, "dexp": 1, "coeff": "3/06"}]}
+    assert element_from_doc(doc) == d / 2
+
+
 def test_word_document_round_trip_seeded():
     rng = random.Random(17)
     for _ in range(25):
