@@ -2,7 +2,6 @@
 strict-nilpotency decision procedure and bispectral partner construction."""
 
 from .element import (
-    OperatorProfile,
     WeylElement,
     ad_power,
     ccr_check,
@@ -11,7 +10,6 @@ from .element import (
     derivative,
     generators,
     poly_at,
-    profile,
 )
 from .poly import UniPoly
 from .filtration import (

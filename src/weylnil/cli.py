@@ -27,7 +27,7 @@ from .descent import (
     random_orbit_element,
     verify_certificate,
 )
-from .element import ccr_check, profile
+from .element import ccr_check
 from .errors import InvariantViolation, NotStrictlyNilpotentError, WireFormatError
 from .exprs import parse_expression
 from .filtration import FormDiagnostic, associated_poly, choose_weights, factor_form, format_bivariate
@@ -142,11 +142,11 @@ def _cmd_ccr(ns) -> int:
 
 def _cmd_polygon(ns) -> int:
     e = parse_expression(ns.expr)
-    prof = profile(e)
-    if prof.order < 1 or not prof.leading.is_constant():
+    top = e.d_slice(e.order)
+    if e.order < 1 or not top.is_constant():
         print("diagnostic: operator has no constant top coefficient of order >= 1")
         return 0
-    monic = e / prof.leading.constant_value()
+    monic = e / top.constant_value()
     if not monic.depends_on_x():
         print("diagnostic: operator has constant coefficients; no edge to choose")
         return 0

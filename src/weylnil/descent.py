@@ -46,7 +46,6 @@ from .element import (
     commutator,
     coordinate,
     derivative,
-    profile,
 )
 from .errors import (
     InvariantViolation,
@@ -138,10 +137,16 @@ class TriviallyConstant:
 Verdict = Union[StrictlyNilpotent, NotStrictlyNilpotent, TriviallyConstant]
 
 
+def _derivative_word(cert: Certificate) -> AutoWord:
+    """A word sending ``q(D)`` to the certified operator: a coordinate-side
+    word gains a trailing ``FourierInverse``, which sends ``q(D)`` to
+    ``q(x)``."""
+    return cert.word + (FourierInverse(),) if cert.side == "x" else cert.word
+
+
 def verify_certificate(e: WeylElement, cert: Certificate) -> bool:
     """Recompute the certified image and compare exactly."""
-    build = WeylElement.from_d_poly if cert.side == "d" else WeylElement.from_x_poly
-    return apply_word(cert.word, build(cert.gen_poly, e.side)) == e
+    return apply_word(_derivative_word(cert), WeylElement.from_d_poly(cert.gen_poly, e.side)) == e
 
 
 def normalize_subleading(e: WeylElement) -> Tuple[WeylElement, Generator]:
@@ -153,15 +158,16 @@ def normalize_subleading(e: WeylElement) -> Tuple[WeylElement, Generator]:
     computed image.  Returns the image and the generator used (a zero shift
     when nothing had to be done).
     """
-    prof = profile(e)
-    if prof.order < 1 or not prof.leading.is_constant():
+    n = e.order
+    top = e.d_slice(n)
+    if n < 1 or not top.is_constant():
         raise NotNormalizableError("operator must have constant top coefficient of order >= 1")
-    if prof.subleading.is_zero():
+    sub = e.d_slice(n - 1)
+    if sub.is_zero():
         return e, ShiftD(UniPoly.zero())
-    lead = prof.leading.constant_value()
-    gen = ShiftD((prof.subleading / (prof.order * lead)).antiderivative())
+    gen = ShiftD((sub / (n * top.constant_value())).antiderivative())
     image = apply_generator(gen, e)
-    if not profile(image).subleading.is_zero():
+    if not image.d_slice(image.order - 1).is_zero():
         raise InvariantViolation("next-to-top coefficient survived normalization")
     return image, gen
 
@@ -189,11 +195,10 @@ def descent_step(e: WeylElement, stage: int = 1) -> Union[DescentStep, NotStrict
     shape test returns the rejection at ``stage``, with no prologue or
     earlier stages.
     """
-    prof = profile(e)
-    n = prof.order
-    if n < 1 or prof.leading != UniPoly.one():
+    n = e.order
+    if n < 1 or e.d_slice(n) != 1:
         raise NotNormalizableError("descent stage requires a monic operator of order >= 1")
-    if not prof.subleading.is_zero():
+    if not e.d_slice(n - 1).is_zero():
         raise ValueError("descent stage requires a vanishing next-to-top coefficient")
     if not e.depends_on_x():
         raise ValueError("descent stage requires dependence on the coordinate")
@@ -220,7 +225,7 @@ def descent_step(e: WeylElement, stage: int = 1) -> Union[DescentStep, NotStrict
     shift_image = str(cur)
 
     c_top = (-lam) ** k
-    if cur.x_degree != k or cur.x_slice(k) != UniPoly.const(c_top):
+    if cur.x_degree != k or cur.x_slice(k) != c_top:
         raise InvariantViolation("collapse did not produce the expected top coordinate slice")
 
     # clear the x^(k-1) slice; its degree must sit strictly below the ratio
@@ -239,12 +244,7 @@ def descent_step(e: WeylElement, stage: int = 1) -> Union[DescentStep, NotStrict
     cur = apply_generator(g_swap, cur)
     gens.append(g_swap)
     scale = lam**k
-    new_prof = profile(cur)
-    if (
-        new_prof.order != k
-        or new_prof.leading != UniPoly.const(scale)
-        or not new_prof.subleading.is_zero()
-    ):
+    if cur.order != k or cur.d_slice(k) != scale or not cur.d_slice(k - 1).is_zero():
         raise InvariantViolation("swapped operator is not lam^k*D^k plus terms of order k-2 or less")
     cur = cur / scale
 
@@ -295,11 +295,11 @@ def decide(e: WeylElement) -> Verdict:
     scale = Fraction(1)
     cur = e
 
-    prof = profile(cur)
-    if not prof.leading.is_constant():
+    top = cur.d_slice(cur.order)
+    if not top.is_constant():
         cur = apply_generator(FourierInverse(), cur)
-        prof = profile(cur)
-        if not prof.leading.is_constant():
+        top = cur.d_slice(cur.order)
+        if not top.is_constant():
             return NotStrictlyNilpotent(
                 Reason.NONCONSTANT_LEADING,
                 stage=0,
@@ -308,7 +308,7 @@ def decide(e: WeylElement) -> Verdict:
         chrono.append(FourierInverse())
         prologue.append("top coefficient depends on the coordinate; representation swapped")
 
-    lead = prof.leading.constant_value()
+    lead = top.constant_value()
     if lead != 1:
         cur = cur / lead
         scale *= lead
@@ -388,18 +388,20 @@ def _proportional(a: WeylElement, b: WeylElement) -> Optional[Fraction]:
 
 
 def ad_nilpotency_test(op: WeylElement, target: WeylElement, cap: int = 64) -> AdTestResult:
-    """Iterate the bracket with ``op`` on ``target`` up to ``cap`` steps."""
+    """Iterate the bracket with ``op`` on ``target`` up to ``cap`` steps;
+    a zero target is nilpotent at step 0."""
     if cap < 1:
         raise ValueError("cap must be positive")
+    if target.is_zero():
+        return NilpotentAt(0)
     cur = target
     for m in range(1, cap + 1):
         nxt = commutator(op, cur)
         if nxt.is_zero():
             return NilpotentAt(m)
-        if not cur.is_zero():
-            ratio = _proportional(nxt, cur)
-            if ratio is not None:
-                return EigenObstruction(ratio)
+        ratio = _proportional(nxt, cur)
+        if ratio is not None:
+            return EigenObstruction(ratio)
         cur = nxt
     return BoundExhausted(cap, weight_value(cur, Weight(1, 1)))
 
@@ -423,11 +425,21 @@ class BispectralPartner:
     f_poly: UniPoly
 
 
-def _require_certified(e: WeylElement) -> StrictlyNilpotent:
+def _derivative_certificate(e: WeylElement, construction: str) -> Certificate:
+    """The certificate of ``e``, which must be on the derivative side.
+
+    Raises ``NotStrictlyNilpotentError`` when ``decide`` rejects ``e`` and
+    ``UnsupportedSideError``, naming ``construction``, for a coordinate-side
+    certificate.
+    """
     verdict = decide(e)
     if not isinstance(verdict, StrictlyNilpotent):
         raise NotStrictlyNilpotentError(verdict)
-    return verdict
+    if verdict.certificate.side == "x":
+        raise UnsupportedSideError(
+            f"{construction} is unsupported for coordinate-side certificates"
+        )
+    return verdict.certificate
 
 
 def bispectral_partner(e: WeylElement) -> BispectralPartner:
@@ -439,12 +451,7 @@ def bispectral_partner(e: WeylElement) -> BispectralPartner:
     """
     if e.side != "x":
         raise UnsupportedSideError("partner construction expects an x-side operator")
-    verdict = _require_certified(e)
-    cert = verdict.certificate
-    if cert.side == "x":
-        raise UnsupportedSideError(
-            "partner construction is unsupported for coordinate-side certificates"
-        )
+    cert = _derivative_certificate(e, "partner construction")
     pre_image = apply_word(invert_word(cert.word), coordinate("x"))
     return BispectralPartner(anti_involution(pre_image), cert.gen_poly)
 
@@ -455,12 +462,7 @@ def centralizer_generator(e: WeylElement) -> WeylElement:
     Returns the word applied to the derivative; the input is the certificate
     polynomial evaluated at the result, and the two commute.
     """
-    verdict = _require_certified(e)
-    cert = verdict.certificate
-    if cert.side != "d":
-        raise UnsupportedSideError(
-            "centralizer generator is unsupported for coordinate-side certificates"
-        )
+    cert = _derivative_certificate(e, "centralizer generator")
     gen = apply_word(cert.word, derivative(e.side))
     if commutator(e, gen) != WeylElement.zero(e.side):
         raise InvariantViolation("centralizer generator does not commute with the input")
@@ -508,10 +510,7 @@ def ccr_to_generators(
     if not isinstance(verdict, StrictlyNilpotent):
         return CounterexampleCandidate(verdict)
     cert = verdict.certificate
-    word = cert.word
-    if cert.side == "x":
-        # fold the coordinate evaluation into the word: q(x) == q(swap(D))
-        word = word + (FourierInverse(),)
+    word = _derivative_word(cert)
     q = cert.gen_poly
     if q.degree != 1:
         raise InvariantViolation(
@@ -519,7 +518,7 @@ def ccr_to_generators(
         )
     a, b = q.coeff(1), q.coeff(0)
     m = apply_word(invert_word(word), mate)
-    if m.x_degree != 1 or m.x_slice(1) != UniPoly.const(1 / a):
+    if m.x_degree != 1 or m.x_slice(1) != 1 / a:
         raise InvariantViolation("commutation mate does not reduce to the standard form")
     tail = m.x_slice(0)
     witness = GenerationWitness(word, a, b, tail)

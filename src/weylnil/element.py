@@ -39,7 +39,6 @@ concurrent use is safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
@@ -150,10 +149,6 @@ class WeylElement:
     @classmethod
     def scalar(cls, c: Scalar, side: str = "x") -> "WeylElement":
         return cls({(0, 0): c}, side)
-
-    @classmethod
-    def from_x_poly(cls, p: UniPoly, side: str = "x") -> "WeylElement":
-        return cls({(i, 0): c for i, c in enumerate(p.coeffs)}, side)
 
     @classmethod
     def from_d_poly(cls, p: UniPoly, side: str = "x") -> "WeylElement":
@@ -395,23 +390,3 @@ def poly_at(p: UniPoly, value: WeylElement) -> WeylElement:
         acc = acc * value + WeylElement.scalar(c, value.side)
     return acc
 
-
-@dataclass(frozen=True)
-class OperatorProfile:
-    """Order plus the two top coefficient polynomials of an operator.
-
-    ``order`` is -1 for the zero element; ``leading`` is the coefficient of
-    D^order and ``subleading`` the coefficient of D^(order-1), both as
-    polynomials in the coordinate.
-    """
-
-    order: int
-    leading: UniPoly
-    subleading: UniPoly
-
-
-def profile(e: WeylElement) -> OperatorProfile:
-    n = e.order
-    if n < 0:
-        return OperatorProfile(-1, UniPoly.zero(), UniPoly.zero())
-    return OperatorProfile(n, e.d_slice(n), e.d_slice(n - 1))

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import comb, gcd
 from typing import Dict, Optional, Tuple, Union
 
-from .element import WeylElement, profile
+from .element import WeylElement
 from .errors import InvariantViolation, NotNormalizableError
 from .poly import _format_terms
 
@@ -90,9 +90,8 @@ def choose_weights(e: WeylElement) -> Tuple[Weight, Tuple[int, int]]:
     greatest coordinate exponent is reported.  An operator that does not
     depend on the coordinate has no such point and raises ``ValueError``.
     """
-    prof = profile(e)
-    n = prof.order
-    if n < 1 or not prof.leading.is_constant():
+    n = e.order
+    if n < 1 or not e.d_slice(n).is_constant():
         raise NotNormalizableError("operator must have a constant nonzero top coefficient")
     if not e.depends_on_x():
         raise ValueError("operator has constant coefficients; no edge to choose")

@@ -45,7 +45,10 @@ _RATIONAL = re.compile(r"-?\d+(/0*[1-9]\d*)?\Z")
 def _coeff_from_str(s) -> Fraction:
     if not isinstance(s, str) or not _RATIONAL.match(s):
         raise WireFormatError(f"coefficient must be a rational string 'p' or 'p/q', got {s!r}")
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except ValueError:  # more digits than int converts
+        raise WireFormatError("coefficient has too many digits") from None
 
 
 def element_to_doc(e: WeylElement) -> dict:

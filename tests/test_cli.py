@@ -131,6 +131,7 @@ SWAPPED_DOC = {
         (("decide", "7/2"), "verdict: trivially-constant\nvalue: 7/2\n"),
         (("polygon", "x*D"), "diagnostic: operator has no constant top coefficient of order >= 1\n"),
         (("decide", "--json", "x^2*D + x^3"), json.dumps(SWAPPED_DOC, indent=2) + "\n"),
+        (("ad", "D", "0"), "nilpotent at 0\n"),
     ],
 )
 def test_golden_output(capsys, argv, text):
@@ -222,6 +223,19 @@ def test_apply_subcommand(capsys, tmp_path):
     code, out, _ = _run(capsys, "apply", "--word", str(word_path), "D")
     assert code == 0
     assert out.strip() == "D + x^2"
+
+
+def test_verify_coordinate_side_certificate(capsys, tmp_path):
+    word = [{"kind": "shiftD", "poly": ["0", "0", "1"]}, {"kind": "fourier"}]
+    word_path = tmp_path / "word.json"
+    word_path.write_text(json.dumps(word))
+    code, image, _ = _run(capsys, "apply", "--word", str(word_path), "x^3 + x")
+    assert code == 0
+    cert_path = tmp_path / "cert.json"
+    for side, verdict in (("x", "true"), ("d", "false")):
+        cert_path.write_text(json.dumps({"word": word, "q": ["0", "1", "0", "1"], "side": side}))
+        code, out, _ = _run(capsys, "verify", "--cert", str(cert_path), image.strip())
+        assert (code, out) == (0, verdict + "\n")
 
 
 def test_random_subcommand_emits_valid_certificate(capsys):

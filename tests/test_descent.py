@@ -73,9 +73,7 @@ def test_normalize_subleading_linear_shift():
     e = d**2 + 2 * x * d
     image, gen = normalize_subleading(e)
     assert gen.poly.derivative() == UniPoly((0, 1))  # r' = x
-    from weylnil import profile
-
-    assert profile(image).subleading.is_zero()
+    assert image.d_slice(1).is_zero()
     assert image == d**2 - x**2 - 1
 
 
@@ -248,6 +246,23 @@ def test_verify_certificate_rejects_tampering():
     assert not verify_certificate(airy, tampered)
 
 
+def test_verify_certificate_coordinate_side():
+    e = x**3 + x
+    cert = decide(e).certificate
+    assert cert.side == "x"
+    assert verify_certificate(e, cert)
+    tampered = Certificate(cert.word, UniPoly((0, 2, 0, 1)), cert.side)
+    assert not verify_certificate(e, tampered)
+
+
+def test_verify_certificate_coordinate_side_with_word():
+    word = (ShiftD(UniPoly((0, 0, 1))), Fourier(), ShiftX(UniPoly((0, 0, 0, 2))))
+    q = UniPoly((1, -2, 0, 1))
+    e = apply_word(word, poly_at(q, x))
+    assert verify_certificate(e, Certificate(word, q, "x"))
+    assert not verify_certificate(e, Certificate(word, q, "d"))
+
+
 # ----------------------------------------------------------------------
 # ad_nilpotency_test
 # ----------------------------------------------------------------------
@@ -271,6 +286,12 @@ def test_ad_test_eigen_obstruction_with_rational_ratios():
     assert ad_nilpotency_test(Fraction(2, 3) * x * d, x / 5) == EigenObstruction(Fraction(2, 3))
     assert ad_nilpotency_test(-2 * x * d + Fraction(1, 7), x**2 / 3) == EigenObstruction(Fraction(-4))
     assert ad_nilpotency_test(x * d / 4, x**3 * d / 3 + x**2 / 6) == EigenObstruction(Fraction(1, 2))
+
+
+def test_ad_test_zero_target_is_nilpotent_at_zero():
+    # step 0, the target itself, is already zero
+    assert ad_nilpotency_test(d, WeylElement.zero()) == NilpotentAt(0)
+    assert ad_nilpotency_test(x * d, WeylElement.zero(), cap=1) == NilpotentAt(0)
 
 
 def test_ad_test_bound_exhausted():

@@ -1,4 +1,4 @@
-"""Core arithmetic: normal ordering, brackets, profiles, algebra laws."""
+"""Core arithmetic: normal ordering, brackets, top slices, algebra laws."""
 
 import random
 from fractions import Fraction
@@ -21,7 +21,6 @@ from weylnil import (
     coordinate,
     generators,
     poly_at,
-    profile,
 )
 
 from conftest import rand_element, weyl_elements
@@ -75,30 +74,20 @@ def test_ad_power_fixed_point():
         assert ad_power(x * d, x, s) == x
 
 
-def test_profile_airy():
-    p = profile(d**2 - x)
-    assert p.order == 2
-    assert p.leading == UniPoly.one()
-    assert p.subleading.is_zero()
-
-
-def test_profile_euler():
-    p = profile(x * d)
-    assert p.order == 1
-    assert p.leading == UniPoly((0, 1))
-    assert p.subleading.is_zero()
-
-
-def test_profile_pure_coordinate():
-    p = profile(x**3)
-    assert p.order == 0
-    assert p.leading == UniPoly((0, 0, 0, 1))
-
-
-def test_profile_zero_sentinel():
-    p = profile(WeylElement.zero())
-    assert p.order == -1
-    assert p.leading.is_zero()
+@pytest.mark.parametrize(
+    "e, order, leading, subleading",
+    [
+        (d**2 - x, 2, UniPoly.one(), UniPoly.zero()),
+        (x * d, 1, UniPoly((0, 1)), UniPoly.zero()),
+        (x**3, 0, UniPoly((0, 0, 0, 1)), UniPoly.zero()),
+        (WeylElement.zero(), -1, UniPoly.zero(), UniPoly.zero()),
+    ],
+    ids=["airy", "euler", "pure_coordinate", "zero"],
+)
+def test_order_and_top_slices(e, order, leading, subleading):
+    assert e.order == order
+    assert e.d_slice(order) == leading
+    assert e.d_slice(order - 1) == subleading
 
 
 def test_scalar_mixing_and_division():

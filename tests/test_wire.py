@@ -80,6 +80,22 @@ def test_documents_reject_zero_denominators(coeff):
         certificate_from_doc({"word": [], "q": ["0", coeff], "side": "d"})
 
 
+@pytest.mark.parametrize("coeff", ["1" * 5000, "1/" + "3" * 5000], ids=["numerator", "denominator"])
+@pytest.mark.parametrize(
+    "decode, wrap",
+    [
+        (element_from_doc, lambda c: {"side": "x", "terms": [{"xexp": 0, "dexp": 1, "coeff": c}]}),
+        (word_from_doc, lambda c: [{"kind": "shiftD", "poly": ["0", c]}]),
+        (certificate_from_doc, lambda c: {"word": [], "q": ["0", c], "side": "d"}),
+    ],
+    ids=["element", "word", "certificate"],
+)
+def test_documents_reject_over_long_coefficients(decode, wrap, coeff):
+    # past Python's limit on integer-string conversion
+    with pytest.raises(WireFormatError, match="too many digits"):
+        decode(wrap(coeff))
+
+
 def test_documents_accept_denominators_with_leading_zeros():
     doc = {"side": "x", "terms": [{"xexp": 0, "dexp": 1, "coeff": "3/06"}]}
     assert element_from_doc(doc) == d / 2
