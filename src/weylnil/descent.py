@@ -297,14 +297,17 @@ def decide(e: WeylElement) -> Verdict:
 
     top = cur.d_slice(cur.order)
     if not top.is_constant():
-        cur = apply_generator(FourierInverse(), cur)
-        top = cur.d_slice(cur.order)
-        if not top.is_constant():
+        # the swap sends x^i D^j to (-1)^i x^j D^i plus terms of lower order,
+        # so its top coefficient is +-x_slice(x_degree) read with D -> x: test
+        # that first and swap only when it is constant
+        if not cur.x_slice(cur.x_degree).is_constant():
             return NotStrictlyNilpotent(
                 Reason.NONCONSTANT_LEADING,
                 stage=0,
                 detail="top coefficient is nonconstant in both representations",
             )
+        cur = apply_generator(FourierInverse(), cur)
+        top = cur.d_slice(cur.order)
         chrono.append(FourierInverse())
         prologue.append("top coefficient depends on the coordinate; representation swapped")
 

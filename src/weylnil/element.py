@@ -4,11 +4,19 @@ An element is a finite rational linear combination of normal-ordered
 monomials ``x^i * D^j`` where ``D`` is the derivative in ``x`` and the two
 generators satisfy ``[D, x] = D*x - x*D = 1``.  Every product is rewritten
 back into normal order (coordinate powers to the left of derivative powers)
-with the closed-form exchange rule
+with the contraction formula
 
-    D^j * x^i = sum_t  t! * C(j, t) * C(i, t) * x^(i-t) * D^(j-t),
+    a * b = sum_t  (1/t!) * (d/dD)^t a * (d/dx)^t b,
 
-which is what ``_swap_weights`` tabulates.
+whose derivatives act on normal-ordered symbols.  On monomials it reads
+``x^i1 D^j1 * x^i2 D^j2 = sum_t C(j1, t) * perm(i2, t) * x^(i1+i2-t)
+D^(j1+j2-t)``, so each contraction order ``t`` is one plain commutative
+convolution of two weighted term lists, built once per ``t``, with keys
+already lowered by ``t``; the bracket fuses both orders of a pair of terms
+into one update.  The single-monomial exchange weights
+``t! * C(j, t) * C(i, t)`` of ``D^j * x^i`` are tabulated by
+``_swap_weights``, which the Fourier swap and the shift substitution in
+``automorphism`` read.
 
 An element stores integer numerators over one shared denominator: ``nums``
 maps ``(i, j)`` to a nonzero ``int`` and the coefficient of ``x^i D^j`` is
@@ -21,9 +29,10 @@ result with one multi-argument ``gcd``; equality, hashing, ``order``, the
 coefficient slices and the other structural queries read the pair.
 Other modules read ``den`` and ``nums`` directly and build results through
 ``_settle``; ``_element`` builds an element from ``(key, numerator,
-denominator)`` parts, for the constructor and the parser, and the shift
-substitution and the Fourier swap in ``automorphism`` share the cached
-exchange weights of ``_swap_weights``.
+denominator)`` parts, for the constructor and the parser.  ``order`` and
+``x_degree`` read one shape record, filled in one pass over the keys on
+first read; the product, the bracket, the slices and the shift substitution
+take their bounds from it.
 
 ``terms`` is a read-only map of ``Fraction`` coefficients for the wire
 format and other readers of single coefficients; ``str`` prints from the
@@ -41,7 +50,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import zip_longest
 from math import comb, gcd, lcm, perm
 from types import MappingProxyType
 from typing import Iterable, List, Mapping, Tuple, Union
@@ -73,6 +81,7 @@ def _new(side: str, den: int, nums: dict) -> "WeylElement":
     el.nums = nums
     el._terms = None
     el._hash = None
+    el._shape = None
     return el
 
 
@@ -118,7 +127,7 @@ class WeylElement:
     two elements are equal exactly when their sides and pairs agree.
     """
 
-    __slots__ = ("side", "den", "nums", "_terms", "_hash")
+    __slots__ = ("side", "den", "nums", "_terms", "_hash", "_shape")
 
     def __init__(self, terms: Union[Mapping[Key, Scalar], Iterable] = (), side: str = "x"):
         if side not in SIDES:
@@ -137,6 +146,7 @@ class WeylElement:
         self.den, self.nums = built.den, built.nums
         self._terms = None
         self._hash = None
+        self._shape = None
 
     @classmethod
     def zero(cls, side: str = "x") -> "WeylElement":
@@ -170,22 +180,32 @@ class WeylElement:
         return not self.nums
 
     def is_constant(self) -> bool:
-        return all(k == (0, 0) for k in self.nums)
+        return max(self._dims()) <= 0
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError("element is not constant")
         return Fraction(self.nums.get((0, 0), 0), self.den)
 
+    def _dims(self) -> Tuple[int, int]:
+        """``(x_degree, order)``, from one pass over the keys on first read."""
+        if self._shape is None:
+            if self.nums:
+                xs, js = zip(*self.nums)
+                self._shape = (max(xs), max(js))
+            else:
+                self._shape = (-1, -1)
+        return self._shape
+
     @property
     def order(self) -> int:
         """Maximal derivative exponent; -1 for the zero element."""
-        return max((j for _, j in self.nums), default=-1)
+        return self._dims()[1]
 
     @property
     def x_degree(self) -> int:
         """Maximal coordinate exponent; -1 for the zero element."""
-        return max((i for i, _ in self.nums), default=-1)
+        return self._dims()[0]
 
     def depends_on_x(self) -> bool:
         return self.x_degree > 0
@@ -195,18 +215,24 @@ class WeylElement:
 
     def d_slice(self, j: int) -> UniPoly:
         """Coefficient of D^j, as a polynomial in the coordinate."""
-        if j < 0:
+        x_deg, order = self._dims()
+        if not 0 <= j <= order:
             return UniPoly.zero()
         nums, den = self.nums, self.den
-        top = max((i for i, jj in nums if jj == j), default=-1)
+        top = x_deg
+        while top >= 0 and (top, j) not in nums:
+            top -= 1
         return UniPoly(tuple(Fraction(nums.get((i, j), 0), den) for i in range(top + 1)))
 
     def x_slice(self, i: int) -> UniPoly:
         """Coefficient of x^i, as a polynomial in the derivative."""
-        if i < 0:
+        x_deg, order = self._dims()
+        if not 0 <= i <= x_deg:
             return UniPoly.zero()
         nums, den = self.nums, self.den
-        top = max((jj for ii, jj in nums if ii == i), default=-1)
+        top = order
+        while top >= 0 and (i, top) not in nums:
+            top -= 1
         return UniPoly(tuple(Fraction(nums.get((i, j), 0), den) for j in range(top + 1)))
 
     # ------------------------------------------------------------------
@@ -259,16 +285,17 @@ class WeylElement:
         if not isinstance(other, WeylElement):
             return NotImplemented
         self._check_side(other)
-        right = other.nums.items()
         out: dict = {}
         get = out.get
-        for (i1, j1), n1 in self.nums.items():
-            for (i2, j2), n2 in right:
-                n = n1 * n2
-                i, j = i1 + i2, j1 + j2
-                for t, w in enumerate(_swap_weights(j1, i2)):
-                    key = (i - t, j - t)
-                    out[key] = get(key, 0) + w * n
+        # one plain convolution per contraction order t: the terms of
+        # (1/t!) (d/dD)^t self against those of (d/dx)^t other
+        for t in range(min(self.order, other.x_degree) + 1):
+            left = [(i, j - t, comb(j, t) * n) for (i, j), n in self.nums.items() if j >= t]
+            right = [(i - t, j, perm(i, t) * n) for (i, j), n in other.nums.items() if i >= t]
+            for i1, j1, n1 in left:
+                for i2, j2, n2 in right:
+                    key = (i1 + i2, j1 + j2)
+                    out[key] = get(key, 0) + n1 * n2
         return _settle(out, self.den * other.den, self.side)
 
     def __rmul__(self, other):
@@ -339,30 +366,34 @@ def generators(side: str = "x") -> tuple:
 
 
 def commutator(a: WeylElement, b: WeylElement) -> WeylElement:
-    """a*b - b*a, normal-ordered, in one pass over the monomial pairs.
+    """a*b - b*a, normal-ordered, in one pass per contraction order.
 
-    Of the two products, ``x^i1 D^j1 * x^i2 D^j2`` and ``x^i2 D^j2 * x^i1
-    D^j1`` share their contraction-free (``t = 0``) term ``x^(i1+i2)
-    D^(j1+j2)`` with the same coefficient, so it cancels.  The pass adds
-    only the ``t >= 1`` terms, each with the weight ``perm(i2, t)*C(j1, t) -
-    perm(i1, t)*C(j2, t)``, the difference of the two ``_swap_weights``
-    rows, on integer numerators over ``a.den * b.den``, and settles once.
+    The contraction-free (``t = 0``) terms of the two products agree and
+    cancel, so only ``t >= 1`` is taken.  For a term ``n1 * x^i1 D^j1`` of
+    ``a`` and ``n2 * x^i2 D^j2`` of ``b``, both products land on the key
+    ``(i1 + i2 - t, j1 + j2 - t)``, so the pass adds them as one update with
+    the fused weight ``C(j1, t)*perm(i2, t) - C(j2, t)*perm(i1, t)``.  Each
+    order builds one list per operand of the terms with ``i >= t`` or ``j >=
+    t``, carrying both weights times the numerator and the key lowered by
+    ``t`` on one side, works on integer numerators over ``a.den * b.den``,
+    and the result is settled once.
     """
     a._check_side(b)
-    right = b.nums.items()
     out: dict = {}
     get = out.get
-    for (i1, j1), n1 in a.nums.items():
-        for (i2, j2), n2 in right:
-            ab, ba = _swap_weights(j1, i2), _swap_weights(j2, i1)
-            if ab == ba:
-                continue
-            n = n1 * n2
-            i, j = i1 + i2, j1 + j2
-            for t, (u, v) in enumerate(zip_longest(ab, ba, fillvalue=0)):
-                if u != v:
-                    key = (i - t, j - t)
-                    out[key] = get(key, 0) + (u - v) * n
+    for t in range(1, max(min(a.order, b.x_degree), min(b.order, a.x_degree)) + 1):
+        left = [
+            (i, j - t, comb(j, t) * n, perm(i, t) * n) for (i, j), n in a.nums.items() if i >= t or j >= t
+        ]
+        right = [
+            (i - t, j, perm(i, t) * n, comb(j, t) * n) for (i, j), n in b.nums.items() if i >= t or j >= t
+        ]
+        for i1, j1, c1, p1 in left:
+            for i2, j2, p2, c2 in right:
+                w = c1 * p2 - p1 * c2
+                if w:
+                    key = (i1 + i2, j1 + j2)
+                    out[key] = get(key, 0) + w
     return _settle(out, a.den * b.den, a.side)
 
 

@@ -4,9 +4,10 @@ Element document::
 
     {"side": "x"|"z", "terms": [{"xexp": int, "dexp": int, "coeff": "p/q"}]}
 
-with terms sorted ascending by (xexp, dexp) and coefficients as exact
-rational strings.  Word document: ordered list (first entry applied last,
-matching composition notation) of::
+with terms sorted ascending by (xexp, dexp), exponents at most the parser's
+``MAX_EXPONENT`` and coefficients as exact rational strings.  Word
+document: ordered list (first entry applied last, matching composition
+notation) of::
 
     {"kind": "shiftX"|"shiftD", "poly": ["c0", "c1", ...]}   or
     {"kind": "fourier"}
@@ -37,6 +38,7 @@ from .descent import (
 )
 from .element import WeylElement
 from .errors import WireFormatError
+from .exprs import MAX_EXPONENT
 from .poly import UniPoly
 
 _RATIONAL = re.compile(r"-?\d+(/0*[1-9]\d*)?\Z")
@@ -75,6 +77,8 @@ def element_from_doc(doc) -> WeylElement:
         # a JSON boolean decodes to a bool, which is an int subclass
         if not all(type(n) is int and n >= 0 for n in (i, j)):
             raise WireFormatError("term exponents must be nonnegative integers")
+        if max(i, j) > MAX_EXPONENT:
+            raise WireFormatError(f"term exponent overflow (limit {MAX_EXPONENT})")
         if (i, j) in terms:
             raise WireFormatError(f"duplicate term ({i}, {j})")
         terms[(i, j)] = _coeff_from_str(entry["coeff"])

@@ -1,6 +1,7 @@
 """Decision procedure, certificates, partners, and CCR reductions."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from weylnil import (
     DescentStep,
     EigenObstruction,
     Fourier,
+    FourierInverse,
     GenerationWitness,
     NilpotentAt,
     NotStrictlyNilpotent,
@@ -25,6 +27,7 @@ from weylnil import (
     WeylElement,
     ad_nilpotency_test,
     ad_power,
+    apply_generator,
     apply_word,
     bispectral_partner,
     ccr_check,
@@ -43,7 +46,7 @@ from weylnil import (
     verify_certificate,
 )
 
-from conftest import rand_shift_poly
+from conftest import rand_element, rand_shift_poly
 
 x, d = generators()
 airy = d**2 - x
@@ -166,6 +169,31 @@ def test_decide_euler_operator():
     assert isinstance(v, NotStrictlyNilpotent)
     assert v.reason is Reason.NONCONSTANT_LEADING
     assert v.stage == 0
+
+
+def test_stage_zero_rejection_skips_the_swap_of_large_inputs():
+    # the swap of x^4096 D^4096 builds 4097 terms with factorial coefficients
+    e = parse_expression("x^4096*D^4096")
+    started = time.perf_counter()
+    v = decide(e)
+    assert time.perf_counter() - started < 1
+    assert isinstance(v, NotStrictlyNilpotent)
+    assert (v.reason, v.stage) == (Reason.NONCONSTANT_LEADING, 0)
+    assert v.detail == "top coefficient is nonconstant in both representations"
+
+
+def test_swapped_top_coefficient_is_the_signed_top_x_slice():
+    # the premise of the stage-0 test: the inverse swap has order x_degree
+    # and top coefficient (-1)^x_degree * x_slice(x_degree) read with D -> x
+    rng = random.Random(41)
+    for _ in range(200):
+        e = rand_element(rng, max_terms=6, max_exp=6)
+        if not (e.depends_on_x() and e.depends_on_d()):
+            continue
+        swapped = apply_generator(FourierInverse(), e)
+        sign = -1 if e.x_degree % 2 else 1
+        assert swapped.order == e.x_degree
+        assert swapped.d_slice(swapped.order) == e.x_slice(e.x_degree) * sign
 
 
 def test_decide_trivially_constant():

@@ -209,6 +209,63 @@ def test_commutator_with_zero_or_constant_operand():
         assert commutator(c, a) == slow_commutator(c, a) == WeylElement.zero()
 
 
+def test_products_and_brackets_match_oracles_to_exponent_ten():
+    # every contraction order up to 10 is reached, on up to 8 terms a side
+    rng = random.Random(211)
+    for _ in range(40):
+        a = rand_element(rng, max_terms=8, max_exp=10, max_num=100, max_den=100)
+        b = rand_element(rng, max_terms=8, max_exp=10, max_num=100, max_den=100)
+        ab, ba = a * b, b * a
+        assert ab == slow_product(a, b)
+        assert ba == slow_product(b, a)
+        assert commutator(a, b) == slow_commutator(a, b) == ab - ba
+        assert commutator(b, a) == slow_commutator(b, a) == ba - ab
+
+
+def _monomial(c, i, j):
+    return WeylElement({(i, j): c})
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (_monomial(1, 9, 2), _monomial(1, 3, 9)),
+        (_monomial(Fraction(-5, 7), 0, 10), _monomial(Fraction(3, 4), 10, 0)),
+        (_monomial(2, 10, 10), _monomial(Fraction(1, 3), 10, 10)),
+        (_monomial(1, 1, 10), _monomial(1, 10, 1)),
+        (_monomial(1, 10, 3) + _monomial(Fraction(1, 9), 0, 7), _monomial(-4, 8, 0) + _monomial(1, 2, 10)),
+    ],
+)
+def test_sparse_high_contraction_pairs_match_oracle(a, b):
+    for left, right in ((a, b), (b, a)):
+        assert left * right == slow_product(left, right)
+        assert commutator(left, right) == slow_commutator(left, right) == left * right - right * left
+
+
+def test_products_and_brackets_with_zero_or_constant_operands():
+    a = rand_element(random.Random(29), max_terms=8, max_exp=10, max_num=100, max_den=100)
+    zero = WeylElement.zero()
+    assert a * zero == zero * a == zero * zero == zero
+    assert commutator(zero, zero) == zero
+    for c in (WeylElement.scalar(Fraction(-7, 3)), WeylElement.one()):
+        assert a * c == c * a == slow_product(a, c) == a * c.constant_value()
+        assert c * c == slow_product(c, c)
+        assert commutator(c, c) == commutator(a, c) == commutator(c, a) == zero
+
+
+def test_products_match_sympy_to_exponent_ten():
+    sympy = pytest.importorskip("sympy")
+    from sympy.holonomic import DifferentialOperators
+
+    ring, _ = DifferentialOperators(sympy.QQ.old_poly_ring(sympy.Symbol("x")), "Dx")
+    rng = random.Random(223)
+    for _ in range(10):
+        a = rand_element(rng, max_terms=8, max_exp=10, max_num=100, max_den=100)
+        b = rand_element(rng, max_terms=8, max_exp=10, max_num=100, max_den=100)
+        expected = _to_sympy(a, ring, sympy) * _to_sympy(b, ring, sympy)
+        assert a * b == _from_sympy(expected, ring, sympy)
+
+
 def test_commutator_side_mismatch():
     z, dz = generators("z")
     with pytest.raises(SideMismatchError):
@@ -288,6 +345,27 @@ def test_structural_queries_read_the_pair():
     assert (e.order, e.x_degree) == (2, 3)
     assert e._terms is None and f._terms is None
     assert e.terms[(3, 0)] == Fraction(1, 6)
+
+
+def test_shape_and_slices_match_a_scan_of_the_keys():
+    rng = random.Random(37)
+    elements = [WeylElement.zero(), WeylElement.scalar(3)]
+    elements += [rand_element(rng, max_terms=8, max_exp=10) for _ in range(40)]
+    for e in elements:
+        assert e.x_degree == max((i for i, _ in e.nums), default=-1)
+        assert e.order == max((j for _, j in e.nums), default=-1)
+        assert e.is_constant() == all(k == (0, 0) for k in e.nums)
+        assert e.depends_on_x() == any(i > 0 for i, _ in e.nums)
+        assert e.depends_on_d() == any(j > 0 for _, j in e.nums)
+        for k in range(-1, 12):
+            d_slice = [e.terms.get((i, k), 0) for i in range(11)]
+            x_slice = [e.terms.get((k, j), 0) for j in range(11)]
+            while d_slice and not d_slice[-1]:
+                d_slice.pop()
+            while x_slice and not x_slice[-1]:
+                x_slice.pop()
+            assert list(e.d_slice(k).coeffs) == (d_slice if k >= 0 else [])
+            assert list(e.x_slice(k).coeffs) == (x_slice if k >= 0 else [])
 
 
 def test_terms_view_of_computed_results_is_read_only():

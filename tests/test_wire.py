@@ -18,6 +18,7 @@ from weylnil import (
     apply_word,
     decide,
     generators,
+    parse_expression,
 )
 from weylnil.wire import (
     certificate_from_doc,
@@ -68,6 +69,17 @@ def test_element_document_rejects_boolean_exponents(xexp, dexp):
     text = f'{{"side": "x", "terms": [{{"xexp": {xexp}, "dexp": {dexp}, "coeff": "2"}}]}}'
     with pytest.raises(WireFormatError):
         element_from_doc(json.loads(text))
+
+
+@pytest.mark.parametrize("xexp, dexp", [(4097, 0), (0, 4097), (10**6, 10**6)])
+def test_element_document_rejects_exponents_above_the_parser_cap(xexp, dexp):
+    with pytest.raises(WireFormatError):
+        element_from_doc({"side": "x", "terms": [{"xexp": xexp, "dexp": dexp, "coeff": "1"}]})
+
+
+def test_element_document_accepts_exponents_at_the_parser_cap():
+    doc = {"side": "x", "terms": [{"xexp": 4096, "dexp": 4096, "coeff": "1"}]}
+    assert element_from_doc(doc) == parse_expression("x^4096*D^4096")
 
 
 @pytest.mark.parametrize("coeff", ["1/0", "-3/00", "0/0"])
