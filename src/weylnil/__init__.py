@@ -34,7 +34,6 @@ from .automorphism import (
     anti_involution,
     apply_generator,
     apply_word,
-    ccr_preserved,
     compose,
     invert_generator,
     invert_word,
@@ -46,7 +45,6 @@ from .descent import (
     BoundExhausted,
     Certificate,
     CounterexampleCandidate,
-    DescentStep,
     EigenObstruction,
     GenerationWitness,
     NilpotentAt,

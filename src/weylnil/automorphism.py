@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from math import gcd, lcm
 from typing import Sequence, Tuple, Union
 
-from .element import WeylElement, _settle, _swap_weights, ccr_check
+from .element import WeylElement, _settle, _swap_weights
 from .poly import UniPoly
 
 
@@ -245,13 +245,6 @@ def invert_word(word: Sequence[Generator]) -> AutoWord:
 def compose(first: Sequence[Generator], then: Sequence[Generator]) -> AutoWord:
     """Word acting as ``first`` followed by ``then``."""
     return tuple(then) + tuple(first)
-
-
-def ccr_preserved(word: Sequence[Generator], side: str = "x") -> bool:
-    """Self-check that [word(D), word(x)] == 1."""
-    wd = apply_word(word, WeylElement({(0, 1): 1}, side))
-    wx = apply_word(word, WeylElement({(1, 0): 1}, side))
-    return ccr_check(wd, wx)
 
 
 def anti_involution(e: WeylElement) -> WeylElement:

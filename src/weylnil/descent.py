@@ -14,7 +14,9 @@ shape test at any stage is a sound rejection, because a nilpotently acting
 operator admits the binomial-power presentation at every stage.
 
 Everything is exact rational arithmetic; every certificate is re-verified by
-recomputation before it is returned.
+recomputation before it is returned.  Each stage is kept as a
+``StageRecord`` of values (Newton data, generators, elements), which
+``wire`` alone renders as text.
 """
 
 from __future__ import annotations
@@ -57,11 +59,11 @@ from .filtration import (
     FactoredForm,
     FormDiagnostic,
     FormIssue,
+    NewtonData,
     Weight,
     associated_poly,
     choose_weights,
     factor_form,
-    format_bivariate,
     weight_value,
 )
 from .poly import UniPoly
@@ -97,18 +99,23 @@ class Certificate:
 
 @dataclass(frozen=True)
 class StageRecord:
-    """Audit log of one descent stage."""
+    """One successful descent stage, kept as values.
+
+    ``generators`` applied to the order-``order`` input (first entry first)
+    equal ``form.scale ** order_after`` times the monic, normalized
+    ``element`` of order ``order_after``.  ``newton`` holds the Newton-edge
+    weights and top-weight polynomial read at ``support_point``, and
+    ``shift_image`` the operator after the collapsing shift.
+    """
 
     stage: int
     order: int
-    weight: Tuple[int, int]
-    value: int
+    newton: NewtonData
     support_point: Tuple[int, int]
-    assoc: str
     form: FactoredForm
-    shift_image: str
-    generators: Tuple[str, ...]
-    scale: Fraction
+    shift_image: WeylElement
+    generators: Tuple[Generator, ...]
+    element: WeylElement
     order_after: int
 
 
@@ -172,17 +179,7 @@ def normalize_subleading(e: WeylElement) -> Tuple[WeylElement, Generator]:
     return image, gen
 
 
-@dataclass(frozen=True)
-class DescentStep:
-    """Successful stage: ``generators`` applied to the input (first entry
-    first) equal ``record.scale`` times the monic, normalized ``element``."""
-
-    element: WeylElement
-    generators: Tuple[Generator, ...]
-    record: StageRecord
-
-
-def descent_step(e: WeylElement, stage: int = 1) -> Union[DescentStep, NotStrictlyNilpotent]:
+def descent_step(e: WeylElement, stage: int = 1) -> Union[StageRecord, NotStrictlyNilpotent]:
     """One order-reducing stage of the descent.
 
     Requires a monic operator of order >= 1 with vanishing next-to-top
@@ -220,9 +217,8 @@ def descent_step(e: WeylElement, stage: int = 1) -> Union[DescentStep, NotStrict
 
     # collapse the derivative structure: x -> x + lam^-1 D^r
     g_main = ShiftX(UniPoly.monomial(r + 1, Fraction(1, r + 1) / lam))
-    cur = apply_generator(g_main, e)
+    cur = shift_image = apply_generator(g_main, e)
     gens: List[Generator] = [g_main]
-    shift_image = str(cur)
 
     c_top = (-lam) ** k
     if cur.x_degree != k or cur.x_slice(k) != c_top:
@@ -246,22 +242,18 @@ def descent_step(e: WeylElement, stage: int = 1) -> Union[DescentStep, NotStrict
     scale = lam**k
     if cur.order != k or cur.d_slice(k) != scale or not cur.d_slice(k - 1).is_zero():
         raise InvariantViolation("swapped operator is not lam^k*D^k plus terms of order k-2 or less")
-    cur = cur / scale
 
-    record = StageRecord(
+    return StageRecord(
         stage=stage,
         order=n,
-        weight=w.as_tuple(),
-        value=nd.value,
+        newton=nd,
         support_point=point,
-        assoc=format_bivariate(nd.assoc),
         form=ff,
         shift_image=shift_image,
-        generators=tuple(describe_generator(g) for g in gens),
-        scale=scale,
+        generators=tuple(gens),
+        element=cur / scale,
         order_after=k,
     )
-    return DescentStep(cur, tuple(gens), record)
 
 
 def decide(e: WeylElement) -> Verdict:
@@ -331,9 +323,9 @@ def decide(e: WeylElement) -> Verdict:
         if isinstance(out, NotStrictlyNilpotent):
             return replace(out, prologue=tuple(prologue), stages=tuple(stages))
         chrono.extend(out.generators)
-        scale *= out.record.scale
+        scale *= out.form.scale**out.order_after
         cur = out.element
-        stages.append(out.record)
+        stages.append(out)
 
     word = tuple(invert_generator(g) for g in chrono)
     cert = Certificate(word, cur.x_slice(0) * scale, "d")

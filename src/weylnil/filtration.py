@@ -158,17 +158,15 @@ class FactoredForm:
 class FormDiagnostic:
     """Structured reason why recognition failed.
 
-    ``equal_weights`` marks the degenerate ``x_weight == d_weight`` edge
-    (two independent linear factors are then possible), and
     ``strictly_semisimple`` marks the harmonic-oscillator shape
-    ``Y^2 + c*X^2``, whose operator acts diagonally rather than nilpotently.
+    ``Y^2 + c*X^2`` on the equal-weight edge, whose operator acts diagonally
+    rather than nilpotently.
     ``partial`` carries the factorization that was found when the shape is
     correct except for a positive Y power.
     """
 
     issue: FormIssue
     message: str
-    equal_weights: bool = False
     strictly_semisimple: bool = False
     partial: Optional[FactoredForm] = None
 
@@ -185,35 +183,27 @@ def factor_form(nd: NewtonData, order: int) -> Union[FactoredForm, FormDiagnosti
     f = nd.assoc
     if f.get((0, order)) != 1:
         raise ValueError("top-weight polynomial must have monic Y^order term")
-    equal = nd.weight.x_weight == nd.weight.d_weight
     if len(f) == 1:
-        return FormDiagnostic(
-            FormIssue.MONOMIAL, "top-weight part is a single monomial", equal_weights=equal
-        )
+        return FormDiagnostic(FormIssue.MONOMIAL, "top-weight part is a single monomial")
     rho, sigma = nd.weight.x_weight, nd.weight.d_weight
     if rho % sigma != 0:
         return FormDiagnostic(
-            FormIssue.RATIO_NOT_INTEGER,
-            f"weight ratio {rho}/{sigma} is not an integer",
-            equal_weights=equal,
+            FormIssue.RATIO_NOT_INTEGER, f"weight ratio {rho}/{sigma} is not an integer"
         )
     r = rho // sigma
     k = max(i for i, _ in f)
     n = order - r * k
     if n < 0:
         return FormDiagnostic(
-            FormIssue.LAMBDA_INCONSISTENT,
-            "X-degree exceeds what the weight ratio allows",
-            equal_weights=equal,
+            FormIssue.LAMBDA_INCONSISTENT, "X-degree exceeds what the weight ratio allows"
         )
-    semisimple = equal and order == 2 and k == 2 and (2, 0) in f and (1, 1) not in f
+    semisimple = rho == sigma and order == 2 and k == 2 and (2, 0) in f and (1, 1) not in f
     cross = (1, n + r * (k - 1))
     scale = -f.get(cross, Fraction(0)) / k
     if scale == 0:
         return FormDiagnostic(
             FormIssue.LAMBDA_INCONSISTENT,
             f"cross term at X*Y^{cross[1]} absent",
-            equal_weights=equal,
             strictly_semisimple=semisimple,
         )
     candidate = FactoredForm(n, r, k, scale)
@@ -221,14 +211,12 @@ def factor_form(nd: NewtonData, order: int) -> Union[FactoredForm, FormDiagnosti
         return FormDiagnostic(
             FormIssue.LAMBDA_INCONSISTENT,
             "expansion of the candidate binomial power does not match",
-            equal_weights=equal,
             strictly_semisimple=semisimple,
         )
     if n > 0:
         return FormDiagnostic(
             FormIssue.POSITIVE_Y_POWER,
             f"positive Y power: factors as {candidate.format()}",
-            equal_weights=equal,
             partial=candidate,
         )
     return candidate

@@ -27,7 +27,7 @@ import re
 from fractions import Fraction
 from typing import List
 
-from .automorphism import Fourier, FourierInverse, Generator, ShiftD, ShiftX
+from .automorphism import Fourier, FourierInverse, Generator, ShiftD, ShiftX, describe_generator
 from .descent import (
     Certificate,
     NotStrictlyNilpotent,
@@ -39,6 +39,7 @@ from .descent import (
 from .element import WeylElement
 from .errors import WireFormatError
 from .exprs import MAX_EXPONENT
+from .filtration import format_bivariate
 from .poly import UniPoly
 
 _RATIONAL = re.compile(r"-?\d+(/0*[1-9]\d*)?\Z")
@@ -160,22 +161,24 @@ def certificate_from_doc(doc) -> Certificate:
 
 
 def _stage_to_doc(rec: StageRecord) -> dict:
+    """The one place a descent stage is rendered as text."""
+    form = rec.form
     return {
         "stage": rec.stage,
         "order": rec.order,
-        "weight": list(rec.weight),
-        "value": rec.value,
+        "weight": list(rec.newton.weight.as_tuple()),
+        "value": rec.newton.value,
         "support_point": list(rec.support_point),
-        "assoc": rec.assoc,
+        "assoc": format_bivariate(rec.newton.assoc),
         "form": {
-            "y_power": rec.form.y_power,
-            "ratio": rec.form.ratio,
-            "multiplicity": rec.form.multiplicity,
-            "scale": str(rec.form.scale),
+            "y_power": form.y_power,
+            "ratio": form.ratio,
+            "multiplicity": form.multiplicity,
+            "scale": str(form.scale),
         },
-        "shift_image": rec.shift_image,
-        "generators": list(rec.generators),
-        "scale": str(rec.scale),
+        "shift_image": str(rec.shift_image),
+        "generators": [describe_generator(g) for g in rec.generators],
+        "scale": str(form.scale**rec.order_after),
         "order_after": rec.order_after,
     }
 

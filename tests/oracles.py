@@ -9,7 +9,8 @@ package: sums and scalar multiples are taken on plain dicts of
 ``slow_commutator`` subtracts the two ``slow_product`` expansions on such a
 dict.  ``slow_shift`` substitutes the shift generators monomial by monomial
 on top of the same expansion, independent of the packed Horner kernel in
-``automorphism``.
+``automorphism``.  ``ccr_preserved`` checks a word against the defining
+relation ``[D, x] == 1`` on the images of the generators.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
-from weylnil import ShiftX, WeylElement
+from weylnil import ShiftX, WeylElement, apply_word, ccr_check
 
 
 @lru_cache(maxsize=None)
@@ -101,3 +102,10 @@ def slow_shift(gen, e: WeylElement) -> WeylElement:
             image = _product_terms({(i, 0): c}, _slow_power(base, j))
         _add_into(acc, image.items(), Fraction(1))
     return WeylElement(acc, e.side)
+
+
+def ccr_preserved(word, side: str = "x") -> bool:
+    """Whether ``[word(D), word(x)] == 1``."""
+    wd = apply_word(word, WeylElement({(0, 1): 1}, side))
+    wx = apply_word(word, WeylElement({(1, 0): 1}, side))
+    return ccr_check(wd, wx)

@@ -16,7 +16,6 @@ from weylnil import (
     anti_involution,
     apply_generator,
     apply_word,
-    ccr_preserved,
     commutator,
     compose,
     coordinate,
@@ -27,7 +26,7 @@ from weylnil import (
 )
 
 from conftest import auto_words, rand_element, rand_word, shift_polys, weyl_elements
-from oracles import slow_shift
+from oracles import ccr_preserved, slow_shift
 
 x, d = generators()
 

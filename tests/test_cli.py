@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from weylnil.cli import run
+from weylnil.cli import main, run
 from weylnil.wire import certificate_from_doc
 
 
@@ -340,6 +340,15 @@ def test_zero_denominator_in_document_is_wire_error(capsys, tmp_path, flag, doc)
     assert "Traceback" not in err
 
 
+def test_malformed_word_document_is_wire_error(capsys, tmp_path):
+    path = tmp_path / "word.json"
+    path.write_text(json.dumps([{"kind": "fourier", "poly": ["0"]}]))
+    code, out, err = _run(capsys, "apply", "--word", str(path), "D")
+    assert code == 1
+    assert out == ""
+    assert err == "error: fourier entry carries no other fields\n"
+
+
 @pytest.mark.parametrize("command, flag", [("apply", "--word"), ("verify", "--cert")])
 def test_deeply_nested_document_is_wire_error(capsys, tmp_path, command, flag):
     path = tmp_path / "deep.json"
@@ -348,6 +357,15 @@ def test_deeply_nested_document_is_wire_error(capsys, tmp_path, command, flag):
     assert code == 1
     assert out == ""
     assert err == "error: JSON document is nested too deeply\n"
+
+
+@pytest.mark.parametrize("expr, code", [("-3*D", 0), ("x +", 1)])
+def test_console_entry_point_exit_code(capsys, monkeypatch, expr, code):
+    monkeypatch.setattr("sys.argv", ["weylnil", "decide", expr])
+    with pytest.raises(SystemExit) as info:
+        main()
+    assert info.value.code == code
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_repeated_runs_share_no_state(capsys):

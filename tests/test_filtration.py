@@ -142,7 +142,6 @@ def test_factor_form_lambda_inconsistency():
     assert isinstance(out, FormDiagnostic)
     assert out.issue is FormIssue.LAMBDA_INCONSISTENT
     assert "cross term" in out.message and "absent" in out.message
-    assert out.equal_weights
     assert out.strictly_semisimple
 
 

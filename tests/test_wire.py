@@ -108,6 +108,40 @@ def test_documents_reject_over_long_coefficients(decode, wrap, coeff):
         decode(wrap(coeff))
 
 
+@pytest.mark.parametrize(
+    "decode, doc, message",
+    [
+        (element_from_doc, {"side": "x", "terms": {}}, "element terms must be a list"),
+        (element_from_doc, {"side": "x", "terms": [{"xexp": 0, "dexp": 1}]}, "term entry must have"),
+        (
+            element_from_doc,
+            {"side": "x", "terms": [{"xexp": 0, "dexp": 1, "coeff": "1"}] * 2},
+            r"duplicate term \(0, 1\)",
+        ),
+        (word_from_doc, [{"kind": "shiftD", "poly": []}], "polynomial must be a nonempty list"),
+        (certificate_from_doc, {"word": [], "q": "0 1", "side": "d"}, "polynomial must be a nonempty list"),
+        (word_from_doc, {"kind": "fourier"}, "word document must be a list"),
+        (word_from_doc, ["fourier"], "word entry must be an object with a 'kind'"),
+        (word_from_doc, [{"poly": ["0", "1"]}], "word entry must be an object with a 'kind'"),
+        (word_from_doc, [{"kind": "fourier", "poly": ["0"]}], "fourier entry carries no other fields"),
+    ],
+    ids=[
+        "terms-not-list",
+        "term-keys",
+        "duplicate-term",
+        "empty-poly",
+        "non-list-poly",
+        "word-not-list",
+        "entry-not-object",
+        "entry-without-kind",
+        "fourier-extra-field",
+    ],
+)
+def test_malformed_document_shapes(decode, doc, message):
+    with pytest.raises(WireFormatError, match=message):
+        decode(doc)
+
+
 def test_documents_accept_denominators_with_leading_zeros():
     doc = {"side": "x", "terms": [{"xexp": 0, "dexp": 1, "coeff": "3/06"}]}
     assert element_from_doc(doc) == d / 2
