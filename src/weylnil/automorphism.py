@@ -256,12 +256,3 @@ def anti_involution(e: WeylElement) -> WeylElement:
     other = "z" if e.side == "x" else "x"
     return _settle({(j, i): n for (i, j), n in e.nums.items()}, e.den, other)
 
-
-def describe_generator(gen: Generator) -> str:
-    if isinstance(gen, ShiftX):
-        return f"shiftX({gen.poly.format('D')})"
-    if isinstance(gen, ShiftD):
-        return f"shiftD({gen.poly.format('x')})"
-    if isinstance(gen, Fourier):
-        return "fourier"
-    return "fourier^-1"

@@ -16,8 +16,6 @@ import sys
 from .automorphism import apply_word
 from .descent import (
     CounterexampleCandidate,
-    NotStrictlyNilpotent,
-    StrictlyNilpotent,
     ad_nilpotency_test,
     bispectral_partner,
     ccr_to_generators,
@@ -60,18 +58,12 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 def _print_verdict_text(verdict):
     doc = verdict_to_doc(verdict)
-    print(f"verdict: {doc['verdict']}")
-    if isinstance(verdict, StrictlyNilpotent):
-        cert = verdict.certificate
-        print(f"side: {cert.side}")
-        print(f"q: {cert.gen_poly.format()}")
-        print(f"word: {json.dumps(word_to_doc(cert.word))}")
-    elif isinstance(verdict, NotStrictlyNilpotent):
-        print(f"reason: {verdict.reason.value}")
-        print(f"stage: {verdict.stage}")
-        print(f"detail: {verdict.detail}")
-    else:
-        print(f"value: {verdict.value}")
+    if "certificate" in doc:
+        cert = doc["certificate"]
+        doc.update(side=cert["side"], q=verdict.certificate.gen_poly.format(), word=json.dumps(cert["word"]))
+    for key in ("verdict", "side", "q", "word", "reason", "stage", "detail", "value"):
+        if key in doc:
+            print(f"{key}: {doc[key]}")
     for line in doc.get("prologue", ()):
         print(f"note: {line}")
     for rec in doc.get("stages", ()):
@@ -269,3 +261,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -14,9 +14,10 @@ shape test at any stage is a sound rejection, because a nilpotently acting
 operator admits the binomial-power presentation at every stage.
 
 Everything is exact rational arithmetic; every certificate is re-verified by
-recomputation before it is returned.  Each stage is kept as a
-``StageRecord`` of values (Newton data, generators, elements), which
-``wire`` alone renders as text.
+recomputation before it is returned.  A verdict holds values only: the
+prologue generators applied before stage 1, the top coefficient ``lead``
+divided out, and one ``StageRecord`` (Newton data, generators, elements)
+per stage; ``wire`` alone renders them as text.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .automorphism import (
     apply_generator,
     apply_word,
     anti_involution,
-    describe_generator,
     invert_generator,
     invert_word,
     shape_bound,
@@ -121,19 +121,29 @@ class StageRecord:
 
 @dataclass(frozen=True)
 class StrictlyNilpotent:
+    """A certified operator.  ``prologue`` holds the generators applied to
+    the input before stage 1, first entry first: the ``FourierInverse`` swap
+    if one was taken, then the normalizing ``ShiftD`` if it is nonzero;
+    ``lead`` is the top coefficient divided out after the swap."""
+
     certificate: Certificate
-    prologue: Tuple[str, ...] = ()
+    prologue: Tuple[Generator, ...] = ()
     stages: Tuple[StageRecord, ...] = ()
+    lead: Fraction = Fraction(1)
 
 
 @dataclass(frozen=True)
 class NotStrictlyNilpotent:
+    """A rejection at ``stage`` (0 when no representation has a constant top
+    coefficient); ``prologue``, ``lead`` and ``stages`` lead up to the
+    rejected iterate as in ``StrictlyNilpotent``."""
+
     reason: Reason
     stage: int
-    detail: str
     diagnostic: Optional[FormDiagnostic] = None
-    prologue: Tuple[str, ...] = ()
+    prologue: Tuple[Generator, ...] = ()
     stages: Tuple[StageRecord, ...] = ()
+    lead: Fraction = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -208,7 +218,7 @@ def descent_step(e: WeylElement, stage: int = 1) -> Union[StageRecord, NotStrict
             reason = Reason.POSITIVE_Y_MULTIPLICITY
         else:
             reason = Reason.ASSOC_NOT_FACTORED
-        return NotStrictlyNilpotent(reason, stage=stage, detail=ff.message, diagnostic=ff)
+        return NotStrictlyNilpotent(reason, stage=stage, diagnostic=ff)
     r, k, lam = ff.ratio, ff.multiplicity, ff.scale
     if r < 2:
         raise InvariantViolation(
@@ -265,73 +275,50 @@ def decide(e: WeylElement) -> Verdict:
     swap if only the coordinate-leading side is constant), normalized, and
     descended stage by stage.  Every iterate has order at least one, so the
     loop ends on the derivative side, once the iterate is free of the
-    coordinate.  The certificate word is the inverse of the accumulated
-    generators and the certificate polynomial absorbs all scale factors, so
-    the reconstruction is exact; it is re-verified before being returned.
+    coordinate.  The certificate word is the inverse of the prologue
+    followed by each stage's generators, and the certificate polynomial
+    absorbs ``lead`` and every stage's scale, so the reconstruction is
+    exact; it is re-verified before being returned.
     """
     if e.is_constant():
         return TriviallyConstant(e.constant_value())
     if not e.depends_on_d():
-        return StrictlyNilpotent(
-            Certificate((), e.d_slice(0), "x"),
-            prologue=("input is a polynomial in the coordinate alone",),
-        )
+        return StrictlyNilpotent(Certificate((), e.d_slice(0), "x"))
     if not e.depends_on_x():
-        return StrictlyNilpotent(
-            Certificate((), e.x_slice(0), "d"),
-            prologue=("input is a polynomial in the derivative alone",),
-        )
+        return StrictlyNilpotent(Certificate((), e.x_slice(0), "d"))
 
-    prologue: List[str] = []
-    chrono: List[Generator] = []
-    scale = Fraction(1)
+    prologue: List[Generator] = []
     cur = e
-
-    top = cur.d_slice(cur.order)
-    if not top.is_constant():
+    if not cur.d_slice(cur.order).is_constant():
         # the swap sends x^i D^j to (-1)^i x^j D^i plus terms of lower order,
         # so its top coefficient is +-x_slice(x_degree) read with D -> x: test
         # that first and swap only when it is constant
         if not cur.x_slice(cur.x_degree).is_constant():
-            return NotStrictlyNilpotent(
-                Reason.NONCONSTANT_LEADING,
-                stage=0,
-                detail="top coefficient is nonconstant in both representations",
-            )
+            return NotStrictlyNilpotent(Reason.NONCONSTANT_LEADING, stage=0)
+        prologue.append(FourierInverse())
         cur = apply_generator(FourierInverse(), cur)
-        top = cur.d_slice(cur.order)
-        chrono.append(FourierInverse())
-        prologue.append("top coefficient depends on the coordinate; representation swapped")
 
-    lead = top.constant_value()
+    lead = scale = cur.d_slice(cur.order).constant_value()
     if lead != 1:
         cur = cur / lead
-        scale *= lead
-        prologue.append(f"scaled monic by {1 / lead}")
-
     cur, g_norm = normalize_subleading(cur)
     if not g_norm.poly.is_zero():
-        chrono.append(g_norm)
-        prologue.append(f"next-to-top coefficient cleared by {describe_generator(g_norm)}")
-    prologue.append(
-        "stagewise soundness uses invariance of the nilpotency class under the generator maps"
-    )
+        prologue.append(g_norm)
 
     stages: List[StageRecord] = []
     while cur.depends_on_x():
         out = descent_step(cur, len(stages) + 1)
         if isinstance(out, NotStrictlyNilpotent):
-            return replace(out, prologue=tuple(prologue), stages=tuple(stages))
-        chrono.extend(out.generators)
+            return replace(out, prologue=tuple(prologue), stages=tuple(stages), lead=lead)
         scale *= out.form.scale**out.order_after
         cur = out.element
         stages.append(out)
 
-    word = tuple(invert_generator(g) for g in chrono)
+    word = tuple(invert_generator(g) for g in prologue + [g for rec in stages for g in rec.generators])
     cert = Certificate(word, cur.x_slice(0) * scale, "d")
     if not verify_certificate(e, cert):
         raise InvariantViolation("assembled certificate failed re-verification")
-    return StrictlyNilpotent(cert, tuple(prologue), tuple(stages))
+    return StrictlyNilpotent(cert, tuple(prologue), tuple(stages), lead)
 
 
 # ----------------------------------------------------------------------

@@ -27,7 +27,7 @@ import re
 from fractions import Fraction
 from typing import List
 
-from .automorphism import Fourier, FourierInverse, Generator, ShiftD, ShiftX, describe_generator
+from .automorphism import Fourier, FourierInverse, Generator, ShiftD, ShiftX
 from .descent import (
     Certificate,
     NotStrictlyNilpotent,
@@ -160,6 +160,16 @@ def certificate_from_doc(doc) -> Certificate:
     return Certificate(word_from_doc(doc["word"]), q, side)
 
 
+def _describe_generator(gen: Generator) -> str:
+    if isinstance(gen, ShiftX):
+        return f"shiftX({gen.poly.format('D')})"
+    if isinstance(gen, ShiftD):
+        return f"shiftD({gen.poly.format('x')})"
+    if isinstance(gen, Fourier):
+        return "fourier"
+    return "fourier^-1"
+
+
 def _stage_to_doc(rec: StageRecord) -> dict:
     """The one place a descent stage is rendered as text."""
     form = rec.form
@@ -177,29 +187,43 @@ def _stage_to_doc(rec: StageRecord) -> dict:
             "scale": str(form.scale),
         },
         "shift_image": str(rec.shift_image),
-        "generators": [describe_generator(g) for g in rec.generators],
+        "generators": [_describe_generator(g) for g in rec.generators],
         "scale": str(form.scale**rec.order_after),
         "order_after": rec.order_after,
     }
 
 
+def _prologue_to_doc(verdict) -> List[str]:
+    """The notes on what ``decide`` did before stage 1; a stage-0 rejection has none."""
+    if isinstance(verdict, StrictlyNilpotent) and not (verdict.prologue or verdict.stages):
+        alone = "coordinate" if verdict.certificate.side == "x" else "derivative"
+        return [f"input is a polynomial in the {alone} alone"]
+    if isinstance(verdict, NotStrictlyNilpotent) and verdict.stage == 0:
+        return []
+    notes = []
+    if FourierInverse() in verdict.prologue:
+        notes.append("top coefficient depends on the coordinate; representation swapped")
+    if verdict.lead != 1:
+        notes.append(f"scaled monic by {1 / verdict.lead}")
+    shifts = [g for g in verdict.prologue if isinstance(g, ShiftD)]
+    notes += [f"next-to-top coefficient cleared by {_describe_generator(g)}" for g in shifts]
+    return notes + ["stagewise soundness uses invariance of the nilpotency class under the generator maps"]
+
+
 def verdict_to_doc(verdict: Verdict) -> dict:
+    if isinstance(verdict, TriviallyConstant):
+        return {"verdict": "trivially-constant", "value": str(verdict.value)}
     if isinstance(verdict, StrictlyNilpotent):
-        return {
-            "verdict": "strictly-nilpotent",
-            "certificate": certificate_to_doc(verdict.certificate),
-            "prologue": list(verdict.prologue),
-            "stages": [_stage_to_doc(r) for r in verdict.stages],
-        }
-    if isinstance(verdict, NotStrictlyNilpotent):
-        return {
+        doc = {"verdict": "strictly-nilpotent", "certificate": certificate_to_doc(verdict.certificate)}
+    elif isinstance(verdict, NotStrictlyNilpotent):
+        diag = verdict.diagnostic
+        doc = {
             "verdict": "not-strictly-nilpotent",
             "reason": verdict.reason.value,
             "stage": verdict.stage,
-            "detail": verdict.detail,
-            "prologue": list(verdict.prologue),
-            "stages": [_stage_to_doc(r) for r in verdict.stages],
+            "detail": diag.message if diag else "top coefficient is nonconstant in both representations",
         }
-    if isinstance(verdict, TriviallyConstant):
-        return {"verdict": "trivially-constant", "value": str(verdict.value)}
-    raise TypeError(f"unknown verdict {verdict!r}")
+    else:
+        raise TypeError(f"unknown verdict {verdict!r}")
+    stages = [_stage_to_doc(r) for r in verdict.stages]
+    return {**doc, "prologue": _prologue_to_doc(verdict), "stages": stages}

@@ -1,9 +1,14 @@
 """Command-line behavior: outputs, exit codes, JSON pipelines."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import weylnil
 from weylnil.cli import main, run
 from weylnil.wire import certificate_from_doc
 
@@ -114,6 +119,42 @@ SWAPPED_DOC = {
     "stages": [],
 }
 
+COORDINATE_TEXT = """\
+verdict: strictly-nilpotent
+side: x
+q: t^3 + 2*t
+word: []
+note: input is a polynomial in the coordinate alone
+"""
+
+DERIVATIVE_TEXT = """\
+verdict: strictly-nilpotent
+side: d
+q: t^2 + t
+word: []
+note: input is a polynomial in the derivative alone
+"""
+
+SHIFT_ONLY_TEXT = """\
+verdict: strictly-nilpotent
+side: d
+q: t^2
+word: [{"kind": "shiftD", "poly": ["0", "0", "-1/2"]}]
+note: next-to-top coefficient cleared by shiftD(1/2*x^2)
+note: stagewise soundness uses invariance of the nilpotency class under the generator maps
+"""
+
+SCALED_AIRY_TEXT = """\
+verdict: strictly-nilpotent
+side: d
+q: 3*t
+word: [{"kind": "shiftX", "poly": ["0", "0", "0", "-1/3"]}, {"kind": "fourier"}]
+note: scaled monic by 1/3
+note: stagewise soundness uses invariance of the nilpotency class under the generator maps
+stage 1: order 2, weight [2, 1], value 2, point [1, 0], assoc Y^2 - X, \
+generators ['shiftX(1/3*D^3)', 'fourier^-1'], order after 1
+"""
+
 
 @pytest.mark.parametrize(
     "argv, text",
@@ -132,6 +173,10 @@ SWAPPED_DOC = {
         (("polygon", "x*D"), "diagnostic: operator has no constant top coefficient of order >= 1\n"),
         (("decide", "--json", "x^2*D + x^3"), json.dumps(SWAPPED_DOC, indent=2) + "\n"),
         (("ad", "D", "0"), "nilpotent at 0\n"),
+        (("decide", "x^3 + 2*x"), COORDINATE_TEXT),
+        (("decide", "D^2 + D"), DERIVATIVE_TEXT),
+        (("decide", "D^2 + 2*x*D + x^2 + 1"), SHIFT_ONLY_TEXT),
+        (("decide", "3*D^2 - 3*x"), SCALED_AIRY_TEXT),
     ],
 )
 def test_golden_output(capsys, argv, text):
@@ -366,6 +411,23 @@ def test_console_entry_point_exit_code(capsys, monkeypatch, expr, code):
         main()
     assert info.value.code == code
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_module_entry_point_runs_the_command():
+    # python -m weylnil.cli must run the command, not only import the module
+    src = str(Path(weylnil.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def module_run(expr):
+        argv = [sys.executable, "-m", "weylnil.cli", "decide", expr]
+        return subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+
+    ok = module_run("-3*D")
+    assert ok.returncode == 0
+    assert ok.stdout.startswith("verdict: strictly-nilpotent\n")
+    bad = module_run("x +")
+    assert bad.returncode == 1
+    assert bad.stdout == "" and bad.stderr.startswith("error: ")
 
 
 def test_repeated_runs_share_no_state(capsys):

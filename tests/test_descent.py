@@ -46,6 +46,8 @@ from weylnil import (
     verify_certificate,
 )
 
+from weylnil.wire import verdict_to_doc
+
 from conftest import rand_element, rand_shift_poly
 
 x, d = generators()
@@ -182,7 +184,8 @@ def test_stage_zero_rejection_skips_the_swap_of_large_inputs():
     assert time.perf_counter() - started < 1
     assert isinstance(v, NotStrictlyNilpotent)
     assert (v.reason, v.stage) == (Reason.NONCONSTANT_LEADING, 0)
-    assert v.detail == "top coefficient is nonconstant in both representations"
+    assert v.diagnostic is None
+    assert verdict_to_doc(v)["detail"] == "top coefficient is nonconstant in both representations"
 
 
 def test_swapped_top_coefficient_is_the_signed_top_x_slice():
@@ -232,13 +235,16 @@ def test_decide_swaps_representation_when_needed():
     assert isinstance(v, NotStrictlyNilpotent)
     assert v.reason is Reason.POSITIVE_Y_MULTIPLICITY
     assert v.stage == 1
-    assert v.detail == "positive Y power: factors as Y*(Y^2 + X)"
-    assert v.prologue == (
+    assert v.prologue == (FourierInverse(),)
+    assert v.lead == -1
+    assert v.stages == ()
+    doc = verdict_to_doc(v)
+    assert doc["detail"] == "positive Y power: factors as Y*(Y^2 + X)"
+    assert doc["prologue"] == [
         "top coefficient depends on the coordinate; representation swapped",
         "scaled monic by -1",
         "stagewise soundness uses invariance of the nilpotency class under the generator maps",
-    )
-    assert v.stages == ()
+    ]
 
 
 def test_decide_monic_scaling_absorbed_into_polynomial():
@@ -254,7 +260,42 @@ def test_decide_rejections_carry_stage_and_trace():
     assert isinstance(v, NotStrictlyNilpotent)
     assert v.reason is Reason.POSITIVE_Y_MULTIPLICITY
     assert v.stage == 1
-    assert v.prologue  # the stagewise-soundness note is always logged
+    assert verdict_to_doc(v)["prologue"]  # the stagewise-soundness note is always logged
+
+
+def _replay(v, e):
+    """``e`` carried through the verdict's prologue and stage generators,
+    divided by ``lead`` and the stages' scales."""
+    scale = v.lead
+    for g in v.prologue + tuple(g for rec in v.stages for g in rec.generators):
+        e = apply_generator(g, e)
+    for rec in v.stages:
+        scale *= rec.form.scale**rec.order_after
+    return e / scale
+
+
+def test_verdicts_replay_from_their_generators():
+    # criterion-1 operators, the negative corpus and its images under the
+    # last two generators of each seed's word, each also swapped and scaled
+    negative = ["x*D", "D^2 + x^2", "D^2 + 5*x^2", "D^3 + x*D", "x^2*D^2"]
+    bases = [parse_expression(text) for text in negative]
+    for seed in range(120):
+        e, cert = random_orbit_element(seed, word_len=seed % 4, max_deg=5, max_q_deg=4, max_order=16)
+        bases += [e, apply_word(cert.word[-2:], parse_expression(negative[seed % 5]))]
+    positives = rejections = 0
+    for base in bases:
+        for e in (base, apply_generator(Fourier(), base), base * Fraction(-3, 2)):
+            v = decide(e)
+            if isinstance(v, StrictlyNilpotent) and v.stages:
+                assert _replay(v, e) == v.stages[-1].element
+                positives += 1
+            elif isinstance(v, NotStrictlyNilpotent) and v.stage >= 1:
+                assert len(v.stages) == v.stage - 1
+                out = descent_step(_replay(v, e), v.stage)
+                assert isinstance(out, NotStrictlyNilpotent)
+                assert (out.reason, out.diagnostic) == (v.reason, v.diagnostic)
+                rejections += 1
+    assert positives >= 150 and rejections >= 250
 
 
 # ----------------------------------------------------------------------
