@@ -11,9 +11,10 @@ with the contraction formula
 whose derivatives act on normal-ordered symbols.  On monomials it reads
 ``x^i1 D^j1 * x^i2 D^j2 = sum_t C(j1, t) * perm(i2, t) * x^(i1+i2-t)
 D^(j1+j2-t)``, so each contraction order ``t`` is one plain commutative
-convolution of two weighted term lists, built once per ``t``, with keys
-already lowered by ``t``; the bracket fuses both orders of a pair of terms
-into one update.  The single-monomial exchange weights
+convolution of two weighted term lists, built once per ``t``, on keys packed
+into single integers and already lowered by ``t``.  ``_contract`` runs it for
+both the product and the bracket, which takes both products from ``t = 1``
+on into one accumulator.  The single-monomial exchange weights
 ``t! * C(j, t) * C(i, t)`` of ``D^j * x^i`` are tabulated by
 ``_swap_weights``, which the Fourier swap and the shift substitution in
 ``automorphism`` read.
@@ -116,6 +117,35 @@ def _sum(a: "WeylElement", b: "WeylElement", sign: int) -> "WeylElement":
     for k, n in b.nums.items():
         out[k] = get(k, 0) + n * scale_b
     return _settle(out, den, a.side)
+
+
+def _contract(pairs, low: int) -> "WeylElement":
+    """The sum over ``(left, right, sign)`` of ``pairs`` of ``sign`` times
+    the contraction terms of ``left * right`` of order ``t >= low``.
+
+    Every pair holds the same two operands of one side, in either order.
+    Each key ``(i, j)`` is packed into the integer ``i*m + j``, with ``m``
+    the sum of the two orders plus one, above every derivative exponent of
+    the result, so the key of a product term is the sum of the two packed
+    keys and distinct keys never collide.  Each order ``t`` convolves the
+    terms of ``(1/t!) (d/dD)^t left``, with their keys lowered by ``t``, and
+    those of ``(d/dx)^t right``; the sum is unpacked and settled once over
+    the product of the denominators.  A zero operand (order and x-degree
+    -1) takes no order, so nothing is unpacked when ``m <= 0``.
+    """
+    a, b, _ = pairs[0]
+    m = a.order + b.order + 1
+    acc: dict = {}
+    get = acc.get
+    for left, right, sign in pairs:
+        for t in range(low, min(left.order, right.x_degree) + 1):
+            ls = [(i * m + j - t, sign * comb(j, t) * n) for (i, j), n in left.nums.items() if j >= t]
+            rs = [((i - t) * m + j, perm(i, t) * n) for (i, j), n in right.nums.items() if i >= t]
+            for k1, n1 in ls:
+                for k2, n2 in rs:
+                    k = k1 + k2
+                    acc[k] = get(k, 0) + n1 * n2
+    return _settle({divmod(k, m): n for k, n in acc.items()}, a.den * b.den, a.side)
 
 
 class WeylElement:
@@ -285,18 +315,7 @@ class WeylElement:
         if not isinstance(other, WeylElement):
             return NotImplemented
         self._check_side(other)
-        out: dict = {}
-        get = out.get
-        # one plain convolution per contraction order t: the terms of
-        # (1/t!) (d/dD)^t self against those of (d/dx)^t other
-        for t in range(min(self.order, other.x_degree) + 1):
-            left = [(i, j - t, comb(j, t) * n) for (i, j), n in self.nums.items() if j >= t]
-            right = [(i - t, j, perm(i, t) * n) for (i, j), n in other.nums.items() if i >= t]
-            for i1, j1, n1 in left:
-                for i2, j2, n2 in right:
-                    key = (i1 + i2, j1 + j2)
-                    out[key] = get(key, 0) + n1 * n2
-        return _settle(out, self.den * other.den, self.side)
+        return _contract(((self, other, 1),), 0)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -366,35 +385,14 @@ def generators(side: str = "x") -> tuple:
 
 
 def commutator(a: WeylElement, b: WeylElement) -> WeylElement:
-    """a*b - b*a, normal-ordered, in one pass per contraction order.
+    """a*b - b*a, normal-ordered.
 
     The contraction-free (``t = 0``) terms of the two products agree and
-    cancel, so only ``t >= 1`` is taken.  For a term ``n1 * x^i1 D^j1`` of
-    ``a`` and ``n2 * x^i2 D^j2`` of ``b``, both products land on the key
-    ``(i1 + i2 - t, j1 + j2 - t)``, so the pass adds them as one update with
-    the fused weight ``C(j1, t)*perm(i2, t) - C(j2, t)*perm(i1, t)``.  Each
-    order builds one list per operand of the terms with ``i >= t`` or ``j >=
-    t``, carrying both weights times the numerator and the key lowered by
-    ``t`` on one side, works on integer numerators over ``a.den * b.den``,
-    and the result is settled once.
+    cancel, so both products are taken from ``t = 1`` on, the second with
+    sign -1, into one accumulator that is settled once.
     """
     a._check_side(b)
-    out: dict = {}
-    get = out.get
-    for t in range(1, max(min(a.order, b.x_degree), min(b.order, a.x_degree)) + 1):
-        left = [
-            (i, j - t, comb(j, t) * n, perm(i, t) * n) for (i, j), n in a.nums.items() if i >= t or j >= t
-        ]
-        right = [
-            (i - t, j, perm(i, t) * n, comb(j, t) * n) for (i, j), n in b.nums.items() if i >= t or j >= t
-        ]
-        for i1, j1, c1, p1 in left:
-            for i2, j2, p2, c2 in right:
-                w = c1 * p2 - p1 * c2
-                if w:
-                    key = (i1 + i2, j1 + j2)
-                    out[key] = get(key, 0) + w
-    return _settle(out, a.den * b.den, a.side)
+    return _contract(((a, b, 1), (b, a, -1)), 1)
 
 
 def ccr_check(a: WeylElement, b: WeylElement) -> bool:

@@ -39,6 +39,7 @@ from weylnil import (
     derivative,
     descent_step,
     generators,
+    invert_word,
     normalize_subleading,
     parse_expression,
     poly_at,
@@ -351,6 +352,17 @@ def test_ad_test_eigen_obstruction():
 
 def test_ad_test_derivative_on_coordinate():
     assert ad_nilpotency_test(d, x) == NilpotentAt(2)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_ad_test_matches_the_generating_word(seed):
+    # the paper's characterization, read off the generating word and not
+    # from decide: for L = phi(q(D)), ad_L^k(y) = phi(ad_q(D)^k(phi^-1(y))),
+    # and ad_q(D) lowers the coordinate degree by exactly one
+    L, cert = random_orbit_element(seed, word_len=2, max_deg=4, max_q_deg=3, max_order=10)
+    for y in (x, d):
+        pre_image = apply_word(invert_word(cert.word), y)
+        assert ad_nilpotency_test(L, y) == NilpotentAt(pre_image.x_degree + 1), (seed, y)
 
 
 def test_ad_test_eigen_obstruction_with_rational_ratios():

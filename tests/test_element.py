@@ -15,8 +15,9 @@ from weylnil import (
     SideMismatchError,
     UniPoly,
     WeylElement,
-    apply_generator,
     ad_power,
+    anti_involution,
+    apply_generator,
     commutator,
     coordinate,
     generators,
@@ -193,7 +194,7 @@ def test_products_match_sympy_differential_operators():
 
 
 def test_commutator_matches_two_product_oracle():
-    # denominators up to 100; the fused pass must equal a*b - b*a expanded apart
+    # denominators up to 100; the bracket must equal a*b - b*a expanded apart
     rng = random.Random(53)
     for _ in range(40):
         a = rand_element(rng, max_terms=5, max_exp=4, max_num=100, max_den=100)
@@ -251,6 +252,65 @@ def test_products_and_brackets_with_zero_or_constant_operands():
         assert a * c == c * a == slow_product(a, c) == a * c.constant_value()
         assert c * c == slow_product(c, c)
         assert commutator(c, c) == commutator(a, c) == commutator(c, a) == zero
+
+
+# Metamorphic checks at exponents up to the 4096 cap.  A large derivative
+# exponent on the left never meets a large coordinate exponent on the right,
+# so every product takes at most the contraction orders t <= 3.
+
+
+def _sparse(rng, xs, ds, max_terms=4):
+    """A seeded element of up to ``max_terms`` terms x^i D^j, i in ``xs`` and
+    j in ``ds``, with coefficients p/q, |p| <= 100, 1 <= q <= 100."""
+    return WeylElement(
+        [
+            ((rng.choice(xs), rng.choice(ds)), Fraction(rng.randint(-100, 100), rng.randint(1, 100)))
+            for _ in range(rng.randint(1, max_terms))
+        ]
+    )
+
+
+BIG, SMALL = range(4097), range(4)
+
+
+def test_anti_involution_reverses_products_at_high_exponents():
+    rng = random.Random(4096)
+    for _ in range(50):
+        a, b = _sparse(rng, BIG, SMALL), _sparse(rng, SMALL, BIG)
+        assert anti_involution(a * b) == anti_involution(b) * anti_involution(a)
+
+
+def test_brackets_are_antisymmetric_differences_at_high_exponents():
+    rng = random.Random(4097)
+    for _ in range(50):
+        c, e = _sparse(rng, BIG, SMALL), _sparse(rng, BIG, SMALL)
+        assert commutator(c, e) == c * e - e * c == -commutator(e, c)
+        assert anti_involution(commutator(c, e)) == commutator(anti_involution(e), anti_involution(c))
+
+
+def test_fourier_swap_commutes_with_products_and_brackets():
+    rng = random.Random(40)
+    swap = Fourier()
+    for _ in range(40):
+        a, b = _sparse(rng, range(41), range(41), 2), _sparse(rng, range(41), range(41), 2)
+        fa, fb = apply_generator(swap, a), apply_generator(swap, b)
+        assert apply_generator(swap, a * b) == fa * fb
+        assert apply_generator(swap, commutator(a, b)) == commutator(fa, fb)
+
+
+def test_zero_and_constant_operands_at_high_exponents():
+    rng = random.Random(0)
+    for side in ("x", "z"):
+        zero = WeylElement.zero(side)
+        for _ in range(30):
+            a = _sparse(rng, BIG, SMALL) if rng.random() < 0.5 else _sparse(rng, SMALL, BIG)
+            if side == "z":
+                a = anti_involution(a)
+            c = WeylElement.scalar(Fraction(rng.randint(-9, 9), rng.randint(1, 9)), side)
+            assert a * zero == zero * a == zero * c == c * zero == zero * zero == zero
+            assert a * c == c * a == a * c.constant_value()
+            assert commutator(a, zero) == commutator(zero, a) == commutator(a, c) == zero
+            assert commutator(zero, zero) == commutator(c, zero) == commutator(c, c) == zero
 
 
 def test_products_match_sympy_to_exponent_ten():
