@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from math import gcd, lcm
 from typing import Sequence, Tuple, Union
 
-from .element import WeylElement, _settle, _swap_weights
+from .element import WeylElement, _new, _settle, _swap_weights
 from .poly import UniPoly
 
 
@@ -83,7 +83,7 @@ def _apply_fourier(e: WeylElement, inverse: bool) -> WeylElement:
         for t, w in enumerate(_swap_weights(i, j)):
             key = (j - t, i - t)
             out[key] = get(key, 0) + w * n
-    return _settle(out, e.den, e.side)
+    return _settle(out.items(), e.den, e.side)
 
 
 def _substitute(e: WeylElement, gen: Union[ShiftX, ShiftD]) -> WeylElement:
@@ -178,7 +178,7 @@ def _substitute(e: WeylElement, gen: Union[ShiftX, ShiftD]) -> WeylElement:
                 v += 1
             if s:
                 out[(b, a) if swap else (a, b)] = s
-    return _settle(out, e.den * den**top, e.side)
+    return _settle(out.items(), e.den * den**top, e.side)
 
 
 def apply_generator(gen: Generator, e: WeylElement) -> WeylElement:
@@ -254,5 +254,5 @@ def anti_involution(e: WeylElement) -> WeylElement:
     coefficients; anti-multiplicativity makes the image normal-ordered as is.
     """
     other = "z" if e.side == "x" else "x"
-    return _settle({(j, i): n for (i, j), n in e.nums.items()}, e.den, other)
+    return _new(other, e.den, {(j, i): n for (i, j), n in e.nums.items()})
 

@@ -25,15 +25,15 @@ maps ``(i, j)`` to a nonzero ``int`` and the coefficient of ``x^i D^j`` is
 ``gcd(den, *nums.values()) == 1``, so ``den`` is the least common multiple
 of the reduced coefficient denominators and equal values have equal pairs.
 The zero element is ``den == 1`` with no numerators.  Every operation
-computes on Python integers over one denominator and ``_settle`` reduces its
-result with one multi-argument ``gcd``; equality, hashing, ``order``, the
-coefficient slices and the other structural queries read the pair.
-Other modules read ``den`` and ``nums`` directly and build results through
-``_settle``; ``_element`` builds an element from ``(key, numerator,
-denominator)`` parts, for the constructor and the parser.  ``order`` and
-``x_degree`` read one shape record, filled in one pass over the keys on
-first read; the product, the bracket, the slices and the shift substitution
-take their bounds from it.
+computes on Python integers over one denominator and settles its result
+once: ``_settle`` drops the zeros of its ``(key, numerator)`` pairs and
+divides out one ``gcd``; negation, the anti-involution and a parsed monomial
+are canonical as built and go to ``_new``.  Equality, hashing and the
+structural queries read the pair, as other modules do; ``_element`` builds
+an element from ``(key, numerator, denominator)`` parts, for the constructor
+and the parser.  ``order`` and ``x_degree`` read one shape record, filled in
+one pass over the keys on first read; the product, the bracket, the slices
+and the shift substitution take their bounds from it.
 
 ``terms`` is a read-only map of ``Fraction`` coefficients for the wire
 format and other readers of single coefficients; ``str`` prints from the
@@ -81,15 +81,14 @@ def _new(side: str, den: int, nums: dict) -> "WeylElement":
     el.den = den
     el.nums = nums
     el._terms = None
-    el._hash = None
     el._shape = None
     return el
 
 
-def _settle(acc: Mapping[Key, int], den: int, side: str) -> "WeylElement":
-    """The element with coefficients ``n / den`` for the nonzero ``n`` of
-    ``acc`` (``den >= 1``), reduced to the canonical pair."""
-    nums = {k: n for k, n in acc.items() if n}
+def _settle(items: Iterable[Tuple[Key, int]], den: int, side: str) -> "WeylElement":
+    """The canonical element with coefficients ``n / den`` for the ``(key,
+    n)`` pairs of ``items`` (distinct keys, ``den >= 1``), zeros dropped."""
+    nums = {k: n for k, n in items if n}
     g = gcd(den, *nums.values())
     if g != 1:
         den //= g
@@ -105,7 +104,7 @@ def _element(parts: List[Part], side: str) -> "WeylElement":
     get = acc.get
     for key, n, d in parts:
         acc[key] = get(key, 0) + n * (den // d)
-    return _settle(acc, den, side)
+    return _settle(acc.items(), den, side)
 
 
 def _sum(a: "WeylElement", b: "WeylElement", sign: int) -> "WeylElement":
@@ -116,7 +115,7 @@ def _sum(a: "WeylElement", b: "WeylElement", sign: int) -> "WeylElement":
     get = out.get
     for k, n in b.nums.items():
         out[k] = get(k, 0) + n * scale_b
-    return _settle(out, den, a.side)
+    return _settle(out.items(), den, a.side)
 
 
 def _contract(pairs, low: int) -> "WeylElement":
@@ -145,7 +144,7 @@ def _contract(pairs, low: int) -> "WeylElement":
                 for k2, n2 in rs:
                     k = k1 + k2
                     acc[k] = get(k, 0) + n1 * n2
-    return _settle({divmod(k, m): n for k, n in acc.items()}, a.den * b.den, a.side)
+    return _settle(((divmod(k, m), n) for k, n in acc.items()), a.den * b.den, a.side)
 
 
 class WeylElement:
@@ -157,7 +156,7 @@ class WeylElement:
     two elements are equal exactly when their sides and pairs agree.
     """
 
-    __slots__ = ("side", "den", "nums", "_terms", "_hash", "_shape")
+    __slots__ = ("side", "den", "nums", "_terms", "_shape")
 
     def __init__(self, terms: Union[Mapping[Key, Scalar], Iterable] = (), side: str = "x"):
         if side not in SIDES:
@@ -175,7 +174,6 @@ class WeylElement:
         self.side = side
         self.den, self.nums = built.den, built.nums
         self._terms = None
-        self._hash = None
         self._shape = None
 
     @classmethod
@@ -307,7 +305,7 @@ class WeylElement:
 
     def _scaled(self, c: Scalar) -> "WeylElement":
         num = c.numerator
-        return _settle({k: n * num for k, n in self.nums.items()}, self.den * c.denominator, self.side)
+        return _settle(((k, n * num) for k, n in self.nums.items()), self.den * c.denominator, self.side)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -348,9 +346,7 @@ class WeylElement:
         return self.side == other.side and self.den == other.den and self.nums == other.nums
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.side, self.den, frozenset(self.nums.items())))
-        return self._hash
+        return hash((self.side, self.den, frozenset(self.nums.items())))
 
     # ------------------------------------------------------------------
     # printing

@@ -49,7 +49,7 @@ from __future__ import annotations
 import re
 from typing import List, NamedTuple
 
-from .element import Part, WeylElement, _element, _settle
+from .element import Part, WeylElement, _element, _new
 from .errors import ParseError
 
 MAX_EXPONENT = 4096
@@ -247,7 +247,7 @@ class _Parser:
 
 
 def _monomial(i: int, j: int, side: str) -> WeylElement:
-    return _settle({(i, j): 1}, 1, side)
+    return _new(side, 1, {(i, j): 1})
 
 
 def _times(acc, e: WeylElement) -> WeylElement:

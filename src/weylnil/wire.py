@@ -18,7 +18,9 @@ three consecutive fourier entries.  Certificate document::
 
     {"word": [...], "q": ["c0", ...], "side": "x"|"d"}
 
-Serialization followed by parsing is the identity on all three kinds.
+Serializing then parsing gives back elements, words and certificates, save
+that each ``FourierInverse`` returns as three ``Fourier`` entries, which act
+the same; parsing then serializing gives back what serializing wrote.
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from math import comb, gcd
 
+import pytest
 from hypothesis import given, settings
 
 from weylnil import (
@@ -21,6 +22,7 @@ from weylnil import (
     coordinate,
     derivative,
     generators,
+    invert_generator,
     invert_word,
     shape_bound,
 )
@@ -269,3 +271,13 @@ def test_shift_x_is_conjugate_shift_d(r, e):
     # x -> x + r'(D) equals the Fourier conjugate of D -> D - r'(x)
     conjugate = (Fourier(), ShiftD(r), FourierInverse())
     assert apply_generator(ShiftX(r), e) == apply_word(conjugate, e)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: apply_generator(object(), x), lambda: invert_generator(object())],
+    ids=["apply", "invert"],
+)
+def test_non_generator_is_rejected(call):
+    with pytest.raises(TypeError, match="unknown generator"):
+        call()

@@ -446,3 +446,26 @@ def test_repeated_runs_share_no_state(capsys):
     code, out, _ = _run(capsys, "ad", "x^3*D", "D")
     assert code == 0
     assert out.strip().startswith("bound exhausted at 64 ")
+
+
+def test_random_without_a_draw_in_the_order_bound_exits_one(capsys):
+    code, out, err = _run(capsys, "random", "--seed", "1", "--max-order", "0")
+    assert (code, out) == (1, "")
+    assert err == "error: no draw satisfied the order bound; relax max_order\n"
+
+
+def test_ccr_generators_reports_a_counterexample_candidate(capsys, monkeypatch):
+    # a real candidate would refute the Dixmier conjecture, so one is faked
+    from weylnil import CounterexampleCandidate, decide, parse_expression
+    from weylnil.wire import verdict_to_doc
+
+    verdict = decide(parse_expression("x*D"))
+    monkeypatch.setattr("weylnil.cli.ccr_to_generators", lambda a, b: CounterexampleCandidate(verdict))
+    code, out, _ = _run(capsys, "ccr", "D", "x", "--generators")
+    assert code == 0
+    assert out == (
+        "commutator equals 1: true\n"
+        "counterexample candidate: first member rejected by the decision procedure\n"
+        + json.dumps(verdict_to_doc(verdict), indent=2)
+        + "\n"
+    )

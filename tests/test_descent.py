@@ -14,6 +14,7 @@ from weylnil import (
     FourierInverse,
     GenerationWitness,
     NilpotentAt,
+    NotNormalizableError,
     NotStrictlyNilpotent,
     NotStrictlyNilpotentError,
     Reason,
@@ -594,3 +595,29 @@ def test_scaling_keeps_the_verdict_kind():
         for _ in range(6):
             c = Fraction(rng.choice((-1, 1)) * rng.randint(1, 20), rng.randint(1, 20))
             assert type(decide(c * e)) is kind, (e, c)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: Certificate((), UniPoly((0, 1)), "z"), ValueError, "side must be"),
+        (lambda: Certificate((), UniPoly((3,)), "d"), ValueError, "must be nonconstant"),
+        (lambda: normalize_subleading(x * d**2 + d), NotNormalizableError, "constant top coefficient"),
+        (lambda: descent_step(2 * d**2 + x), NotNormalizableError, "monic operator"),
+        (lambda: ad_nilpotency_test(airy, x, cap=0), ValueError, "cap must be positive"),
+        (lambda: bispectral_partner(parse_expression("Dz^2 - z")), UnsupportedSideError, "x-side"),
+        (lambda: random_orbit_element(1, max_order=0), ValueError, "no draw satisfied the order bound"),
+    ],
+    ids=[
+        "cert-side",
+        "cert-constant",
+        "normalize-top",
+        "stage-monic",
+        "ad-cap",
+        "partner-side",
+        "orbit-bound",
+    ],
+)
+def test_input_checks(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -353,6 +353,8 @@ def test_operation_results_are_canonical():
         if s:
             results.append(a / s)
         results.append(commutator(a, b))
+        # built without _settle: swapping keys keeps the pair canonical
+        results += [anti_involution(a), anti_involution(anti_involution(a)), anti_involution(a - a)]
         r = UniPoly([0] + [Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(3)])
         for gen in (ShiftX(r), ShiftD(r), Fourier(), FourierInverse()):
             results.append(apply_generator(gen, a))
@@ -475,3 +477,17 @@ def test_constructor_merges_repeated_keys_to_the_canonical_pair():
 def test_constructor_rejects_bad_side_and_exponents(terms, side):
     with pytest.raises(ValueError):
         WeylElement(terms, side)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: x.constant_value(), "not constant"),
+        (lambda: x**-1, "nonnegative integer"),
+        (lambda: ad_power(d, x, -1), "nonnegative"),
+    ],
+    ids=["constant-value", "negative-power", "negative-ad-steps"],
+)
+def test_operation_input_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -11,6 +11,7 @@ from weylnil import (
     FactoredForm,
     FormDiagnostic,
     FormIssue,
+    NewtonData,
     NotNormalizableError,
     Weight,
     WeylElement,
@@ -233,3 +234,11 @@ def test_edge_inequality_for_multiple_points():
         assert nd.value > w.x_weight + w.d_weight
         checked += 1
     assert checked >= 3
+
+
+def test_factor_form_rejects_x_degree_above_the_weight_ratio():
+    # weight (2, 1) allows X-degree at most order/2 = 1 in an order-2 form
+    nd = NewtonData(Weight(2, 1), 4, {(0, 2): 1, (2, 0): 1})
+    diag = factor_form(nd, 2)
+    assert diag.issue is FormIssue.LAMBDA_INCONSISTENT
+    assert diag.message == "X-degree exceeds what the weight ratio allows"

@@ -71,3 +71,8 @@ def test_format_golden(coeffs, var, text):
 def test_drop_constant():
     assert UniPoly((7, 1)).drop_constant() == UniPoly((0, 1))
     assert UniPoly.zero().drop_constant().is_zero()
+
+
+def test_monomial_rejects_negative_degree():
+    with pytest.raises(ValueError, match="nonnegative"):
+        UniPoly.monomial(-1)

@@ -212,3 +212,13 @@ def test_verdict_documents():
     assert neg["reason"] == "nonconstant-leading"
     const = verdict_to_doc(decide(WeylElement.scalar(5)))
     assert const == {"verdict": "trivially-constant", "value": "5"}
+
+
+@pytest.mark.parametrize(
+    "encode, value, error",
+    [(word_to_doc, [object()], WireFormatError), (verdict_to_doc, object(), TypeError)],
+    ids=["word", "verdict"],
+)
+def test_encoders_reject_unknown_values(encode, value, error):
+    with pytest.raises(error, match="unknown"):
+        encode(value)
