@@ -32,7 +32,7 @@ convention ``invert_word`` reverses the sequence and inverts each entry, and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd
 from typing import Sequence, Tuple, Union
 
 from .element import WeylElement, _new, _settle, _swap_weights
@@ -122,16 +122,14 @@ def _substitute(e: WeylElement, gen: Union[ShiftX, ShiftD]) -> WeylElement:
     J*bitlen(c) + bitlen(||b||_1) + 1``.  No power of ``D - p`` is stored.
     """
     swap = isinstance(gen, ShiftX)
-    # p = r', or -s' for ShiftX, as reduced (m, numerator, denominator)
-    # triples read off the generator's coefficients, with no Fraction arithmetic
-    p = []
-    for m, coeff in enumerate(gen.poly.coeffs[1:]):
-        if coeff:
-            n, q = (m + 1) * coeff.numerator, coeff.denominator
-            g = gcd(n, q)
-            p.append((m, -n // g if swap else n // g, q // g))
-    den = lcm(*[q for _, _, q in p])
-    big_p = [(m, n * (den // q)) for m, n, q in p]
+    # p = r', or -s' for ShiftX, on the generator's integer pair: the
+    # numerators of r' over r's denominator, reduced by one gcd
+    r = gen.poly
+    nums = [(m + 1) * n for m, n in enumerate(r.nums[1:])]
+    g = gcd(r.den, *nums)
+    den = r.den // g
+    sign = -g if swap else g
+    big_p = [(m, n // sign) for m, n in enumerate(nums) if n]
     x_deg, order = e.x_degree, e.order
     amax = shape_bound((gen,), x_deg, order)[swap]
     top = x_deg if swap else order

@@ -27,9 +27,13 @@ of the reduced coefficient denominators and equal values have equal pairs.
 The zero element is ``den == 1`` with no numerators.  Every operation
 computes on Python integers over one denominator and settles its result
 once: ``_settle`` drops the zeros of its ``(key, numerator)`` pairs and
-divides out one ``gcd``; negation, the anti-involution and a parsed monomial
-are canonical as built and go to ``_new``.  Equality, hashing and the
-structural queries read the pair, as other modules do; ``_element`` builds
+divides out one ``gcd``; negation, the anti-involution, a parsed monomial
+and an element built from a polynomial's pair by ``from_d_poly`` are
+canonical as built and go to ``_new``.  The slices ``d_slice`` and
+``x_slice`` hand their numerators to the polynomial module's ``_settle``
+over the element's ``den``, with no ``Fraction`` in between.  Equality,
+hashing and the structural queries read the pair, as other modules do; a
+constant element hashes like its ``Fraction`` value.  ``_element`` builds
 an element from ``(key, numerator, denominator)`` parts, for the constructor
 and the parser.  ``order`` and ``x_degree`` read one shape record, filled in
 one pass over the keys on first read; the product, the bracket, the slices
@@ -57,6 +61,7 @@ from typing import Iterable, List, Mapping, Tuple, Union
 
 from .errors import SideMismatchError
 from .poly import Scalar, UniPoly, _format_terms
+from .poly import _settle as _settle_poly
 
 SIDES = ("x", "z")
 
@@ -73,6 +78,11 @@ def _swap_weights(j: int, i: int) -> tuple:
     long-lived process fed varied input would grow without limit.
     """
     return tuple(perm(i, t) * comb(j, t) for t in range(min(i, j) + 1))
+
+
+def _check_side_name(side: str) -> None:
+    if side not in SIDES:
+        raise ValueError(f"side must be one of {SIDES}, got {side!r}")
 
 
 def _new(side: str, den: int, nums: dict) -> "WeylElement":
@@ -159,8 +169,7 @@ class WeylElement:
     __slots__ = ("side", "den", "nums", "_terms", "_shape")
 
     def __init__(self, terms: Union[Mapping[Key, Scalar], Iterable] = (), side: str = "x"):
-        if side not in SIDES:
-            raise ValueError(f"side must be one of {SIDES}, got {side!r}")
+        _check_side_name(side)
         items = terms.items() if isinstance(terms, Mapping) else terms
         parts = []
         for key, coeff in items:
@@ -190,7 +199,9 @@ class WeylElement:
 
     @classmethod
     def from_d_poly(cls, p: UniPoly, side: str = "x") -> "WeylElement":
-        return cls({(0, j): c for j, c in enumerate(p.coeffs)}, side)
+        # a canonical polynomial pair is a canonical element pair
+        _check_side_name(side)
+        return _new(side, p.den, {(0, j): n for j, n in enumerate(p.nums) if n})
 
     # ------------------------------------------------------------------
     # structure
@@ -246,22 +257,16 @@ class WeylElement:
         x_deg, order = self._dims()
         if not 0 <= j <= order:
             return UniPoly.zero()
-        nums, den = self.nums, self.den
-        top = x_deg
-        while top >= 0 and (top, j) not in nums:
-            top -= 1
-        return UniPoly(tuple(Fraction(nums.get((i, j), 0), den) for i in range(top + 1)))
+        get = self.nums.get
+        return _settle_poly(self.den, [get((i, j), 0) for i in range(x_deg + 1)])
 
     def x_slice(self, i: int) -> UniPoly:
         """Coefficient of x^i, as a polynomial in the derivative."""
         x_deg, order = self._dims()
         if not 0 <= i <= x_deg:
             return UniPoly.zero()
-        nums, den = self.nums, self.den
-        top = order
-        while top >= 0 and (i, top) not in nums:
-            top -= 1
-        return UniPoly(tuple(Fraction(nums.get((i, j), 0), den) for j in range(top + 1)))
+        get = self.nums.get
+        return _settle_poly(self.den, [get((i, j), 0) for j in range(order + 1)])
 
     # ------------------------------------------------------------------
     # arithmetic
@@ -346,6 +351,9 @@ class WeylElement:
         return self.side == other.side and self.den == other.den and self.nums == other.nums
 
     def __hash__(self) -> int:
+        # a constant equals its Fraction value, so it hashes like it
+        if self.is_constant():
+            return hash(self.constant_value())
         return hash((self.side, self.den, frozenset(self.nums.items())))
 
     # ------------------------------------------------------------------

@@ -171,14 +171,31 @@ class FormDiagnostic:
     partial: Optional[FactoredForm] = None
 
 
+def _binomial_terms_match(f: BiPoly, n: int, r: int, k: int, scale: Fraction) -> bool:
+    """Whether ``f`` holds every term of ``Y^n * (Y^r - scale*X)^k``."""
+    p, q = -scale.numerator, scale.denominator
+    pp = qq = 1  # (-scale.numerator)^s and scale.denominator^s
+    for s in range(k + 1):
+        c = f.get((s, n + r * (k - s)))
+        if c is None or c.numerator * qq != comb(k, s) * pp * c.denominator:
+            return False
+        pp *= p
+        qq *= q
+    return True
+
+
 def factor_form(nd: NewtonData, order: int) -> Union[FactoredForm, FormDiagnostic]:
     """Recognize ``assoc == Y^n * (Y^r - scale*X)^k`` exactly.
 
     The candidate parameters are forced: ``k`` is the X-degree, ``r`` the
     weight ratio, ``n = order - r*k``, and ``scale`` is read off the
-    coefficient of ``X * Y^(n + r*(k-1))``.  A full expansion comparison
-    then accepts or rejects.  Success requires ``n == 0``; a matching shape
-    with ``n > 0`` is reported as a diagnostic carrying the factorization.
+    coefficient of ``X * Y^(n + r*(k-1))``.  A full comparison then accepts
+    or rejects: with ``scale = p/q``, the binomial power has the ``k + 1``
+    terms ``C(k, s) * (-p)^s / q^s * X^s * Y^(n + r*(k-s))``, so ``assoc``
+    must have ``k + 1`` terms, each equal to its binomial coefficient, which
+    is tested on cross-multiplied integers, one comparison per ``X^s`` term.
+    Success requires ``n == 0``; a matching shape with ``n > 0`` is reported
+    as a diagnostic carrying the factorization.
     """
     f = nd.assoc
     if f.get((0, order)) != 1:
@@ -207,7 +224,7 @@ def factor_form(nd: NewtonData, order: int) -> Union[FactoredForm, FormDiagnosti
             strictly_semisimple=semisimple,
         )
     candidate = FactoredForm(n, r, k, scale)
-    if candidate.expand() != f:
+    if len(f) != k + 1 or not _binomial_terms_match(f, n, r, k, scale):
         return FormDiagnostic(
             FormIssue.LAMBDA_INCONSISTENT,
             "expansion of the candidate binomial power does not match",

@@ -2,12 +2,24 @@
 
 Small dense representation used for operator coefficient slices, generator
 polynomials of automorphisms, and certificate polynomials.
+
+A polynomial stores integer numerators over one shared denominator, as an
+operator does: ``nums`` is a tuple of ``int``s ascending by degree and the
+coefficient of ``t^i`` is ``nums[i] / den``.  The pair is canonical:
+``den >= 1``, ``gcd(den, *nums) == 1`` and ``nums`` has no trailing zero,
+so equal values have equal pairs; the zero polynomial is ``den == 1`` with
+no numerators.  Every operation computes on Python integers and settles its
+result once with ``_settle``, which drops the trailing zeros and divides
+out one ``gcd``; results that are canonical as built, such as a negation,
+go to ``_new``.  ``coeffs`` is a read-only tuple of ``Fraction``
+coefficients, built from the pair on first read and cached.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence, Tuple, Union
+from math import gcd, lcm
+from typing import Iterable, Optional, Sequence, Tuple, Union
 
 Scalar = Union[int, Fraction]
 
@@ -35,22 +47,71 @@ def _format_terms(terms: Iterable[Tuple[int, int, Sequence[Tuple[str, int]]]]) -
     return "".join(parts)
 
 
+
+
+def _new(den: int, nums: tuple) -> "UniPoly":
+    p = object.__new__(UniPoly)
+    p.den = den
+    p.nums = nums
+    p._coeffs = None
+    return p
+
+
+def _settle(den: int, nums: list) -> "UniPoly":
+    """The canonical polynomial with coefficients ``n / den`` for the
+    numerators ``nums`` (ascending by degree, ``den >= 1``)."""
+    while nums and not nums[-1]:
+        nums.pop()
+    g = gcd(den, *nums)
+    if g != 1:
+        den //= g
+        nums = [n // g for n in nums]
+    return _new(den, tuple(nums))
+
+
+def _operand(other) -> Optional["UniPoly"]:
+    """``other`` as a polynomial, or ``None`` when it is not a number."""
+    if isinstance(other, UniPoly):
+        return other
+    if isinstance(other, (int, Fraction)):
+        return UniPoly.const(other)
+    return None
+
+
+def _sum(a: "UniPoly", b: "UniPoly", sign: int) -> "UniPoly":
+    """``a + sign*b`` on the numerators over ``lcm(a.den, b.den)``."""
+    den = lcm(a.den, b.den)
+    scale_a, scale_b = den // a.den, sign * (den // b.den)
+    out = [n * scale_a for n in a.nums]
+    out.extend([0] * (len(b.nums) - len(out)))
+    for i, n in enumerate(b.nums):
+        out[i] += n * scale_b
+    return _settle(den, out)
+
+
 class UniPoly:
     """Polynomial in one variable over the rationals.
 
-    Coefficients are stored ascending by degree with trailing zeros removed,
-    so structural equality coincides with mathematical equality.  Instances
-    are immutable.
+    ``den`` and ``nums`` are the canonical pair described in the module
+    docstring, so structural equality coincides with mathematical equality;
+    ``coeffs`` holds the ``Fraction`` coefficients ascending by degree,
+    without trailing zeros.  A constant hashes like its ``Fraction`` value,
+    which it also equals.  Instances are immutable.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("den", "nums", "_coeffs")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        # a Fraction is immutable and already reduced, so it is kept as is
-        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs: tuple = tuple(cs)
+        nums = list(coeffs)
+        den = 1
+        # bool is an int subclass, so test the exact type
+        if not all(type(c) is int for c in nums):
+            fs = [Fraction(c) for c in nums]
+            den = lcm(*[f.denominator for f in fs])
+            nums = [f.numerator * (den // f.denominator) for f in fs]
+        built = _settle(den, nums)
+        self.den, self.nums = built.den, built.nums
+        self._coeffs = None
 
     @classmethod
     def zero(cls) -> "UniPoly":
@@ -71,107 +132,133 @@ class UniPoly:
         return cls((0,) * degree + (coeff,))
 
     @property
+    def coeffs(self) -> tuple:
+        """Read-only tuple of the ``Fraction`` coefficients."""
+        if self._coeffs is None:
+            den = self.den
+            self._coeffs = tuple(Fraction(n, den) for n in self.nums)
+        return self._coeffs
+
+    @property
     def degree(self) -> int:
         """Degree, with -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
+        return len(self.nums) <= 1
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+        return Fraction(self.nums[0], self.den) if self.nums else Fraction(0)
 
     def coeff(self, i: int) -> Fraction:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
+        if 0 <= i < len(self.nums):
+            return Fraction(self.nums[i], self.den)
         return Fraction(0)
 
     def leading(self) -> Fraction:
-        if not self.coeffs:
+        if not self.nums:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.nums[-1], self.den)
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.nums)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, UniPoly):
-            return self.coeffs == other.coeffs
+            return self.den == other.den and self.nums == other.nums
         if isinstance(other, (int, Fraction)):
-            return self == UniPoly.const(other)
+            if not other:
+                return not self.nums
+            return self.den == other.denominator and self.nums == (other.numerator,)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(("UniPoly", self.coeffs))
+        if self.is_constant():
+            return hash(self.constant_value())
+        return hash(("UniPoly", self.den, self.nums))
 
     def __neg__(self) -> "UniPoly":
-        return UniPoly(tuple(-c for c in self.coeffs))
+        return _new(self.den, tuple(-n for n in self.nums))
 
     def __add__(self, other) -> "UniPoly":
-        if isinstance(other, (int, Fraction)):
-            other = UniPoly.const(other)
-        if not isinstance(other, UniPoly):
+        other = _operand(other)
+        if other is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(tuple(self.coeff(i) + other.coeff(i) for i in range(n)))
+        return _sum(self, other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "UniPoly":
-        return self + (-other if isinstance(other, UniPoly) else UniPoly.const(-Fraction(other)))
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
+        return _sum(self, other, -1)
 
     def __rsub__(self, other) -> "UniPoly":
-        return (-self) + other
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
+        return _sum(other, self, -1)
 
     def __mul__(self, other) -> "UniPoly":
         if isinstance(other, (int, Fraction)):
-            return UniPoly(tuple(c * other for c in self.coeffs))
+            num = other.numerator
+            return _settle(self.den * other.denominator, [n * num for n in self.nums])
         if not isinstance(other, UniPoly):
             return NotImplemented
-        if self.is_zero() or other.is_zero():
+        if not self.nums or not other.nums:
             return UniPoly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return UniPoly(out)
+        out = [0] * (len(self.nums) + len(other.nums) - 1)
+        for i, a in enumerate(self.nums):
+            if a:
+                for j, b in enumerate(other.nums):
+                    out[i + j] += a * b
+        return _settle(self.den * other.den, out)
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar) -> "UniPoly":
         s = Fraction(scalar)
-        return UniPoly(tuple(c / s for c in self.coeffs))
+        if not s:
+            raise ZeroDivisionError("division of a polynomial by zero")
+        # multiply by the reciprocal, with its sign on the numerator
+        num, q = (s.denominator, s.numerator) if s > 0 else (-s.denominator, -s.numerator)
+        return _settle(self.den * q, [n * num for n in self.nums])
 
     def __call__(self, value: Scalar) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * value + c
-        return acc
+        acc = 0
+        for n in reversed(self.nums):
+            acc = acc * value + n
+        return Fraction(acc) / self.den
 
     def derivative(self) -> "UniPoly":
-        return UniPoly(tuple(i * c for i, c in enumerate(self.coeffs) if i >= 1))
+        return _settle(self.den, [i * n for i, n in enumerate(self.nums) if i])
 
     def antiderivative(self) -> "UniPoly":
         """Antiderivative with zero constant term."""
-        return UniPoly((0,) + tuple(c / (i + 1) for i, c in enumerate(self.coeffs)))
+        nums = self.nums
+        scale = lcm(*range(1, len(nums) + 1))
+        return _settle(self.den * scale, [0] + [n * (scale // (i + 1)) for i, n in enumerate(nums)])
 
     def drop_constant(self) -> "UniPoly":
-        if not self.coeffs:
+        if not self.nums or not self.nums[0]:
             return self
-        return UniPoly((0,) + self.coeffs[1:])
+        return _settle(self.den, [0, *self.nums[1:]])
 
     def format(self, var: str = "t") -> str:
-        cs = self.coeffs
-        return _format_terms(
-            (cs[d].numerator, cs[d].denominator, ((var, d),)) for d in range(len(cs) - 1, -1, -1) if cs[d]
-        )
+        nums, den = self.nums, self.den
+        terms = []
+        for d in range(len(nums) - 1, -1, -1):
+            n = nums[d]
+            if n:
+                g = gcd(n, den)
+                terms.append((n // g, den // g, ((var, d),)))
+        return _format_terms(terms)
 
     def __repr__(self) -> str:
         return f"UniPoly({self.format()!r})"

@@ -242,3 +242,55 @@ def test_factor_form_rejects_x_degree_above_the_weight_ratio():
     diag = factor_form(nd, 2)
     assert diag.issue is FormIssue.LAMBDA_INCONSISTENT
     assert diag.message == "X-degree exceeds what the weight ratio allows"
+
+
+def _expansion_oracle(f, r, order):
+    """The outcome kind of factor_form by the full Fraction expansion, with
+    the candidate parameters forced as factor_form forces them."""
+    k = max(i for i, _ in f)
+    n = order - r * k
+    if n < 0:
+        return FormIssue.LAMBDA_INCONSISTENT
+    scale = -f.get((1, n + r * (k - 1)), Fraction(0)) / k
+    if scale == 0 or FactoredForm(n, r, k, scale).expand() != f:
+        return FormIssue.LAMBDA_INCONSISTENT
+    return FormIssue.POSITIVE_Y_POWER if n > 0 else "accepted"
+
+
+def test_factor_form_agrees_with_the_expansion_oracle():
+    rng = random.Random(31)
+    kinds = set()
+    for _ in range(400):
+        r, k, n = rng.randint(1, 4), rng.randint(1, 12), rng.randint(0, 3)
+        scale = Fraction(rng.choice((-1, 1)) * rng.randint(1, 40), rng.randint(1, 40))
+        order = n + r * k
+        f = FactoredForm(n, r, k, scale).expand()
+        edge = [(s, n + r * (k - s)) for s in range(1, k + 1)]
+        variant = rng.randrange(4)
+        if variant == 1:  # one coefficient perturbed
+            key = rng.choice(edge)
+            f[key] += Fraction(rng.choice((-1, 1)), rng.randint(1, 7))
+            if not f[key]:
+                del f[key]
+        elif variant == 2 and k > 1:  # one term dropped, leaving a binomial
+            del f[rng.choice(edge)]
+        elif variant == 3:  # one term added off the binomial support
+            s = rng.randint(1, k + 1)
+            key = (s, rng.randint(0, order))
+            if key in edge:
+                key = (s, key[1] + 1)
+            f[key] = f.get(key, 0) + Fraction(rng.randint(1, 9), rng.randint(1, 9))
+        out = factor_form(NewtonData(Weight(r, 1), order, f), order)
+        if isinstance(out, FactoredForm):
+            kind = "accepted"
+        else:
+            kind = out.issue
+            if kind is FormIssue.POSITIVE_Y_POWER:
+                assert out.partial.expand() == f
+        assert kind == _expansion_oracle(f, r, order), (r, k, n, scale, variant)
+        kinds.add((kind, variant > 0))
+    assert kinds >= {
+        ("accepted", False),
+        (FormIssue.POSITIVE_Y_POWER, False),
+        (FormIssue.LAMBDA_INCONSISTENT, True),
+    }

@@ -1,10 +1,14 @@
 """Univariate polynomial helper."""
 
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from weylnil import UniPoly
+from weylnil import UniPoly, WeylElement
+
+from conftest import rand_element
 
 
 def test_trailing_zeros_normalized():
@@ -76,3 +80,79 @@ def test_drop_constant():
 def test_monomial_rejects_negative_degree():
     with pytest.raises(ValueError, match="nonnegative"):
         UniPoly.monomial(-1)
+
+
+@pytest.mark.parametrize("value", [0, 1, -3, Fraction(1, 2)])
+def test_constants_hash_like_their_value(value):
+    p = UniPoly.const(value)
+    assert p == value and hash(p) == hash(value) == hash(Fraction(value))
+    assert len({value, Fraction(value), p}) == 1
+    for side in ("x", "z"):
+        e = WeylElement.scalar(value, side)
+        assert e == value and hash(e) == hash(value)
+        assert len({value, e}) == 1
+    # a nonconstant value hashes as its pair, equal values alike
+    assert hash(UniPoly((value, 1))) == hash(UniPoly((Fraction(value), Fraction(2, 2))))
+
+
+@pytest.mark.parametrize("other", ["x", None, 1.5j, [1]])
+def test_arithmetic_with_a_non_number_is_a_type_error(other):
+    p = UniPoly((1,))
+    for op in (lambda: p + other, lambda: other + p, lambda: p - other, lambda: other - p):
+        with pytest.raises(TypeError):
+            op()
+
+
+def _assert_canonical(p):
+    assert p.den >= 1
+    assert all(type(n) is int for n in p.nums)
+    assert gcd(p.den, *p.nums) == 1
+    assert not p.nums or p.nums[-1] != 0
+    assert p.coeffs == tuple(Fraction(n, p.den) for n in p.nums)
+
+
+def test_operation_results_are_canonical():
+    rng = random.Random(29)
+
+    def rand_poly():
+        return UniPoly(
+            [Fraction(rng.randint(-60, 60), rng.randint(1, 60)) for _ in range(rng.randint(0, 5))]
+            + [0] * rng.randint(0, 2)
+        )
+
+    for _ in range(40):
+        a, b = rand_poly(), rand_poly()
+        ints = UniPoly([rng.randint(-6, 6) for _ in range(rng.randint(0, 4))])
+        s = Fraction(rng.randint(-50, 50), rng.randint(1, 50))
+        results = [a, b, ints, UniPoly.const(s), UniPoly.monomial(3, s), UniPoly.zero()]
+        results += [a + b, a - b, a - a, a * b, ints * a, -a, a + 2, 3 - a, s - a]
+        results += [a * s, s * a, a * 6, a * 0, a / 4, a / Fraction(-2, 3)]
+        if s:
+            results.append(a / s)
+        results += [a.derivative(), a.antiderivative(), a.drop_constant(), ints.derivative()]
+        results += [ints.antiderivative(), UniPoly.const(s).drop_constant(), UniPoly.const(s).derivative()]
+        e = rand_element(rng, max_terms=6, max_exp=3, max_num=60, max_den=60)
+        for k in range(-1, 5):
+            results += [e.d_slice(k), e.x_slice(k)]
+        results += [WeylElement.scalar(s).d_slice(0), WeylElement.zero().x_slice(0)]
+        for p in results:
+            _assert_canonical(p)
+
+
+@pytest.mark.parametrize(
+    "p, den, nums",
+    [
+        (UniPoly((Fraction(1, 2), Fraction(1, 3))), 6, (3, 2)),
+        (UniPoly((2, 4, 0)), 1, (2, 4)),
+        (UniPoly.zero(), 1, ()),
+        (UniPoly((Fraction(1, 2),)) * 2, 1, (1,)),
+        (UniPoly((Fraction(3, 4), 0, Fraction(1, 4))) - Fraction(3, 4), 4, (0, 0, 1)),
+    ],
+)
+def test_pair_examples(p, den, nums):
+    assert (p.den, p.nums) == (den, nums)
+
+
+def test_division_by_zero():
+    with pytest.raises(ZeroDivisionError):
+        UniPoly((1, 2)) / 0
