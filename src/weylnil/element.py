@@ -39,9 +39,9 @@ and the parser.  ``order`` and ``x_degree`` read one shape record, filled in
 one pass over the keys on first read; the product, the bracket, the slices
 and the shift substitution take their bounds from it.
 
-``terms`` is a read-only map of ``Fraction`` coefficients for the wire
-format and other readers of single coefficients; ``str`` prints from the
-pair.  The map is built from the pair on first read and cached.
+``str`` and the wire format print from the pair.  ``terms`` is a read-only
+map of ``Fraction`` coefficients for readers outside the package, built from
+the pair on first read and cached.
 
 Two independent copies of the algebra are supported, labelled by ``side``:
 the ``"x"`` side (printed with ``x``/``D``) and the ``"z"`` side (printed
@@ -326,21 +326,19 @@ class WeylElement:
         return NotImplemented
 
     def __truediv__(self, scalar):
-        s = Fraction(scalar)
-        if not s:
+        if not isinstance(scalar, (int, Fraction)):
+            return NotImplemented
+        if not scalar:
             raise ZeroDivisionError("division of an element by zero")
-        return self._scaled(1 / s)
+        return self._scaled(1 / Fraction(scalar))
 
     def __pow__(self, n: int):
+        # products by the small base cost far less than squares of large powers
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
         result = WeylElement.one(self.side)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
+        for _ in range(n):
+            result = result * self
         return result
 
     def __eq__(self, other) -> bool:
@@ -364,12 +362,8 @@ class WeylElement:
         nums, den = self.nums, self.den
         xs, ds = ("x", "D") if self.side == "x" else ("z", "Dz")
         # leading derivative first, conventional operator notation
-        terms = []
-        for k in sorted(nums, key=lambda k: (k[1], k[0]), reverse=True):
-            n = nums[k]
-            g = gcd(n, den)
-            terms.append((n // g, den // g, ((xs, k[0]), (ds, k[1]))))
-        return _format_terms(terms)
+        keys = sorted(nums, key=lambda k: (k[1], k[0]), reverse=True)
+        return _format_terms((nums[k], den, ((xs, k[0]), (ds, k[1]))) for k in keys)
 
     def __repr__(self) -> str:
         return f"WeylElement({str(self)!r}, side={self.side!r})"
@@ -417,9 +411,10 @@ def ad_power(op: WeylElement, target: WeylElement, steps: int) -> WeylElement:
 
 
 def poly_at(p: UniPoly, value: WeylElement) -> WeylElement:
-    """Evaluate a rational polynomial at an element (Horner scheme)."""
+    """Evaluate a rational polynomial at an element: Horner's rule on the
+    integer numerators, then one division by the shared denominator."""
     acc = WeylElement.zero(value.side)
-    for c in reversed(p.coeffs):
-        acc = acc * value + WeylElement.scalar(c, value.side)
-    return acc
+    for n in reversed(p.nums):
+        acc = acc * value + n
+    return acc / p.den
 

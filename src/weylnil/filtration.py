@@ -6,7 +6,8 @@ commutative bivariate polynomial in ``X`` (for the coordinate) and ``Y``
 (for the derivative); the descent needs exactly one structural fact about
 it, namely whether it is a pure power ``(Y^r - c*X)^k``.  This module
 computes the weight data, selects the weights from the upper Newton edge
-through ``(0, order)``, and recognizes that factored shape.
+through ``(0, order)``, and recognizes that factored shape on the integer
+pair of the top-weight part, an element whose ``x^i D^j`` reads ``X^i Y^j``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from fractions import Fraction
 from math import comb, gcd
 from typing import Dict, Optional, Tuple, Union
 
-from .element import WeylElement
+from .element import WeylElement, _settle
 from .errors import InvariantViolation, NotNormalizableError
 from .poly import _format_terms
 
@@ -55,29 +56,30 @@ def weight_value(e: WeylElement, w: Weight) -> int:
 class NewtonData:
     """Top-weight data of one element for one weight pair.
 
-    ``assoc`` collects the coefficients of the maximal-weight terms as a
-    commutative polynomial in X (coordinate direction) and Y (derivative
-    direction); it is weight-homogeneous of weight ``value`` by construction.
+    ``assoc`` is the top-weight part: the maximal-weight terms as a
+    canonical ``WeylElement`` on the element's side, whose key ``(i, j)``
+    reads as the commutative ``X^i Y^j`` (X coordinate, Y derivative
+    direction); it is weight-homogeneous of weight ``value``.
     """
 
     weight: Weight
     value: int
-    assoc: BiPoly
+    assoc: WeylElement
 
 
 def associated_poly(e: WeylElement, w: Weight) -> NewtonData:
     """Collect the top-weight terms of ``e`` into a commutative polynomial."""
     v = weight_value(e, w)
-    assoc = {k: Fraction(n, e.den) for k, n in e.nums.items() if w.of(*k) == v}
+    assoc = _settle(((k, n) for k, n in e.nums.items() if w.of(*k) == v), e.den, e.side)
     return NewtonData(w, v, assoc)
 
 
-def format_bivariate(assoc: BiPoly) -> str:
-    """Render an associated polynomial like ``Y^4 + 2*X*Y^2 + X^2``."""
-    keys = sorted(assoc, key=lambda k: (-k[1], k[0]))
-    return _format_terms(
-        (assoc[k].numerator, assoc[k].denominator, (("X", k[0]), ("Y", k[1]))) for k in keys
-    )
+def format_bivariate(assoc: WeylElement) -> str:
+    """Render a top-weight part like ``Y^4 + 2*X*Y^2 + X^2``, its keys
+    ``(i, j)`` read as ``X^i Y^j``."""
+    nums = assoc.nums
+    keys = sorted(nums, key=lambda k: (-k[1], k[0]))
+    return _format_terms((nums[k], assoc.den, (("X", k[0]), ("Y", k[1]))) for k in keys)
 
 
 def choose_weights(e: WeylElement) -> Tuple[Weight, Tuple[int, int]]:
@@ -171,13 +173,14 @@ class FormDiagnostic:
     partial: Optional[FactoredForm] = None
 
 
-def _binomial_terms_match(f: BiPoly, n: int, r: int, k: int, scale: Fraction) -> bool:
+def _binomial_terms_match(f: WeylElement, n: int, r: int, k: int, scale: Fraction) -> bool:
     """Whether ``f`` holds every term of ``Y^n * (Y^r - scale*X)^k``."""
+    nums, den = f.nums, f.den
     p, q = -scale.numerator, scale.denominator
     pp = qq = 1  # (-scale.numerator)^s and scale.denominator^s
     for s in range(k + 1):
-        c = f.get((s, n + r * (k - s)))
-        if c is None or c.numerator * qq != comb(k, s) * pp * c.denominator:
+        c = nums.get((s, n + r * (k - s)))
+        if c is None or c * qq != comb(k, s) * pp * den:
             return False
         pp *= p
         qq *= q
@@ -193,14 +196,16 @@ def factor_form(nd: NewtonData, order: int) -> Union[FactoredForm, FormDiagnosti
     or rejects: with ``scale = p/q``, the binomial power has the ``k + 1``
     terms ``C(k, s) * (-p)^s / q^s * X^s * Y^(n + r*(k-s))``, so ``assoc``
     must have ``k + 1`` terms, each equal to its binomial coefficient, which
-    is tested on cross-multiplied integers, one comparison per ``X^s`` term.
+    is tested on its numerators and ``den`` cross-multiplied with ``p`` and
+    ``q``, one integer comparison per ``X^s`` term.
     Success requires ``n == 0``; a matching shape with ``n > 0`` is reported
     as a diagnostic carrying the factorization.
     """
     f = nd.assoc
-    if f.get((0, order)) != 1:
+    nums, den = f.nums, f.den
+    if nums.get((0, order)) != den:
         raise ValueError("top-weight polynomial must have monic Y^order term")
-    if len(f) == 1:
+    if len(nums) == 1:
         return FormDiagnostic(FormIssue.MONOMIAL, "top-weight part is a single monomial")
     rho, sigma = nd.weight.x_weight, nd.weight.d_weight
     if rho % sigma != 0:
@@ -208,15 +213,15 @@ def factor_form(nd: NewtonData, order: int) -> Union[FactoredForm, FormDiagnosti
             FormIssue.RATIO_NOT_INTEGER, f"weight ratio {rho}/{sigma} is not an integer"
         )
     r = rho // sigma
-    k = max(i for i, _ in f)
+    k = f.x_degree
     n = order - r * k
     if n < 0:
         return FormDiagnostic(
             FormIssue.LAMBDA_INCONSISTENT, "X-degree exceeds what the weight ratio allows"
         )
-    semisimple = rho == sigma and order == 2 and k == 2 and (2, 0) in f and (1, 1) not in f
+    semisimple = rho == sigma and order == 2 and k == 2 and (2, 0) in nums and (1, 1) not in nums
     cross = (1, n + r * (k - 1))
-    scale = -f.get(cross, Fraction(0)) / k
+    scale = Fraction(-nums.get(cross, 0), k * den)
     if scale == 0:
         return FormDiagnostic(
             FormIssue.LAMBDA_INCONSISTENT,
@@ -224,7 +229,7 @@ def factor_form(nd: NewtonData, order: int) -> Union[FactoredForm, FormDiagnosti
             strictly_semisimple=semisimple,
         )
     candidate = FactoredForm(n, r, k, scale)
-    if len(f) != k + 1 or not _binomial_terms_match(f, n, r, k, scale):
+    if len(nums) != k + 1 or not _binomial_terms_match(f, n, r, k, scale):
         return FormDiagnostic(
             FormIssue.LAMBDA_INCONSISTENT,
             "expansion of the candidate binomial power does not match",

@@ -11,8 +11,8 @@ so equal values have equal pairs; the zero polynomial is ``den == 1`` with
 no numerators.  Every operation computes on Python integers and settles its
 result once with ``_settle``, which drops the trailing zeros and divides
 out one ``gcd``; results that are canonical as built, such as a negation,
-go to ``_new``.  ``coeffs`` is a read-only tuple of ``Fraction``
-coefficients, built from the pair on first read and cached.
+go to ``_new``.  ``coeff`` reads one coefficient as a ``Fraction``, and
+``_format_terms`` reduces each printed term, so no ``Fraction`` copy is kept.
 """
 
 from __future__ import annotations
@@ -28,14 +28,20 @@ def _format_terms(terms: Iterable[Tuple[int, int, Sequence[Tuple[str, int]]]]) -
     """Signed sum of ``(numerator, denominator, factors)`` terms, in the
     order given.
 
-    Each coefficient is a reduced fraction with a positive denominator.
-    ``factors`` are ``(symbol, exponent)`` pairs: exponent 0 leaves the
-    factor out and 1 prints the bare symbol.  The magnitude of a coefficient
+    Each coefficient is a nonzero numerator over a positive denominator,
+    such as one numerator of a canonical pair over its shared ``den``; each
+    term is reduced here by one ``gcd``.  ``factors`` are ``(symbol,
+    exponent)`` pairs: exponent 0 leaves the factor out and 1 prints the
+    bare symbol.  The magnitude of a coefficient
     prints like ``str`` of a ``Fraction``, and not at all when it is one and
     a factor follows; no terms print as ``"0"``.
     """
     parts = []
     for n, q, factors in terms:
+        g = gcd(n, q)
+        if g != 1:
+            n //= g
+            q //= g
         body = [s if e == 1 else f"{s}^{e}" for s, e in factors if e]
         if q != 1 or not body or (n != 1 and n != -1):
             body.insert(0, f"{abs(n)}/{q}" if q != 1 else str(abs(n)))
@@ -47,13 +53,10 @@ def _format_terms(terms: Iterable[Tuple[int, int, Sequence[Tuple[str, int]]]]) -
     return "".join(parts)
 
 
-
-
 def _new(den: int, nums: tuple) -> "UniPoly":
     p = object.__new__(UniPoly)
     p.den = den
     p.nums = nums
-    p._coeffs = None
     return p
 
 
@@ -93,13 +96,12 @@ class UniPoly:
     """Polynomial in one variable over the rationals.
 
     ``den`` and ``nums`` are the canonical pair described in the module
-    docstring, so structural equality coincides with mathematical equality;
-    ``coeffs`` holds the ``Fraction`` coefficients ascending by degree,
-    without trailing zeros.  A constant hashes like its ``Fraction`` value,
-    which it also equals.  Instances are immutable.
+    docstring, so structural equality coincides with mathematical equality.
+    A constant hashes like its ``Fraction`` value, which it also equals.
+    Instances are immutable.
     """
 
-    __slots__ = ("den", "nums", "_coeffs")
+    __slots__ = ("den", "nums")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
         nums = list(coeffs)
@@ -111,7 +113,6 @@ class UniPoly:
             nums = [f.numerator * (den // f.denominator) for f in fs]
         built = _settle(den, nums)
         self.den, self.nums = built.den, built.nums
-        self._coeffs = None
 
     @classmethod
     def zero(cls) -> "UniPoly":
@@ -130,14 +131,6 @@ class UniPoly:
         if degree < 0:
             raise ValueError("degree must be nonnegative")
         return cls((0,) * degree + (coeff,))
-
-    @property
-    def coeffs(self) -> tuple:
-        """Read-only tuple of the ``Fraction`` coefficients."""
-        if self._coeffs is None:
-            den = self.den
-            self._coeffs = tuple(Fraction(n, den) for n in self.nums)
-        return self._coeffs
 
     @property
     def degree(self) -> int:
@@ -223,11 +216,14 @@ class UniPoly:
     __rmul__ = __mul__
 
     def __truediv__(self, scalar) -> "UniPoly":
-        s = Fraction(scalar)
-        if not s:
+        if not isinstance(scalar, (int, Fraction)):
+            return NotImplemented
+        if not scalar:
             raise ZeroDivisionError("division of a polynomial by zero")
         # multiply by the reciprocal, with its sign on the numerator
-        num, q = (s.denominator, s.numerator) if s > 0 else (-s.denominator, -s.numerator)
+        num, q = scalar.denominator, scalar.numerator
+        if q < 0:
+            num, q = -num, -q
         return _settle(self.den * q, [n * num for n in self.nums])
 
     def __call__(self, value: Scalar) -> Fraction:
@@ -252,13 +248,7 @@ class UniPoly:
 
     def format(self, var: str = "t") -> str:
         nums, den = self.nums, self.den
-        terms = []
-        for d in range(len(nums) - 1, -1, -1):
-            n = nums[d]
-            if n:
-                g = gcd(n, den)
-                terms.append((n // g, den // g, ((var, d),)))
-        return _format_terms(terms)
+        return _format_terms((nums[d], den, ((var, d),)) for d in range(len(nums) - 1, -1, -1) if nums[d])
 
     def __repr__(self) -> str:
         return f"UniPoly({self.format()!r})"

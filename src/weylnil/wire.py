@@ -57,10 +57,8 @@ def _coeff_from_str(s) -> Fraction:
 
 
 def element_to_doc(e: WeylElement) -> dict:
-    terms = [
-        {"xexp": i, "dexp": j, "coeff": str(e.terms[(i, j)])}
-        for i, j in sorted(e.terms)
-    ]
+    nums, den = e.nums, e.den
+    terms = [{"xexp": i, "dexp": j, "coeff": str(Fraction(nums[(i, j)], den))} for i, j in sorted(nums)]
     return {"side": e.side, "terms": terms}
 
 
@@ -91,7 +89,7 @@ def element_from_doc(doc) -> WeylElement:
 def _poly_to_strings(p: UniPoly) -> List[str]:
     if p.is_zero():
         return ["0"]
-    return [str(c) for c in p.coeffs]
+    return [str(Fraction(n, p.den)) for n in p.nums]
 
 
 def _poly_from_strings(items, *, zero_constant: bool) -> UniPoly:

@@ -86,7 +86,8 @@ def slow_shift(gen, e: WeylElement) -> WeylElement:
     ``x^i D^j`` goes to ``(x + p(D))^i D^j`` or ``x^i (D - p(x))^j`` with
     ``p`` the derivative of the generator polynomial, every power and
     product taken by the bilinear expansion of ``slow_product``."""
-    coeffs = gen.poly.derivative().coeffs
+    p = gen.poly.derivative()
+    coeffs = [p.coeff(k) for k in range(p.degree + 1)]
     on_x = isinstance(gen, ShiftX)
     if on_x:
         base = {(0, k): c for k, c in enumerate(coeffs)}

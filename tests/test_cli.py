@@ -156,6 +156,39 @@ generators ['shiftX(1/3*D^3)', 'fourier^-1'], order after 1
 """
 
 
+RATIONAL_AIRY_POLYGON = """\
+weight: (2, 1)
+value: 2
+support point: (1, 0)
+assoc: Y^2 - 2/3*X
+factored: (Y^2 - 2/3*X)
+"""
+
+RATIONAL_SQUARE_POLYGON = """\
+weight: (2, 1)
+value: 4
+support point: (2, 0)
+assoc: Y^4 + 1/3*X*Y^2 + 1/36*X^2
+factored: (Y^2 + 1/6*X)^2
+"""
+
+SCALED_OSCILLATOR_TEXT = """\
+verdict: not-strictly-nilpotent
+reason: assoc-not-factored
+stage: 1
+detail: cross term at X*Y^1 absent
+note: scaled monic by 2/3
+note: stagewise soundness uses invariance of the nilpotency class under the generator maps
+"""
+
+RATIONAL_SHIFT_WITNESS = {
+    "word": [{"kind": "shiftD", "poly": ["0", "0", "0", "1/6"]}],
+    "a": "1",
+    "b": "0",
+    "r": ["0"],
+}
+
+
 @pytest.mark.parametrize(
     "argv, text",
     [
@@ -177,6 +210,14 @@ generators ['shiftX(1/3*D^3)', 'fourier^-1'], order after 1
         (("decide", "D^2 + D"), DERIVATIVE_TEXT),
         (("decide", "D^2 + 2*x*D + x^2 + 1"), SHIFT_ONLY_TEXT),
         (("decide", "3*D^2 - 3*x"), SCALED_AIRY_TEXT),
+        # coefficients with denominators other than 1
+        (("polygon", "D^2 - 2/3*x"), RATIONAL_AIRY_POLYGON),
+        (("polygon", "D^4 + 1/3*x*D^2 + 1/36*x^2"), RATIONAL_SQUARE_POLYGON),
+        (("decide", "3/2*D^2 - x + 1/5*x^2"), SCALED_OSCILLATOR_TEXT),
+        (
+            ("ccr", "--generators", "D - 1/2*x^2", "x"),
+            "commutator equals 1: true\n" + json.dumps(RATIONAL_SHIFT_WITNESS, indent=2) + "\n",
+        ),
     ],
 )
 def test_golden_output(capsys, argv, text):

@@ -25,7 +25,7 @@ from weylnil import (
 )
 
 from conftest import rand_element, weyl_elements
-from oracles import slow_commutator, slow_monomial_product, slow_product
+from oracles import _slow_power, slow_commutator, slow_monomial_product, slow_product
 
 x, d = generators()
 
@@ -101,6 +101,33 @@ def test_poly_at_evaluates_operators():
     q = UniPoly((1, 0, 1))  # t^2 + 1
     assert poly_at(q, d) == d**2 + 1
     assert poly_at(UniPoly.zero(), x) == WeylElement.zero()
+
+
+def test_poly_at_with_rational_coefficients_matches_the_power_sum():
+    rng = random.Random(47)
+    for _ in range(30):
+        p = UniPoly([Fraction(rng.randint(-20, 20), rng.randint(1, 12)) for _ in range(rng.randint(0, 5))])
+        value = rand_element(rng, max_terms=3, max_exp=2, max_num=9, max_den=5, side=rng.choice(("x", "z")))
+        expected = WeylElement.zero(value.side)
+        for i in range(p.degree + 1):
+            power = WeylElement.one(value.side)
+            for _ in range(i):
+                power = power * value
+            expected = expected + p.coeff(i) * power
+        assert poly_at(p, value) == expected, (p, value)
+
+
+def test_powers_match_repeated_oracle_products():
+    rng = random.Random(43)
+    bases = [WeylElement.zero(), WeylElement.zero("z")]
+    bases += [WeylElement.scalar(Fraction(-2, 3)), WeylElement.scalar(5, "z")]
+    bases += [
+        rand_element(rng, max_terms=3, max_exp=2, max_num=9, max_den=7, side=rng.choice(("x", "z")))
+        for _ in range(12)
+    ]
+    for base in bases:
+        for k in range(7):
+            assert base**k == WeylElement(_slow_power(base.terms, k), base.side), (base, k)
 
 
 def test_equality_requires_matching_side():
@@ -399,6 +426,16 @@ def test_division_by_zero_and_scaling_by_zero():
         assert zero == WeylElement.zero()
 
 
+@pytest.mark.parametrize("divisor", ["3", 0.5, None, x, UniPoly((2,))])
+def test_division_by_a_non_number_is_a_type_error(divisor):
+    for dividend in (x * d + 1, UniPoly((1, 2))):
+        with pytest.raises(TypeError):
+            dividend / divisor
+        for zero in (0, Fraction(0)):
+            with pytest.raises(ZeroDivisionError):
+                dividend / zero
+
+
 def test_structural_queries_read_the_pair():
     e = commutator(x**3 * d / 2, d**2 + x / 3)
     f = commutator(x**3 * d / 2, d**2 + x / 3)
@@ -426,8 +463,8 @@ def test_shape_and_slices_match_a_scan_of_the_keys():
                 d_slice.pop()
             while x_slice and not x_slice[-1]:
                 x_slice.pop()
-            assert list(e.d_slice(k).coeffs) == (d_slice if k >= 0 else [])
-            assert list(e.x_slice(k).coeffs) == (x_slice if k >= 0 else [])
+            for p, ref in ((e.d_slice(k), d_slice), (e.x_slice(k), x_slice)):
+                assert [p.coeff(i) for i in range(p.degree + 1)] == (ref if k >= 0 else [])
 
 
 def test_terms_view_of_computed_results_is_read_only():

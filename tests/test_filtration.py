@@ -52,8 +52,8 @@ def test_associated_poly_quartic():
     e = d**4 + 2 * x * d**2 + 2 * d + x**2
     nd = associated_poly(e, Weight(2, 1))
     assert nd.value == 4
-    assert nd.assoc.keys() == frozenset({(0, 4), (1, 2), (2, 0)})
-    assert nd.assoc == {(0, 4): 1, (1, 2): 2, (2, 0): 1}
+    assert nd.assoc.nums.keys() == frozenset({(0, 4), (1, 2), (2, 0)})
+    assert nd.assoc == WeylElement({(0, 4): 1, (1, 2): 2, (2, 0): 1})
     assert format_bivariate(nd.assoc) == "Y^4 + 2*X*Y^2 + X^2"
 
 
@@ -66,17 +66,17 @@ def test_associated_poly_quartic():
     ],
 )
 def test_format_bivariate_golden(assoc, text):
-    assert format_bivariate(assoc) == text
+    assert format_bivariate(WeylElement(assoc)) == text
 
 
 def test_associated_poly_airy():
     nd = associated_poly(d**2 - x, Weight(2, 1))
-    assert nd.assoc == {(0, 2): 1, (1, 0): -1}
+    assert nd.assoc == WeylElement({(0, 2): 1, (1, 0): -1})
 
 
 def test_associated_poly_single_term():
     nd = associated_poly(x, Weight(1, 1))
-    assert nd.assoc == {(1, 0): 1}
+    assert nd.assoc == WeylElement({(1, 0): 1})
 
 
 def test_choose_weights_airy():
@@ -126,7 +126,7 @@ def test_factor_form_quartic():
     nd = associated_poly(e, Weight(2, 1))
     ff = factor_form(nd, 4)
     assert ff == FactoredForm(y_power=0, ratio=2, multiplicity=2, scale=Fraction(-1))
-    assert ff.expand() == nd.assoc
+    assert WeylElement(ff.expand()) == nd.assoc
 
 
 def test_factor_form_positive_y_power():
@@ -191,10 +191,11 @@ def test_homogeneity_of_top_part(e, rho, sigma):
     if e.is_zero():
         return
     nd = associated_poly(e, w)
-    assert all(w.of(i, j) == nd.value for i, j in nd.assoc)
+    assert all(w.of(i, j) == nd.value for i, j in nd.assoc.nums)
     # complete: the top weight of the support, with every term of that weight
     assert nd.value == max(w.of(i, j) for i, j in e.nums)
-    assert nd.assoc == {k: Fraction(n, e.den) for k, n in e.nums.items() if w.of(*k) == nd.value}
+    top = {k: Fraction(n, e.den) for k, n in e.nums.items() if w.of(*k) == nd.value}
+    assert nd.assoc == WeylElement(top, e.side)
 
 
 @given(a=weyl_elements(max_terms=4), b=weyl_elements(max_terms=4))
@@ -238,7 +239,7 @@ def test_edge_inequality_for_multiple_points():
 
 def test_factor_form_rejects_x_degree_above_the_weight_ratio():
     # weight (2, 1) allows X-degree at most order/2 = 1 in an order-2 form
-    nd = NewtonData(Weight(2, 1), 4, {(0, 2): 1, (2, 0): 1})
+    nd = NewtonData(Weight(2, 1), 4, WeylElement({(0, 2): 1, (2, 0): 1}))
     diag = factor_form(nd, 2)
     assert diag.issue is FormIssue.LAMBDA_INCONSISTENT
     assert diag.message == "X-degree exceeds what the weight ratio allows"
@@ -280,7 +281,7 @@ def test_factor_form_agrees_with_the_expansion_oracle():
             if key in edge:
                 key = (s, key[1] + 1)
             f[key] = f.get(key, 0) + Fraction(rng.randint(1, 9), rng.randint(1, 9))
-        out = factor_form(NewtonData(Weight(r, 1), order, f), order)
+        out = factor_form(NewtonData(Weight(r, 1), order, WeylElement(f)), order)
         if isinstance(out, FactoredForm):
             kind = "accepted"
         else:
