@@ -148,7 +148,7 @@ def _cmd_polygon(ns) -> int:
     print(f"value: {nd.value}")
     print(f"support point: {point}")
     print(f"assoc: {format_bivariate(nd.assoc)}")
-    outcome = factor_form(nd, monic.order)
+    outcome = factor_form(nd)
     if isinstance(outcome, FormDiagnostic):
         print(f"diagnostic: {outcome.issue.value}: {outcome.message}")
     else:

@@ -23,7 +23,7 @@ per stage; ``wire`` alone renders them as text.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from enum import Enum
 from typing import List, Optional, Tuple, Union
@@ -105,10 +105,10 @@ class StageRecord:
     equal ``form.scale ** order_after`` times the monic, normalized
     ``element`` of order ``order_after``.  ``newton`` holds the Newton-edge
     weights and top-weight polynomial read at ``support_point``, and
-    ``shift_image`` the operator after the collapsing shift.
+    ``shift_image`` the operator after the collapsing shift.  A record's
+    stage number is its position in the verdict's ``stages``, from 1.
     """
 
-    stage: int
     order: int
     newton: NewtonData
     support_point: Tuple[int, int]
@@ -134,16 +134,29 @@ class StrictlyNilpotent:
 
 @dataclass(frozen=True)
 class NotStrictlyNilpotent:
-    """A rejection at ``stage`` (0 when no representation has a constant top
-    coefficient); ``prologue``, ``lead`` and ``stages`` lead up to the
-    rejected iterate as in ``StrictlyNilpotent``."""
+    """A rejection.  ``diagnostic`` is the failed shape test of the rejected
+    iterate, or ``None`` when no representation has a constant top
+    coefficient; ``prologue``, ``lead`` and ``stages`` lead up to the
+    rejected iterate as in ``StrictlyNilpotent``.  The ``reason`` and the
+    ``stage`` are read from these, so they cannot disagree with them."""
 
-    reason: Reason
-    stage: int
     diagnostic: Optional[FormDiagnostic] = None
     prologue: Tuple[Generator, ...] = ()
     stages: Tuple[StageRecord, ...] = ()
     lead: Fraction = Fraction(1)
+
+    @property
+    def stage(self) -> int:
+        """0 without a diagnostic, else the stage after the recorded ones."""
+        return 0 if self.diagnostic is None else len(self.stages) + 1
+
+    @property
+    def reason(self) -> Reason:
+        if self.diagnostic is None:
+            return Reason.NONCONSTANT_LEADING
+        if self.diagnostic.issue is FormIssue.POSITIVE_Y_POWER:
+            return Reason.POSITIVE_Y_MULTIPLICITY
+        return Reason.ASSOC_NOT_FACTORED
 
 
 @dataclass(frozen=True)
@@ -189,7 +202,7 @@ def normalize_subleading(e: WeylElement) -> Tuple[WeylElement, Generator]:
     return image, gen
 
 
-def descent_step(e: WeylElement, stage: int = 1) -> Union[StageRecord, NotStrictlyNilpotent]:
+def descent_step(e: WeylElement) -> Union[StageRecord, NotStrictlyNilpotent]:
     """One order-reducing stage of the descent.
 
     Requires a monic operator of order >= 1 with vanishing next-to-top
@@ -199,8 +212,8 @@ def descent_step(e: WeylElement, stage: int = 1) -> Union[StageRecord, NotStrict
     the swapped operator already has a vanishing next-to-top coefficient,
     and one division by its leading coefficient ``lam^k`` makes it monic of
     order ``multiplicity = order/ratio``, ready for the next stage.  A failed
-    shape test returns the rejection at ``stage``, with no prologue or
-    earlier stages.
+    shape test returns the rejection holding its diagnostic, with no
+    prologue or earlier stages.
     """
     n = e.order
     if n < 1 or e.d_slice(n) != 1:
@@ -212,13 +225,9 @@ def descent_step(e: WeylElement, stage: int = 1) -> Union[StageRecord, NotStrict
 
     w, point = choose_weights(e)
     nd = associated_poly(e, w)
-    ff = factor_form(nd, n)
+    ff = factor_form(nd)
     if isinstance(ff, FormDiagnostic):
-        if ff.issue is FormIssue.POSITIVE_Y_POWER:
-            reason = Reason.POSITIVE_Y_MULTIPLICITY
-        else:
-            reason = Reason.ASSOC_NOT_FACTORED
-        return NotStrictlyNilpotent(reason, stage=stage, diagnostic=ff)
+        return NotStrictlyNilpotent(ff)
     r, k, lam = ff.ratio, ff.multiplicity, ff.scale
     if r < 2:
         raise InvariantViolation(
@@ -254,7 +263,6 @@ def descent_step(e: WeylElement, stage: int = 1) -> Union[StageRecord, NotStrict
         raise InvariantViolation("swapped operator is not lam^k*D^k plus terms of order k-2 or less")
 
     return StageRecord(
-        stage=stage,
         order=n,
         newton=nd,
         support_point=point,
@@ -294,7 +302,7 @@ def decide(e: WeylElement) -> Verdict:
         # so its top coefficient is +-x_slice(x_degree) read with D -> x: test
         # that first and swap only when it is constant
         if not cur.x_slice(cur.x_degree).is_constant():
-            return NotStrictlyNilpotent(Reason.NONCONSTANT_LEADING, stage=0)
+            return NotStrictlyNilpotent()
         prologue.append(FourierInverse())
         cur = apply_generator(FourierInverse(), cur)
 
@@ -307,9 +315,9 @@ def decide(e: WeylElement) -> Verdict:
 
     stages: List[StageRecord] = []
     while cur.depends_on_x():
-        out = descent_step(cur, len(stages) + 1)
+        out = descent_step(cur)
         if isinstance(out, NotStrictlyNilpotent):
-            return replace(out, prologue=tuple(prologue), stages=tuple(stages), lead=lead)
+            return NotStrictlyNilpotent(out.diagnostic, tuple(prologue), tuple(stages), lead)
         scale *= out.form.scale**out.order_after
         cur = out.element
         stages.append(out)

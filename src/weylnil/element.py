@@ -60,7 +60,7 @@ from types import MappingProxyType
 from typing import Iterable, List, Mapping, Tuple, Union
 
 from .errors import SideMismatchError
-from .poly import Scalar, UniPoly, _format_terms
+from .poly import Scalar, UniPoly, _coefficient, _format_terms
 from .poly import _settle as _settle_poly
 
 SIDES = ("x", "z")
@@ -177,7 +177,7 @@ class WeylElement:
             # bool is an int subclass, so test the exact type
             if not (type(i) is int and type(j) is int) or i < 0 or j < 0:
                 raise ValueError(f"exponent pair must be nonnegative integers, got {key!r}")
-            c = Fraction(coeff)
+            c = _coefficient(coeff)
             parts.append(((i, j), c.numerator, c.denominator))
         built = _element(parts, side)
         self.side = side

@@ -187,11 +187,13 @@ def _binomial_terms_match(f: WeylElement, n: int, r: int, k: int, scale: Fractio
     return True
 
 
-def factor_form(nd: NewtonData, order: int) -> Union[FactoredForm, FormDiagnostic]:
+def factor_form(nd: NewtonData) -> Union[FactoredForm, FormDiagnostic]:
     """Recognize ``assoc == Y^n * (Y^r - scale*X)^k`` exactly.
 
-    The candidate parameters are forced: ``k`` is the X-degree, ``r`` the
-    weight ratio, ``n = order - r*k``, and ``scale`` is read off the
+    ``order`` is the Y-degree of ``assoc``, the operator's order, since the
+    Newton edge is anchored at ``(0, order)``.  The candidate parameters are
+    forced: ``k`` is the X-degree, ``r`` the weight ratio,
+    ``n = order - r*k``, and ``scale`` is read off the
     coefficient of ``X * Y^(n + r*(k-1))``.  A full comparison then accepts
     or rejects: with ``scale = p/q``, the binomial power has the ``k + 1``
     terms ``C(k, s) * (-p)^s / q^s * X^s * Y^(n + r*(k-s))``, so ``assoc``
@@ -202,7 +204,7 @@ def factor_form(nd: NewtonData, order: int) -> Union[FactoredForm, FormDiagnosti
     as a diagnostic carrying the factorization.
     """
     f = nd.assoc
-    nums, den = f.nums, f.den
+    nums, den, order = f.nums, f.den, f.order
     if nums.get((0, order)) != den:
         raise ValueError("top-weight polynomial must have monic Y^order term")
     if len(nums) == 1:

@@ -72,6 +72,15 @@ def _settle(den: int, nums: list) -> "UniPoly":
     return _new(den, tuple(nums))
 
 
+def _coefficient(c) -> Fraction:
+    """A constructor coefficient as a ``Fraction``: ``int``, ``Fraction`` and
+    ``str`` are exact; anything else, a binary ``float`` among them, is a
+    ``TypeError``, as it is in arithmetic."""
+    if not isinstance(c, (int, Fraction, str)):
+        raise TypeError(f"coefficient must be an int, Fraction or str, got {type(c).__name__}")
+    return Fraction(c)
+
+
 def _operand(other) -> Optional["UniPoly"]:
     """``other`` as a polynomial, or ``None`` when it is not a number."""
     if isinstance(other, UniPoly):
@@ -108,7 +117,7 @@ class UniPoly:
         den = 1
         # bool is an int subclass, so test the exact type
         if not all(type(c) is int for c in nums):
-            fs = [Fraction(c) for c in nums]
+            fs = [_coefficient(c) for c in nums]
             den = lcm(*[f.denominator for f in fs])
             nums = [f.numerator * (den // f.denominator) for f in fs]
         built = _settle(den, nums)

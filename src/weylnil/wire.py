@@ -170,11 +170,11 @@ def _describe_generator(gen: Generator) -> str:
     return "fourier^-1"
 
 
-def _stage_to_doc(rec: StageRecord) -> dict:
+def _stage_to_doc(stage: int, rec: StageRecord) -> dict:
     """The one place a descent stage is rendered as text."""
     form = rec.form
     return {
-        "stage": rec.stage,
+        "stage": stage,
         "order": rec.order,
         "weight": list(rec.newton.weight.as_tuple()),
         "value": rec.newton.value,
@@ -225,5 +225,5 @@ def verdict_to_doc(verdict: Verdict) -> dict:
         }
     else:
         raise TypeError(f"unknown verdict {verdict!r}")
-    stages = [_stage_to_doc(r) for r in verdict.stages]
+    stages = [_stage_to_doc(i, r) for i, r in enumerate(verdict.stages, 1)]
     return {**doc, "prologue": _prologue_to_doc(verdict), "stages": stages}

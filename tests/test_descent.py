@@ -9,6 +9,7 @@ import pytest
 from weylnil import (
     BoundExhausted,
     Certificate,
+    CounterexampleCandidate,
     EigenObstruction,
     Fourier,
     FourierInverse,
@@ -293,7 +294,7 @@ def test_verdicts_replay_from_their_generators():
                 positives += 1
             elif isinstance(v, NotStrictlyNilpotent) and v.stage >= 1:
                 assert len(v.stages) == v.stage - 1
-                out = descent_step(_replay(v, e), v.stage)
+                out = descent_step(_replay(v, e))
                 assert isinstance(out, NotStrictlyNilpotent)
                 assert (out.reason, out.diagnostic) == (v.reason, v.diagnostic)
                 rejections += 1
@@ -487,6 +488,18 @@ def test_ccr_to_generators_coordinate_side_member():
     assert isinstance(w, GenerationWitness)
     assert apply_word(w.word, w.a * d + WeylElement.scalar(w.b)) == x
     assert apply_word(w.word, x / w.a + WeylElement.from_d_poly(w.tail)) == mate
+
+
+def test_ccr_to_generators_returns_a_rejection_as_a_counterexample_candidate(monkeypatch):
+    # no genuine pair is known to be rejected, so decide is made to reject one
+    import weylnil.descent
+
+    rejection = decide(d**3 + x * d)
+    assert isinstance(rejection, NotStrictlyNilpotent)
+    monkeypatch.setattr(weylnil.descent, "decide", lambda e: rejection)
+    out = ccr_to_generators(d, x)
+    assert isinstance(out, CounterexampleCandidate)
+    assert out.verdict is rejection
 
 
 # ----------------------------------------------------------------------

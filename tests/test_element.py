@@ -496,6 +496,17 @@ def test_constructor_merges_repeated_keys_to_the_canonical_pair():
             assert dict(e.terms) == expected
 
 
+def test_constructor_rejects_binary_floats():
+    # a float would be stored as its exact binary value, 0.1 as 3602879701896397/2^55
+    for terms in ({(0, 1): 0.1}, [((0, 0), 1), ((1, 0), 2.0)]):
+        with pytest.raises(TypeError, match="float"):
+            WeylElement(terms)
+    with pytest.raises(TypeError):
+        WeylElement.scalar(0.5, "z")
+    with pytest.raises(TypeError):
+        x * 0.5
+
+
 @pytest.mark.parametrize(
     "terms, side",
     [

@@ -124,14 +124,14 @@ def test_choose_weights_bounds_support():
 def test_factor_form_quartic():
     e = d**4 + 2 * x * d**2 + 2 * d + x**2
     nd = associated_poly(e, Weight(2, 1))
-    ff = factor_form(nd, 4)
+    ff = factor_form(nd)
     assert ff == FactoredForm(y_power=0, ratio=2, multiplicity=2, scale=Fraction(-1))
     assert WeylElement(ff.expand()) == nd.assoc
 
 
 def test_factor_form_positive_y_power():
     nd = associated_poly(d**3 + x * d, Weight(2, 1))
-    out = factor_form(nd, 3)
+    out = factor_form(nd)
     assert isinstance(out, FormDiagnostic)
     assert out.issue is FormIssue.POSITIVE_Y_POWER
     assert out.partial == FactoredForm(1, 2, 1, Fraction(-1))
@@ -139,7 +139,7 @@ def test_factor_form_positive_y_power():
 
 def test_factor_form_lambda_inconsistency():
     nd = associated_poly(d**2 + x**2, Weight(1, 1))
-    out = factor_form(nd, 2)
+    out = factor_form(nd)
     assert isinstance(out, FormDiagnostic)
     assert out.issue is FormIssue.LAMBDA_INCONSISTENT
     assert "cross term" in out.message and "absent" in out.message
@@ -148,21 +148,21 @@ def test_factor_form_lambda_inconsistency():
 
 def test_factor_form_scaled_oscillator_keeps_flag():
     nd = associated_poly(d**2 + 5 * x**2, Weight(1, 1))
-    out = factor_form(nd, 2)
+    out = factor_form(nd)
     assert isinstance(out, FormDiagnostic)
     assert out.strictly_semisimple
 
 
 def test_factor_form_ratio_not_integer():
     nd = associated_poly(d**2 + x**3, Weight(2, 3))
-    out = factor_form(nd, 2)
+    out = factor_form(nd)
     assert isinstance(out, FormDiagnostic)
     assert out.issue is FormIssue.RATIO_NOT_INTEGER
 
 
 def test_factor_form_monomial():
     nd = associated_poly(d**2 + x, Weight(1, 1))
-    out = factor_form(nd, 2)
+    out = factor_form(nd)
     assert isinstance(out, FormDiagnostic)
     assert out.issue is FormIssue.MONOMIAL
 
@@ -171,7 +171,7 @@ def test_factor_form_expansion_mismatch():
     # (Y^2 - X)(Y^2 - 2X) has the right corner data but distinct roots
     e = d**4 - 3 * x * d**2 + 2 * x**2
     nd = associated_poly(e, Weight(2, 1))
-    out = factor_form(nd, 4)
+    out = factor_form(nd)
     assert isinstance(out, FormDiagnostic)
     assert out.issue is FormIssue.LAMBDA_INCONSISTENT
 
@@ -179,7 +179,7 @@ def test_factor_form_expansion_mismatch():
 def test_factor_form_requires_monic_corner():
     nd = associated_poly(2 * d**2 - x, Weight(2, 1))
     with pytest.raises(ValueError):
-        factor_form(nd, 2)
+        factor_form(nd)
 
 
 @given(e=weyl_elements(max_terms=6), rho=st.integers(1, 4), sigma=st.integers(1, 4))
@@ -230,7 +230,7 @@ def test_edge_inequality_for_multiple_points():
         if k0 <= 1:
             continue
         nd = associated_poly(e / e.d_slice(e.order).constant_value(), w)
-        if isinstance(factor_form(nd, e.order), FormDiagnostic):
+        if isinstance(factor_form(nd), FormDiagnostic):
             continue
         assert nd.value > w.x_weight + w.d_weight
         checked += 1
@@ -240,7 +240,7 @@ def test_edge_inequality_for_multiple_points():
 def test_factor_form_rejects_x_degree_above_the_weight_ratio():
     # weight (2, 1) allows X-degree at most order/2 = 1 in an order-2 form
     nd = NewtonData(Weight(2, 1), 4, WeylElement({(0, 2): 1, (2, 0): 1}))
-    diag = factor_form(nd, 2)
+    diag = factor_form(nd)
     assert diag.issue is FormIssue.LAMBDA_INCONSISTENT
     assert diag.message == "X-degree exceeds what the weight ratio allows"
 
@@ -281,7 +281,7 @@ def test_factor_form_agrees_with_the_expansion_oracle():
             if key in edge:
                 key = (s, key[1] + 1)
             f[key] = f.get(key, 0) + Fraction(rng.randint(1, 9), rng.randint(1, 9))
-        out = factor_form(NewtonData(Weight(r, 1), order, WeylElement(f)), order)
+        out = factor_form(NewtonData(Weight(r, 1), order, WeylElement(f)))
         if isinstance(out, FactoredForm):
             kind = "accepted"
         else:

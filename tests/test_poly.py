@@ -103,6 +103,16 @@ def test_arithmetic_with_a_non_number_is_a_type_error(other):
             op()
 
 
+def test_constructor_rejects_binary_floats():
+    # a float would be stored as its exact binary value, 0.1 as 3602879701896397/2^55
+    for coeffs in (["1/2", 0.25], [0.1], (1, 2.0)):
+        with pytest.raises(TypeError, match="float"):
+            UniPoly(coeffs)
+    with pytest.raises(TypeError):
+        UniPoly.const(0.5)
+    assert UniPoly(["1/2", 0, Fraction(1, 4)]) == UniPoly((Fraction(1, 2), 0, Fraction(1, 4)))
+
+
 def _assert_canonical(p):
     assert p.den >= 1
     assert all(type(n) is int for n in p.nums)
