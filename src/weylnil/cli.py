@@ -142,11 +142,13 @@ def _cmd_polygon(ns) -> int:
     if not monic.depends_on_x():
         print("diagnostic: operator has constant coefficients; no edge to choose")
         return 0
-    weight, point = choose_weights(monic)
+    weight = choose_weights(monic)
     nd = associated_poly(monic, weight)
+    # the edge point of largest coordinate exponent
+    i = nd.assoc.x_degree
     print(f"weight: {weight.as_tuple()}")
     print(f"value: {nd.value}")
-    print(f"support point: {point}")
+    print(f"support point: {(i, (nd.value - weight.x_weight * i) // weight.d_weight)}")
     print(f"assoc: {format_bivariate(nd.assoc)}")
     outcome = factor_form(nd)
     if isinstance(outcome, FormDiagnostic):

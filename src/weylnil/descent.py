@@ -16,8 +16,10 @@ operator admits the binomial-power presentation at every stage.
 Everything is exact rational arithmetic; every certificate is re-verified by
 recomputation before it is returned.  A verdict holds values only: the
 prologue generators applied before stage 1, the top coefficient ``lead``
-divided out, and one ``StageRecord`` (Newton data, generators, elements)
-per stage; ``wire`` alone renders them as text.
+divided out, and one ``StageRecord`` (Newton data, factored form,
+generators, elements) per stage.  A stage's order, edge point and order
+after are read from its factored form ``(Y^r - c*X)^k``, which fixes them
+as ``r*k``, ``X^k`` and ``k``; ``wire`` alone renders them as text.
 """
 
 from __future__ import annotations
@@ -101,22 +103,21 @@ class Certificate:
 class StageRecord:
     """One successful descent stage, kept as values.
 
-    ``generators`` applied to the order-``order`` input (first entry first)
-    equal ``form.scale ** order_after`` times the monic, normalized
-    ``element`` of order ``order_after``.  ``newton`` holds the Newton-edge
-    weights and top-weight polynomial read at ``support_point``, and
-    ``shift_image`` the operator after the collapsing shift.  A record's
-    stage number is its position in the verdict's ``stages``, from 1.
+    ``newton`` holds the Newton-edge weights and top-weight part of the
+    stage's input, and ``form`` factors that part as ``(Y^r - c*X)^k``, so
+    the input's order is ``newton.assoc.order == r*k`` and the edge ends at
+    ``X^k``.  ``generators`` applied to the input (first entry first) equal
+    ``form.scale ** k`` times the monic, normalized ``element`` of order
+    ``k = form.multiplicity``; ``shift_image`` is the operator after the
+    collapsing shift.  A record's stage number is its position in the
+    verdict's ``stages``, from 1.
     """
 
-    order: int
     newton: NewtonData
-    support_point: Tuple[int, int]
     form: FactoredForm
     shift_image: WeylElement
     generators: Tuple[Generator, ...]
     element: WeylElement
-    order_after: int
 
 
 @dataclass(frozen=True)
@@ -202,7 +203,7 @@ def normalize_subleading(e: WeylElement) -> Tuple[WeylElement, Generator]:
     return image, gen
 
 
-def descent_step(e: WeylElement) -> Union[StageRecord, NotStrictlyNilpotent]:
+def descent_step(e: WeylElement) -> Union[StageRecord, FormDiagnostic]:
     """One order-reducing stage of the descent.
 
     Requires a monic operator of order >= 1 with vanishing next-to-top
@@ -212,8 +213,7 @@ def descent_step(e: WeylElement) -> Union[StageRecord, NotStrictlyNilpotent]:
     the swapped operator already has a vanishing next-to-top coefficient,
     and one division by its leading coefficient ``lam^k`` makes it monic of
     order ``multiplicity = order/ratio``, ready for the next stage.  A failed
-    shape test returns the rejection holding its diagnostic, with no
-    prologue or earlier stages.
+    shape test returns its diagnostic.
     """
     n = e.order
     if n < 1 or e.d_slice(n) != 1:
@@ -223,11 +223,10 @@ def descent_step(e: WeylElement) -> Union[StageRecord, NotStrictlyNilpotent]:
     if not e.depends_on_x():
         raise ValueError("descent stage requires dependence on the coordinate")
 
-    w, point = choose_weights(e)
-    nd = associated_poly(e, w)
+    nd = associated_poly(e, choose_weights(e))
     ff = factor_form(nd)
     if isinstance(ff, FormDiagnostic):
-        return NotStrictlyNilpotent(ff)
+        return ff
     r, k, lam = ff.ratio, ff.multiplicity, ff.scale
     if r < 2:
         raise InvariantViolation(
@@ -262,16 +261,7 @@ def descent_step(e: WeylElement) -> Union[StageRecord, NotStrictlyNilpotent]:
     if cur.order != k or cur.d_slice(k) != scale or not cur.d_slice(k - 1).is_zero():
         raise InvariantViolation("swapped operator is not lam^k*D^k plus terms of order k-2 or less")
 
-    return StageRecord(
-        order=n,
-        newton=nd,
-        support_point=point,
-        form=ff,
-        shift_image=shift_image,
-        generators=tuple(gens),
-        element=cur / scale,
-        order_after=k,
-    )
+    return StageRecord(nd, ff, shift_image, tuple(gens), cur / scale)
 
 
 def decide(e: WeylElement) -> Verdict:
@@ -316,9 +306,9 @@ def decide(e: WeylElement) -> Verdict:
     stages: List[StageRecord] = []
     while cur.depends_on_x():
         out = descent_step(cur)
-        if isinstance(out, NotStrictlyNilpotent):
-            return NotStrictlyNilpotent(out.diagnostic, tuple(prologue), tuple(stages), lead)
-        scale *= out.form.scale**out.order_after
+        if isinstance(out, FormDiagnostic):
+            return NotStrictlyNilpotent(out, tuple(prologue), tuple(stages), lead)
+        scale *= out.form.scale**out.form.multiplicity
         cur = out.element
         stages.append(out)
 

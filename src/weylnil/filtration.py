@@ -8,6 +8,8 @@ it, namely whether it is a pure power ``(Y^r - c*X)^k``.  This module
 computes the weight data, selects the weights from the upper Newton edge
 through ``(0, order)``, and recognizes that factored shape on the integer
 pair of the top-weight part, an element whose ``x^i D^j`` reads ``X^i Y^j``.
+The edge's points are the keys of that part, so only the weight is chosen;
+for the shape ``(Y^r - c*X)^k`` the edge ends at ``X^k``.
 """
 
 from __future__ import annotations
@@ -82,14 +84,13 @@ def format_bivariate(assoc: WeylElement) -> str:
     return _format_terms((nums[k], assoc.den, (("X", k[0]), ("Y", k[1]))) for k in keys)
 
 
-def choose_weights(e: WeylElement) -> Tuple[Weight, Tuple[int, int]]:
+def choose_weights(e: WeylElement) -> Weight:
     """Weights from the upper Newton edge anchored at ``(0, order)``.
 
     Draws the line through ``(0, N)`` and a support point ``(k0, m0)`` with
     ``k0 > 0`` such that all support lies on or below it, then returns the
-    primitive positive solution of ``N*sigma == k0*rho + m0*sigma`` together
-    with the anchor point.  Among points on the line the one with the
-    greatest coordinate exponent is reported.  An operator that does not
+    primitive positive solution of ``N*sigma == k0*rho + m0*sigma``; every
+    point on the line gives the same solution.  An operator that does not
     depend on the coordinate has no such point and raises ``ValueError``.
     """
     n = e.order
@@ -107,9 +108,7 @@ def choose_weights(e: WeylElement) -> Tuple[Weight, Tuple[int, int]]:
             continue
         k0, m0 = best
         # shallower drop wins: (n - j)/i < (n - m0)/k0, compared exactly
-        lhs = (n - j) * k0
-        rhs = (n - m0) * i
-        if lhs < rhs or (lhs == rhs and i > k0):
+        if (n - j) * k0 < (n - m0) * i:
             best = (i, j)
     assert best is not None
     k0, m0 = best
@@ -118,7 +117,7 @@ def choose_weights(e: WeylElement) -> Tuple[Weight, Tuple[int, int]]:
     limit = n * w.d_weight
     if any(w.of(i, j) > limit for i, j in e.nums):
         raise InvariantViolation("support escapes above the chosen Newton edge")
-    return w, (k0, m0)
+    return w
 
 
 class FormIssue(Enum):

@@ -236,6 +236,10 @@ class UniPoly:
         return _settle(self.den * q, [n * num for n in self.nums])
 
     def __call__(self, value: Scalar) -> Fraction:
+        """The value at an ``int`` or ``Fraction``; anything else, a binary
+        ``float`` among them, is a ``TypeError``, as in the constructor."""
+        if not isinstance(value, (int, Fraction)):
+            raise TypeError(f"polynomial argument must be an int or Fraction, got {type(value).__name__}")
         acc = 0
         for n in reversed(self.nums):
             acc = acc * value + n

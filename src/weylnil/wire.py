@@ -173,12 +173,14 @@ def _describe_generator(gen: Generator) -> str:
 def _stage_to_doc(stage: int, rec: StageRecord) -> dict:
     """The one place a descent stage is rendered as text."""
     form = rec.form
+    # a stage's top-weight part (Y^r - c*X)^k ends at X^k
+    k = form.multiplicity
     return {
         "stage": stage,
-        "order": rec.order,
+        "order": rec.newton.assoc.order,
         "weight": list(rec.newton.weight.as_tuple()),
         "value": rec.newton.value,
-        "support_point": list(rec.support_point),
+        "support_point": [k, 0],
         "assoc": format_bivariate(rec.newton.assoc),
         "form": {
             "y_power": form.y_power,
@@ -188,8 +190,8 @@ def _stage_to_doc(stage: int, rec: StageRecord) -> dict:
         },
         "shift_image": str(rec.shift_image),
         "generators": [_describe_generator(g) for g in rec.generators],
-        "scale": str(form.scale**rec.order_after),
-        "order_after": rec.order_after,
+        "scale": str(form.scale**k),
+        "order_after": k,
     }
 
 

@@ -204,7 +204,7 @@ def test_criterion_7_descent_progress(orbit_corpus, orbit_verdicts):
         else:
             assert not stages
         for record in stages:
-            assert 2 * record.order_after <= record.order
+            assert 2 * record.form.multiplicity <= record.newton.assoc.order
     _report(7, "stage counts bounded by log2(order) + 1 with halving orders")
 
 

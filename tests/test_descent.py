@@ -11,6 +11,7 @@ from weylnil import (
     Certificate,
     CounterexampleCandidate,
     EigenObstruction,
+    FormDiagnostic,
     Fourier,
     FourierInverse,
     GenerationWitness,
@@ -31,10 +32,12 @@ from weylnil import (
     ad_power,
     apply_generator,
     apply_word,
+    associated_poly,
     bispectral_partner,
     ccr_check,
     ccr_to_generators,
     centralizer_generator,
+    choose_weights,
     commutator,
     coordinate,
     decide,
@@ -97,9 +100,9 @@ def test_descent_step_quartic_collapses():
     assert step.shift_image == x**2
     assert step.generators[0] == ShiftX(UniPoly((0, 0, 0, Fraction(-1, 3))))
     assert step.element == d**2
-    assert step.order_after == 2
+    assert step.form.multiplicity == 2
     # the generators, first entry applied first, replay the stage
-    scale = step.form.scale**step.order_after
+    scale = step.form.scale**step.form.multiplicity
     assert apply_word(step.generators[::-1], e) == scale * step.element
 
 
@@ -109,13 +112,13 @@ def test_descent_step_airy_single_shift():
     assert step.shift_image == -x
     assert step.generators[0] == ShiftX(UniPoly((0, 0, 0, Fraction(1, 3))))
     assert step.element == d
-    assert step.form.scale**step.order_after == 1
+    assert step.form.scale**step.form.multiplicity == 1
 
 
 def test_descent_step_rejects_positive_y_power():
     out = descent_step(d**3 + x * d)
-    assert isinstance(out, NotStrictlyNilpotent)
-    assert out.reason is Reason.POSITIVE_Y_MULTIPLICITY
+    assert isinstance(out, FormDiagnostic)
+    assert NotStrictlyNilpotent(out).reason is Reason.POSITIVE_Y_MULTIPLICITY
 
 
 def test_descent_step_validates_preconditions():
@@ -133,7 +136,7 @@ def test_descent_step_halves_order():
         v = decide(e)
         assert isinstance(v, StrictlyNilpotent)
         for rec in v.stages:
-            assert 2 * rec.order_after <= rec.order
+            assert 2 * rec.form.multiplicity <= rec.newton.assoc.order
             # the clearing shift leaves the swapped operator normalized
             assert isinstance(rec.generators[-1], FourierInverse)
             assert not any(isinstance(g, ShiftD) for g in rec.generators)
@@ -267,14 +270,18 @@ def test_decide_rejections_carry_stage_and_trace():
 
 
 def _replay(v, e):
-    """``e`` carried through the verdict's prologue and stage generators,
-    divided by ``lead`` and the stages' scales."""
-    scale = v.lead
-    for g in v.prologue + tuple(g for rec in v.stages for g in rec.generators):
+    """``e`` carried through the verdict's prologue and divided by ``lead``,
+    then through each stage's generators and divided by its scale: the input
+    of every stage in turn, then the iterate after the last."""
+    for g in v.prologue:
         e = apply_generator(g, e)
+    e = e / v.lead
+    yield e
     for rec in v.stages:
-        scale *= rec.form.scale**rec.order_after
-    return e / scale
+        for g in rec.generators:
+            e = apply_generator(g, e)
+        e = e / rec.form.scale**rec.form.multiplicity
+        yield e
 
 
 def test_verdicts_replay_from_their_generators():
@@ -290,14 +297,25 @@ def test_verdicts_replay_from_their_generators():
         for e in (base, apply_generator(Fourier(), base), base * Fraction(-3, 2)):
             v = decide(e)
             if isinstance(v, StrictlyNilpotent) and v.stages:
-                assert _replay(v, e) == v.stages[-1].element
+                *inputs, last = _replay(v, e)
+                assert last == v.stages[-1].element
                 positives += 1
             elif isinstance(v, NotStrictlyNilpotent) and v.stage >= 1:
                 assert len(v.stages) == v.stage - 1
-                out = descent_step(_replay(v, e))
-                assert isinstance(out, NotStrictlyNilpotent)
-                assert (out.reason, out.diagnostic) == (v.reason, v.diagnostic)
+                *inputs, last = _replay(v, e)
+                assert descent_step(last) == v.diagnostic
                 rejections += 1
+            else:
+                continue
+            # a stage's order, edge end and order after are read from its
+            # form (Y^r - c*X)^k: r*k, X^k and k
+            for inp, rec in zip(inputs, v.stages):
+                w = choose_weights(inp)
+                assert associated_poly(inp, w) == rec.newton
+                form, assoc = rec.form, rec.newton.assoc
+                assert assoc.order == inp.order == form.ratio * form.multiplicity
+                assert max(assoc.nums) == (form.multiplicity, 0)
+                assert rec.element.order == form.multiplicity
     assert positives >= 150 and rejections >= 250
 
 

@@ -6,7 +6,7 @@ from math import gcd
 
 import pytest
 
-from weylnil import UniPoly, WeylElement
+from weylnil import UniPoly, WeylElement, poly_at
 
 from conftest import rand_element
 
@@ -111,6 +111,16 @@ def test_constructor_rejects_binary_floats():
     with pytest.raises(TypeError):
         UniPoly.const(0.5)
     assert UniPoly(["1/2", 0, Fraction(1, 4)]) == UniPoly((Fraction(1, 2), 0, Fraction(1, 4)))
+    # evaluation takes only exact numbers, at any polynomial, the zero one too
+    for p in (UniPoly((1, 2)), UniPoly.zero()):
+        for value in (0.1, 2.0, "1/2"):
+            with pytest.raises(TypeError, match="int or Fraction"):
+                p(value)
+    rng = random.Random(41)
+    for _ in range(50):
+        p = UniPoly([Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(rng.randint(0, 6))])
+        c = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        assert p(c) == poly_at(p, WeylElement.scalar(c)).constant_value()
 
 
 def _assert_canonical(p):
