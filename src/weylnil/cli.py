@@ -3,7 +3,9 @@
 Subcommands: decide, ad, partner, ccr, polygon, apply, random, verify.
 Exit codes: 0 when the computation completed (the verdict, positive or
 negative, is conveyed in the output), 1 on usage or parse errors, 2 on
-internal invariant violations.
+internal invariant violations.  Each command builds its whole output first;
+it is written to stdout only on exit 0, so a failure leaves stdout empty and
+one line on stderr.
 """
 
 from __future__ import annotations
@@ -56,106 +58,92 @@ class _ArgumentParser(argparse.ArgumentParser):
         return super()._parse_optional(arg_string)
 
 
-def _print_verdict_text(verdict):
+def _verdict_text(verdict) -> str:
     doc = verdict_to_doc(verdict)
     if "certificate" in doc:
         cert = doc["certificate"]
         doc.update(side=cert["side"], q=verdict.certificate.gen_poly.format(), word=json.dumps(cert["word"]))
-    for key in ("verdict", "side", "q", "word", "reason", "stage", "detail", "value"):
-        if key in doc:
-            print(f"{key}: {doc[key]}")
-    for line in doc.get("prologue", ()):
-        print(f"note: {line}")
-    for rec in doc.get("stages", ()):
-        print(
-            "stage {stage}: order {order}, weight {weight}, value {value}, "
-            "point {support_point}, assoc {assoc}, generators {generators}, "
-            "order after {order_after}".format(**rec)
-        )
+    keys = ("verdict", "side", "q", "word", "reason", "stage", "detail", "value")
+    lines = [f"{key}: {doc[key]}" for key in keys if key in doc]
+    lines += [f"note: {line}" for line in doc.get("prologue", ())]
+    lines += [
+        "stage {stage}: order {order}, weight {weight}, value {value}, "
+        "point {support_point}, assoc {assoc}, generators {generators}, "
+        "order after {order_after}".format(**rec)
+        for rec in doc.get("stages", ())
+    ]
+    return "\n".join(lines)
 
 
-def _cmd_decide(ns) -> int:
+def _cmd_decide(ns) -> str:
     verdict = decide(parse_expression(ns.expr))
-    if ns.json:
-        print(json.dumps(verdict_to_doc(verdict), indent=2))
-    else:
-        _print_verdict_text(verdict)
-    return 0
+    return json.dumps(verdict_to_doc(verdict), indent=2) if ns.json else _verdict_text(verdict)
 
 
-def _cmd_ad(ns) -> int:
+def _cmd_ad(ns) -> str:
     op = parse_expression(ns.op)
     target = parse_expression(ns.target)
     result = ad_nilpotency_test(op, target, cap=ns.max_steps)
     if isinstance(result, NilpotentAt):
-        print(f"nilpotent at {result.steps}")
-    elif isinstance(result, EigenObstruction):
-        print(f"eigen obstruction with eigenvalue {result.eigenvalue}")
-    else:
-        print(f"bound exhausted at {result.cap} (last total degree {result.last_weight})")
-    return 0
+        return f"nilpotent at {result.steps}"
+    if isinstance(result, EigenObstruction):
+        return f"eigen obstruction with eigenvalue {result.eigenvalue}"
+    return f"bound exhausted at {result.cap} (last total degree {result.last_weight})"
 
 
-def _cmd_partner(ns) -> int:
+def _cmd_partner(ns) -> str:
     e = parse_expression(ns.expr)
     try:
         partner = bispectral_partner(e)
     except NotStrictlyNilpotentError as exc:
-        print("no partner: operator is not strictly nilpotent")
-        _print_verdict_text(exc.verdict)
-        return 0
-    print(f"lambda: {partner.lambda_op}")
-    print(f"f: {partner.f_poly.format('z')}")
-    print("theta: x")
-    return 0
+        return "no partner: operator is not strictly nilpotent\n" + _verdict_text(exc.verdict)
+    return f"lambda: {partner.lambda_op}\nf: {partner.f_poly.format('z')}\ntheta: x"
 
 
-def _cmd_ccr(ns) -> int:
+def _cmd_ccr(ns) -> str:
     a = parse_expression(ns.op)
     b = parse_expression(ns.mate)
     holds = ccr_check(a, b)
-    print(f"commutator equals 1: {'true' if holds else 'false'}")
+    text = f"commutator equals 1: {'true' if holds else 'false'}"
     if not ns.generators or not holds:
-        return 0
+        return text
     outcome = ccr_to_generators(a, b)
     if isinstance(outcome, CounterexampleCandidate):
-        print("counterexample candidate: first member rejected by the decision procedure")
-        print(json.dumps(verdict_to_doc(outcome.verdict), indent=2))
-    else:
-        doc = {
-            "word": word_to_doc(outcome.word),
-            "a": str(outcome.a),
-            "b": str(outcome.b),
-            "r": _poly_to_strings(outcome.tail),
-        }
-        print(json.dumps(doc, indent=2))
-    return 0
+        return (
+            f"{text}\ncounterexample candidate: first member rejected by the decision procedure\n"
+            + json.dumps(verdict_to_doc(outcome.verdict), indent=2)
+        )
+    doc = {
+        "word": word_to_doc(outcome.word),
+        "a": str(outcome.a),
+        "b": str(outcome.b),
+        "r": _poly_to_strings(outcome.tail),
+    }
+    return f"{text}\n{json.dumps(doc, indent=2)}"
 
 
-def _cmd_polygon(ns) -> int:
+def _cmd_polygon(ns) -> str:
     e = parse_expression(ns.expr)
     top = e.d_slice(e.order)
     if e.order < 1 or not top.is_constant():
-        print("diagnostic: operator has no constant top coefficient of order >= 1")
-        return 0
+        return "diagnostic: operator has no constant top coefficient of order >= 1"
     monic = e / top.constant_value()
     if not monic.depends_on_x():
-        print("diagnostic: operator has constant coefficients; no edge to choose")
-        return 0
+        return "diagnostic: operator has constant coefficients; no edge to choose"
     weight = choose_weights(monic)
     nd = associated_poly(monic, weight)
     # the edge point of largest coordinate exponent
     i = nd.assoc.x_degree
-    print(f"weight: {weight.as_tuple()}")
-    print(f"value: {nd.value}")
-    print(f"support point: {(i, (nd.value - weight.x_weight * i) // weight.d_weight)}")
-    print(f"assoc: {format_bivariate(nd.assoc)}")
     outcome = factor_form(nd)
     if isinstance(outcome, FormDiagnostic):
-        print(f"diagnostic: {outcome.issue.value}: {outcome.message}")
+        last = f"diagnostic: {outcome.issue.value}: {outcome.message}"
     else:
-        print(f"factored: {outcome.format()}")
-    return 0
+        last = f"factored: {outcome.format()}"
+    return (
+        f"weight: {weight.as_tuple()}\nvalue: {nd.value}\n"
+        f"support point: {(i, (nd.value - weight.x_weight * i) // weight.d_weight)}\n"
+        f"assoc: {format_bivariate(nd.assoc)}\n{last}"
+    )
 
 
 def _read_json(path):
@@ -167,13 +155,12 @@ def _read_json(path):
             raise WireFormatError("JSON document is nested too deeply") from None
 
 
-def _cmd_apply(ns) -> int:
+def _cmd_apply(ns) -> str:
     word = word_from_doc(_read_json(ns.word))
-    print(apply_word(word, parse_expression(ns.expr)))
-    return 0
+    return str(apply_word(word, parse_expression(ns.expr)))
 
 
-def _cmd_random(ns) -> int:
+def _cmd_random(ns) -> str:
     element, cert = random_orbit_element(
         ns.seed, ns.word_len, ns.max_deg, ns.max_q_deg, max_order=ns.max_order
     )
@@ -182,15 +169,13 @@ def _cmd_random(ns) -> int:
         "printed": str(element),
         "certificate": certificate_to_doc(cert),
     }
-    print(json.dumps(doc, indent=2))
-    return 0
+    return json.dumps(doc, indent=2)
 
 
-def _cmd_verify(ns) -> int:
+def _cmd_verify(ns) -> str:
     cert = certificate_from_doc(_read_json(ns.cert))
     ok = verify_certificate(parse_expression(ns.expr), cert)
-    print("true" if ok else "false")
-    return 0
+    return "true" if ok else "false"
 
 
 @functools.cache
@@ -252,7 +237,8 @@ def run(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        return ns.func(ns)
+        print(ns.func(ns))
+        return 0
     except InvariantViolation as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return 2

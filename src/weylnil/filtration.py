@@ -6,8 +6,10 @@ commutative bivariate polynomial in ``X`` (for the coordinate) and ``Y``
 (for the derivative); the descent needs exactly one structural fact about
 it, namely whether it is a pure power ``(Y^r - c*X)^k``.  This module
 computes the weight data, selects the weights from the upper Newton edge
-through ``(0, order)``, and recognizes that factored shape on the integer
-pair of the top-weight part, an element whose ``x^i D^j`` reads ``X^i Y^j``.
+through ``(0, order)``, and recognizes that factored shape on the top-weight
+part, an element whose ``x^i D^j`` reads ``X^i Y^j``: ``FactoredForm.expand``
+is the one construction of the power ``Y^n (Y^r - c*X)^k``, on the integer
+pair, and ``factor_form`` accepts when the top-weight part's pair equals it.
 The edge's points are the keys of that part, so only the weight is chosen;
 for the shape ``(Y^r - c*X)^k`` the edge ends at ``X^k``.
 """
@@ -18,13 +20,11 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import comb, gcd
-from typing import Dict, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
-from .element import WeylElement, _settle
+from .element import WeylElement, _new, _settle
 from .errors import InvariantViolation, NotNormalizableError
 from .poly import _format_terms
-
-BiPoly = Dict[Tuple[int, int], Fraction]
 
 
 @dataclass(frozen=True)
@@ -131,19 +131,31 @@ class FormIssue(Enum):
 
 @dataclass(frozen=True)
 class FactoredForm:
-    """Exact presentation ``Y^y_power * (Y^ratio - scale*X)^multiplicity``."""
+    """Exact presentation ``Y^y_power * (Y^ratio - scale*X)^multiplicity``;
+    ``expand`` builds that power, and ``factor_form`` compares a top-weight
+    part with it."""
 
     y_power: int
     ratio: int
     multiplicity: int
     scale: Fraction
 
-    def expand(self) -> BiPoly:
-        out: BiPoly = {}
-        for s in range(self.multiplicity + 1):
-            c = comb(self.multiplicity, s) * (-self.scale) ** s
-            out[(s, self.y_power + self.ratio * (self.multiplicity - s))] = Fraction(c)
-        return out
+    def expand(self) -> WeylElement:
+        """The power as a canonical x-side element whose key ``(i, j)``
+        reads ``X^i Y^j``.  With ``scale = p/q`` in lowest terms it is
+        ``sum_s C(k, s) * (-p)^s * q^(k-s) / q^k * X^s * Y^(n + r*(k-s))``,
+        canonical as built since ``gcd(q^k, p^k) == 1``; a zero scale
+        leaves the one term ``Y^(n + r*k)``."""
+        n, r, k = self.y_power, self.ratio, self.multiplicity
+        p, q = -self.scale.numerator, self.scale.denominator
+        den = qq = q**k
+        pp = 1  # pp == (-scale.numerator)^s and qq == scale.denominator^(k-s)
+        nums = {}
+        for s in range(k + 1 if p else 1):
+            nums[(s, n + r * (k - s))] = comb(k, s) * pp * qq
+            pp *= p
+            qq //= q
+        return _new("x", den, nums)
 
     def format(self) -> str:
         c = self.scale
@@ -172,20 +184,6 @@ class FormDiagnostic:
     partial: Optional[FactoredForm] = None
 
 
-def _binomial_terms_match(f: WeylElement, n: int, r: int, k: int, scale: Fraction) -> bool:
-    """Whether ``f`` holds every term of ``Y^n * (Y^r - scale*X)^k``."""
-    nums, den = f.nums, f.den
-    p, q = -scale.numerator, scale.denominator
-    pp = qq = 1  # (-scale.numerator)^s and scale.denominator^s
-    for s in range(k + 1):
-        c = nums.get((s, n + r * (k - s)))
-        if c is None or c * qq != comb(k, s) * pp * den:
-            return False
-        pp *= p
-        qq *= q
-    return True
-
-
 def factor_form(nd: NewtonData) -> Union[FactoredForm, FormDiagnostic]:
     """Recognize ``assoc == Y^n * (Y^r - scale*X)^k`` exactly.
 
@@ -193,12 +191,11 @@ def factor_form(nd: NewtonData) -> Union[FactoredForm, FormDiagnostic]:
     Newton edge is anchored at ``(0, order)``.  The candidate parameters are
     forced: ``k`` is the X-degree, ``r`` the weight ratio,
     ``n = order - r*k``, and ``scale`` is read off the
-    coefficient of ``X * Y^(n + r*(k-1))``.  A full comparison then accepts
-    or rejects: with ``scale = p/q``, the binomial power has the ``k + 1``
-    terms ``C(k, s) * (-p)^s / q^s * X^s * Y^(n + r*(k-s))``, so ``assoc``
-    must have ``k + 1`` terms, each equal to its binomial coefficient, which
-    is tested on its numerators and ``den`` cross-multiplied with ``p`` and
-    ``q``, one integer comparison per ``X^s`` term.
+    coefficient of ``X * Y^(n + r*(k-1))``.  The candidate's ``expand()``
+    then accepts or rejects: ``assoc`` matches when its integer pair
+    ``(den, nums)`` equals the expansion's.  The pair, not the element, is
+    compared, because ``assoc`` keeps the operator's side and the expansion
+    is on the x side.
     Success requires ``n == 0``; a matching shape with ``n > 0`` is reported
     as a diagnostic carrying the factorization.
     """
@@ -220,21 +217,21 @@ def factor_form(nd: NewtonData) -> Union[FactoredForm, FormDiagnostic]:
         return FormDiagnostic(
             FormIssue.LAMBDA_INCONSISTENT, "X-degree exceeds what the weight ratio allows"
         )
-    semisimple = rho == sigma and order == 2 and k == 2 and (2, 0) in nums and (1, 1) not in nums
     cross = (1, n + r * (k - 1))
     scale = Fraction(-nums.get(cross, 0), k * den)
     if scale == 0:
+        # with equal weights, order 2 and X-degree 2 the absent cross term is X*Y
         return FormDiagnostic(
             FormIssue.LAMBDA_INCONSISTENT,
             f"cross term at X*Y^{cross[1]} absent",
-            strictly_semisimple=semisimple,
+            strictly_semisimple=rho == sigma and order == 2 and k == 2 and (2, 0) in nums,
         )
     candidate = FactoredForm(n, r, k, scale)
-    if len(nums) != k + 1 or not _binomial_terms_match(f, n, r, k, scale):
+    power = candidate.expand()
+    if power.den != den or power.nums != nums:
         return FormDiagnostic(
             FormIssue.LAMBDA_INCONSISTENT,
             "expansion of the candidate binomial power does not match",
-            strictly_semisimple=semisimple,
         )
     if n > 0:
         return FormDiagnostic(

@@ -510,3 +510,52 @@ def test_ccr_generators_reports_a_counterexample_candidate(capsys, monkeypatch):
         + json.dumps(verdict_to_doc(verdict), indent=2)
         + "\n"
     )
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="the int-to-str digit limit needs Python 3.10.7+"
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("partner", "7^4096*7^4096*(D^2 - x)"),
+        ("ccr", "7^4096*7^4096*D", "1/7^4096*1/7^4096*x", "--generators"),
+        ("polygon", "D^2 + 7^4096*7^4096*x"),
+    ],
+)
+def test_failure_after_the_first_line_writes_no_output(capsys, argv):
+    # each command prints a first line, then a coefficient past the
+    # 4300-digit int-to-str limit fails: stdout must stay empty
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, err = _run(capsys, *argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _z_side(text):
+    return text.replace("x", "z").replace("D", "Dz")
+
+
+def test_z_side_input_decides_like_its_x_side_twin(capsys):
+    # the same operator written in z and Dz: same exit codes, the same
+    # polygon output, and the same verdict once the shift images are renamed
+    texts = ["x*D", "D^2 + x^2", "D^2 + 5*x^2", "D^3 + x*D", "x^2*D^2", "D^2 - x", "D^4 + 2*x*D^2 + 2*D + x^2"]
+    operators = [weylnil.parse_expression(text) for text in texts]
+    for seed in range(1, 101):
+        element, _ = weylnil.random_orbit_element(seed, word_len=seed % 4, max_deg=5, max_q_deg=4, max_order=16)
+        operators.append(element)
+    for text in map(str, operators):
+        z_text = _z_side(text)
+        code, out, _ = _run(capsys, "decide", "--json", "--", text)
+        z_code, z_out, _ = _run(capsys, "decide", "--json", "--", z_text)
+        assert z_code == code, text
+        if code == 0:
+            doc = json.loads(out)
+            for stage in doc.get("stages", ()):
+                stage["shift_image"] = _z_side(stage["shift_image"])
+            assert json.loads(z_out) == doc, text
+        assert _run(capsys, "polygon", "--", z_text) == _run(capsys, "polygon", "--", text), text

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import comb, gcd
 
 import pytest
 from hypothesis import given
@@ -133,7 +134,11 @@ def test_factor_form_quartic():
     nd = associated_poly(e, Weight(2, 1))
     ff = factor_form(nd)
     assert ff == FactoredForm(y_power=0, ratio=2, multiplicity=2, scale=Fraction(-1))
-    assert WeylElement(ff.expand()) == nd.assoc
+    assert ff.expand() == nd.assoc
+
+
+def test_expand_with_zero_scale_is_one_canonical_term():
+    assert FactoredForm(1, 2, 3, Fraction(0)).expand().nums == {(0, 7): 1}
 
 
 def test_factor_form_positive_y_power():
@@ -191,8 +196,6 @@ def test_factor_form_requires_monic_corner():
 
 @given(e=weyl_elements(max_terms=6), rho=st.integers(1, 4), sigma=st.integers(1, 4))
 def test_homogeneity_of_top_part(e, rho, sigma):
-    from math import gcd
-
     g = gcd(rho, sigma)
     w = Weight(rho // g, sigma // g)
     if e.is_zero():
@@ -253,6 +256,12 @@ def test_factor_form_rejects_x_degree_above_the_weight_ratio():
     assert diag.message == "X-degree exceeds what the weight ratio allows"
 
 
+def _fraction_expansion(n, r, k, scale):
+    """``Y^n * (Y^r - scale*X)^k`` as a map from ``(i, j)`` (read ``X^i Y^j``)
+    to ``Fraction``, term by term from the binomial theorem."""
+    return {(s, n + r * (k - s)): comb(k, s) * (-scale) ** s for s in range(k + 1)}
+
+
 def _expansion_oracle(f, r, order):
     """The outcome kind of factor_form by the full Fraction expansion, with
     the candidate parameters forced as factor_form forces them."""
@@ -261,7 +270,7 @@ def _expansion_oracle(f, r, order):
     if n < 0:
         return FormIssue.LAMBDA_INCONSISTENT
     scale = -f.get((1, n + r * (k - 1)), Fraction(0)) / k
-    if scale == 0 or FactoredForm(n, r, k, scale).expand() != f:
+    if scale == 0 or _fraction_expansion(n, r, k, scale) != f:
         return FormIssue.LAMBDA_INCONSISTENT
     return FormIssue.POSITIVE_Y_POWER if n > 0 else "accepted"
 
@@ -273,7 +282,10 @@ def test_factor_form_agrees_with_the_expansion_oracle():
         r, k, n = rng.randint(1, 4), rng.randint(1, 12), rng.randint(0, 3)
         scale = Fraction(rng.choice((-1, 1)) * rng.randint(1, 40), rng.randint(1, 40))
         order = n + r * k
-        f = FactoredForm(n, r, k, scale).expand()
+        f = _fraction_expansion(n, r, k, scale)
+        power = FactoredForm(n, r, k, scale).expand()
+        assert power.side == "x" and power.den >= 1 and gcd(power.den, *power.nums.values()) == 1
+        assert power == WeylElement(f)
         edge = [(s, n + r * (k - s)) for s in range(1, k + 1)]
         variant = rng.randrange(4)
         if variant == 1:  # one coefficient perturbed
@@ -295,7 +307,7 @@ def test_factor_form_agrees_with_the_expansion_oracle():
         else:
             kind = out.issue
             if kind is FormIssue.POSITIVE_Y_POWER:
-                assert out.partial.expand() == f
+                assert out.partial.expand() == WeylElement(f)
         assert kind == _expansion_oracle(f, r, order), (r, k, n, scale, variant)
         kinds.add((kind, variant > 0))
     assert kinds >= {
