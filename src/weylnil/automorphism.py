@@ -11,17 +11,19 @@ Constant terms of the stored polynomials act trivially and are dropped on
 construction, so every generator has one canonical representation.
 
 Both shifts go through one substitution routine, ``_substitute``: it
-rewrites the element in anti-normal order (derivative powers left of
-coordinate powers) and applies ``D -> D - p(x)`` by Horner's rule in the
-shifted derivative, left-multiplying one accumulator by ``D - p(x)`` on
-Python integers over one denominator, with no general product and no table
-of powers.  The accumulator is one integer per coordinate exponent, with
-the derivative exponents packed into signed fixed-width slots (Kronecker
-substitution), so a Horner step costs a few big-integer operations per row;
-the slot width comes from a 1-norm bound on the image and the slots are
-read out once, at the end.  ``ShiftX`` reaches the routine through the
-order-reversing swap ``x^i D^j <-> x^j D^i``, which turns ``x + s(D)`` into
-``D + s(x)``.
+applies ``D -> D - p(x)`` to the normal-ordered element ``sum_j B_j(x) D^j``
+by Horner's rule from the right, right-multiplying one accumulator by ``D -
+p(x)`` on Python integers over one denominator, with no general product, no
+table of powers and no reordering of the input.  The accumulator is one
+integer per derivative exponent ``c``, holding ``c!`` times that row's
+coefficient with the coordinate exponents packed into signed fixed-width
+slots (Kronecker substitution); the ``c!`` scaling turns right
+multiplication by ``p(x)`` into ``p(x + y)``, with ``x`` a one-slot shift and
+``y`` a move one row down, so a Horner step is a few big-integer operations
+per row.  The slot width comes from a 1-norm bound on the image and the
+slots are read out once, at the end.  ``ShiftX`` reaches the routine
+through the order-reversing swap ``x^i D^j <-> x^j D^i``, which turns ``x +
+s(D)`` into ``D + s(x)``.
 
 A word is a sequence of generators read like a composition chain: the LAST
 entry is applied first, so ``apply_word([g, h], a) == g(h(a))``.  With this
@@ -92,34 +94,36 @@ def _substitute(e: WeylElement, gen: Union[ShiftX, ShiftD]) -> WeylElement:
     ``ShiftD(r)`` sends ``D -> D - p(x)`` with ``p = r'``.  ``ShiftX(s)`` is
     taken on the swapped element, swapped back: the swap ``x^i D^j <-> x^j
     D^i`` reverses the order of products, so it conjugates ``D -> D + s'(x)``
-    into ``x -> x + s'(D)``.  The element is first rewritten in anti-normal
-    order, ``sum_j D^j b_j(x)``, by ``x^i D^j = sum_t (-1)^t w_t D^(j-t)
-    x^(i-t)`` with the exchange weights ``w_t`` of ``_swap_weights(j, i)``;
-    its image ``sum_j (D - p)^j b_j`` is then taken by Horner's rule.  With
-    ``den`` the lcm of the denominators of ``p`` and ``P = den*p``, the
-    integer accumulator runs ``R <- (den*D - P) R + den^(J-j) b_j`` for
-    ``j = J-1`` down to 0 from ``R = b_J``, left-multiplying with ``D * x^a
-    D^b = x^a D^(b+1) + a x^(a-1) D^b``, and ends over the one denominator
-    ``e.den * den^J`` of the element and its order ``J``.
+    into ``x -> x + s'(D)``.  With ``den`` the lcm of the denominators of
+    ``p``, ``P = den*p``, ``J`` the order of ``e`` and ``B_j(x)`` the
+    ``D^j`` column of ``e`` (normal order keeps ``x`` on the left), the image
+    over the one denominator ``e.den * den^J`` is
 
-    ``R`` is held as one integer ``R[a]`` per coordinate exponent ``a``, with
-    the coefficient of ``x^a D^b`` in the signed ``W``-bit slot ``b``,
-    ``R[a] = sum_b c_ab 2^(W*b)`` (Kronecker substitution ``D = 2^W``).  A
-    step is then a few big-integer operations per row,
+        den^J * image = sum_j den^(J-j) B_j(x) (den*D - P)^j,
 
-        N[a] = den*((R[a] << W) + (a+1)*R[a+1]) - sum_m P_m R[a-m] + den^(J-j) b_j[a],
+    taken by Horner's rule from the right on the normal-ordered input:
+    ``R <- R (den*D - P) + den^(J-j) B_j`` for ``j = J-1`` down to 0 from
+    ``R = B_J``.  ``R`` holds one integer per power of ``D``: row ``c`` is
+    ``c!`` times the coefficient of ``D^c``, with the coefficient of ``x^a``
+    in the signed ``W``-bit slot ``a`` (Kronecker substitution ``x =
+    2^W``).  Right multiplication by ``den*D`` sends row ``c`` to row
+    ``c+1`` times ``den*(c+1)``.  Right multiplication by ``x^m`` follows
+    ``D^c x^m = sum_k C(c, k) (d/dx)^k x^m D^(c-k)``; on the scaled rows the
+    weight ``C(c, k) (c-k)!/c!`` is ``1/k!``, so it multiplies the rows by
+    ``(x + y)^m``, where ``x`` is a one-slot shift and ``y`` moves a row one
+    down.  So ``R P`` is ``P(x + y) R``, taken by Horner over the
+    coefficients of ``P``.  At the end each row is divided exactly by
+    ``c!`` and its slots are read out once.
 
-    and the slots are read out once, at the end.  Every step is linear in
-    the packed integers, so each intermediate ``R[a]`` is exactly the packed
-    value of its coefficients whatever its slots hold, and only the final
-    read-out needs slots wide enough for the output.  A step multiplies the
-    1-norm of ``R`` by at most ``c = den*(1 + amax) + ||P||_1``, where
-    ``amax`` is the largest coordinate exponent of the image, taken from
-    ``shape_bound``, which bounds the ``a`` of ``D * x^a``.  As ``den <=
-    c``, the accumulator after ``b_j`` has 1-norm at most ``c^(J-j)`` times
-    the 1-norm of ``b_J, ..., b_j``.  Every output coefficient is so at
-    most ``c^J * ||b||_1 < 2^(W-1)`` in absolute value, for ``W =
-    J*bitlen(c) + bitlen(||b||_1) + 1``.  No power of ``D - p`` is stored.
+    Every step is linear in the packed integers, so each row is exactly the
+    packed value of its coefficients whatever its slots hold, and only the
+    read-out needs slots wide enough for the output.  A left factor ``den*D
+    - P`` multiplies the 1-norm of a normal-ordered element of x-degree at
+    most ``J*deg p`` by at most ``c = den*(1 + J*deg p) + ||P||_1``, through
+    ``D x^a = x^a D + a x^(a-1)``, and ``B_j`` on the left only moves
+    exponents.  As ``den <= c``, every output coefficient is at most ``c^J
+    * ||e||_1 < 2^(W-1)`` in absolute value, for ``W = J*bitlen(c) +
+    bitlen(||e||_1) + 1``.  No power of ``D - p`` is stored.
     """
     swap = isinstance(gen, ShiftX)
     # p = r', or -s' for ShiftX, on the generator's integer pair: the
@@ -129,46 +133,46 @@ def _substitute(e: WeylElement, gen: Union[ShiftX, ShiftD]) -> WeylElement:
     g = gcd(r.den, *nums)
     den = r.den // g
     sign = -g if swap else g
-    big_p = [(m, n // sign) for m, n in enumerate(nums) if n]
-    x_deg, order = e.x_degree, e.order
-    amax = shape_bound((gen,), x_deg, order)[swap]
-    top = x_deg if swap else order
-    # rows[k][a]: numerator of D^k x^a in anti-normal order
-    rows: list = [{} for _ in range(top + 1)]
+    big_p = [n // sign for n in nums]
+    top = e.x_degree if swap else e.order
+    c = den * (1 + top * (len(big_p) - 1)) + sum(map(abs, big_p))
+    w = top * c.bit_length() + sum(map(abs, e.nums.values())).bit_length() + 1
+    # cols[j]: the packed D^j column B_j
+    cols = [0] * (top + 1)
     for (i, j), n in e.nums.items():
         if swap:
             i, j = j, i
-        row = rows[j]
-        row[i] = row.get(i, 0) + n
-        weights = _swap_weights(j, i)
-        for t in range(1, len(weights)):
-            row = rows[j - t]
-            row[i - t] = row.get(i - t, 0) + (-n if t & 1 else n) * weights[t]
-    norm = sum(abs(n) for row in rows for n in row.values())
-    c = den * (1 + amax) + sum(abs(pm) for _, pm in big_p)
-    w = top * c.bit_length() + norm.bit_length() + 1
-    acc = [0] * (amax + 2)  # a zero row past amax, read as R[amax + 1]
-    for a, n in rows[top].items():
-        acc[a] = n
-    for k in range(top - 1, -1, -1):
-        nxt = [0] * (amax + 2)
-        for a in range(amax + 1):
-            r, r1 = acc[a], acc[a + 1]
-            if r or r1:
-                nxt[a] += den * ((r << w) + (a + 1) * r1)
-            if r:
-                for m, pm in big_p:
-                    nxt[a + m] -= pm * r
-        scale = den ** (top - k)
-        for a, n in rows[k].items():
-            nxt[a] += scale * n
+        cols[j] += n << (w * i)
+    # Horner over P runs from its leading coefficient down
+    high = big_p.pop()
+    big_p.reverse()
+    acc = [cols[top]]
+    scale = 1
+    for j in range(top - 1, -1, -1):
+        # h = P(x + y) R by Horner: h <- (x + y) h + P_m R
+        h = [high * v for v in acc]
+        for pm in big_p:
+            for k in range(len(h) - 1):
+                h[k] = (h[k] << w) + h[k + 1]
+            h[-1] <<= w
+            if pm:
+                for k, v in enumerate(acc):
+                    h[k] += pm * v
+        # R <- R (den*D - P) + den^(J-j) B_j
+        scale *= den
+        nxt = [scale * cols[j] - h[0]]
+        for k in range(1, len(acc)):
+            nxt.append(den * k * acc[k - 1] - h[k])
+        nxt.append(den * len(acc) * acc[-1])
         acc = nxt
     out = {}
     mask, half = (1 << w) - 1, 1 << (w - 1)
-    for a, v in enumerate(acc):
-        for b in range(top + 1):
-            if not v:
-                break
+    fact = 1  # b!
+    for b, v in enumerate(acc):
+        v //= fact
+        fact *= b + 1
+        a = 0
+        while v:
             s = v & mask
             v >>= w
             if s >= half:
@@ -176,6 +180,7 @@ def _substitute(e: WeylElement, gen: Union[ShiftX, ShiftD]) -> WeylElement:
                 v += 1
             if s:
                 out[(b, a) if swap else (a, b)] = s
+            a += 1
     return _settle(out.items(), e.den * den**top, e.side)
 
 

@@ -16,8 +16,7 @@ into single integers and already lowered by ``t``.  ``_contract`` runs it for
 both the product and the bracket, which takes both products from ``t = 1``
 on into one accumulator.  The single-monomial exchange weights
 ``t! * C(j, t) * C(i, t)`` of ``D^j * x^i`` are tabulated by
-``_swap_weights``, which the Fourier swap and the shift substitution in
-``automorphism`` read.
+``_swap_weights``, which the Fourier swap in ``automorphism`` reads.
 
 An element stores integer numerators over one shared denominator: ``nums``
 maps ``(i, j)`` to a nonzero ``int`` and the coefficient of ``x^i D^j`` is

@@ -190,9 +190,10 @@ def test_shifts_match_slow_substitution():
 
 
 def test_shifts_match_slow_substitution_at_high_exponents():
-    # exponents up to 8 put contractions of order 4 and more into the
-    # anti-normal rewrite; single-row inputs (x^i alone, D^j alone) start
-    # and end the Horner recurrence on one row
+    # exponents up to 8 give Horner recurrences of up to eight steps over
+    # rows of many coordinate slots; a single term (x^i alone, D^j alone)
+    # runs no step under one shift and, under the other, every step with no
+    # column added after the first
     rng = random.Random(47)
     for case in range(80):
         deg = rng.randint(1, 3)
@@ -205,29 +206,44 @@ def test_shifts_match_slow_substitution_at_high_exponents():
             k = rng.randint(1, 8)
             e = WeylElement({(k, 0) if shape == 2 else (0, k): Fraction(rng.randint(1, 9), rng.randint(1, 5))})
         assert apply_generator(gen, e) == slow_shift(gen, e), (gen, e)
+    # dense shift polynomials of degree 5 and 6, every coefficient nonzero,
+    # at exponents up to 10: each right factor D - p(x) takes the Horner
+    # over p(x + y) through four or five inner steps with no zero coefficient
+    rng = random.Random(53)
+    for case in range(12):
+        deg = 5 + case % 2
+        coeffs = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 6)) for _ in range(deg + 1)]
+        gen = (ShiftD, ShiftX)[case // 2 % 2](UniPoly(coeffs))
+        e = rand_element(rng, max_terms=3, max_exp=10, max_num=20, max_den=12)
+        assert apply_generator(gen, e) == slow_shift(gen, e), (gen, e)
 
 
 def test_shift_unpack_signed_slot_edges():
-    # The kernel packs the D exponents of each x^a row into signed slots of
+    # The kernel packs the x exponents of each D^c row into signed slots of
     # one integer.  Each target image below puts a sign pattern into its
-    # rows; the input is its preimage under the inverse shift, taken by the
-    # oracle, so the kernel must read the pattern back out exactly.
+    # terms; the input is its preimage under the inverse shift, taken by the
+    # oracle, so the kernel must read the pattern back out exactly.  The
+    # first patterns run along the D exponents of one x^a, across rows.
     targets = [
-        # adjacent slots of opposite sign, in one row and at both ends
+        # adjacent terms of opposite sign, along one x^a and at both ends
         {(0, 0): 5, (0, 1): -5, (0, 2): 7, (0, 3): -1},
         {(1, 0): -3, (1, 1): 3, (2, 2): Fraction(-1, 2), (2, 3): Fraction(1, 2)},
-        # a -1 slot beside zero slots: the borrow crosses the zero slots
+        # a -1 beside zero terms
         {(2, 0): -1, (2, 3): 1},
         {(1, 0): 1, (1, 4): -1},
         {(0, 2): -1, (3, 0): 2},
-        # negative top slots, alone and above a positive slot
+        # negative top terms, alone and above a positive term
         {(0, 5): -1},
         {(1, 0): 4, (1, 1): -9, (0, 3): -2},
     ]
+    # The transposed patterns run along the x exponents of one D^c, inside
+    # one packed row: opposite signs in adjacent slots, a borrow across zero
+    # slots and negative top slots, which a read-out borrow along x fails.
+    targets += [{(j, i): c for (i, j), c in target.items()} for target in targets]
     for r in (UniPoly((0, 0, Fraction(1, 2))), UniPoly((0, 1, -2, 1)), UniPoly((0, Fraction(-2, 3), 0, 5))):
         for kind in (ShiftD, ShiftX):
             for target in targets:
-                # ShiftX reads rows of the swapped element, so swap the pattern too
+                # ShiftX packs the swapped element, so swap the pattern too
                 t = WeylElement(target if kind is ShiftD else {(j, i): c for (i, j), c in target.items()})
                 e = slow_shift(kind(-r), t)
                 assert apply_generator(kind(r), e) == t, (kind, r, target)
