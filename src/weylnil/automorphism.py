@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Sequence, Tuple, Union
 
-from .element import WeylElement, _new, _settle, _swap_weights
+from .element import WeylElement, _new, _settle
 from .poly import UniPoly
 
 
@@ -81,10 +81,12 @@ def _apply_fourier(e: WeylElement, inverse: bool) -> WeylElement:
     for (i, j), n in e.nums.items():
         if (i if inverse else j) % 2:
             n = -n
-        # image of x^i D^j is (+-1) D^i x^j, reordered term by term
-        for t, w in enumerate(_swap_weights(i, j)):
+        # image of x^i D^j is (+-1) D^i x^j, reordered term by term with the
+        # weights t! C(i, t) C(j, t), each exactly from the one before
+        for t in range(min(i, j) + 1):
             key = (j - t, i - t)
-            out[key] = get(key, 0) + w * n
+            out[key] = get(key, 0) + n
+            n = n * (i - t) * (j - t) // (t + 1)
     return _settle(out.items(), e.den, e.side)
 
 

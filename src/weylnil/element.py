@@ -11,12 +11,12 @@ with the contraction formula
 whose derivatives act on normal-ordered symbols.  On monomials it reads
 ``x^i1 D^j1 * x^i2 D^j2 = sum_t C(j1, t) * perm(i2, t) * x^(i1+i2-t)
 D^(j1+j2-t)``, so each contraction order ``t`` is one plain commutative
-convolution of two weighted term lists, built once per ``t``, on keys packed
-into single integers and already lowered by ``t``.  ``_contract`` runs it for
-both the product and the bracket, which takes both products from ``t = 1``
-on into one accumulator.  The single-monomial exchange weights
-``t! * C(j, t) * C(i, t)`` of ``D^j * x^i`` are tabulated by
-``_swap_weights``, which the Fourier swap in ``automorphism`` reads.
+convolution of two weighted term lists, on keys packed into single integers
+and already lowered by ``t``.  Each order's lists follow from the previous
+order's by one exact integer step per term, so no weight is computed from
+scratch and none is stored.  ``_contract`` runs it for both the product and
+the bracket, which takes both products from ``t = 1`` on into one
+accumulator.
 
 An element stores integer numerators over one shared denominator: ``nums``
 maps ``(i, j)`` to a nonzero ``int`` and the coefficient of ``x^i D^j`` is
@@ -53,8 +53,7 @@ concurrent use is safe.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from math import comb, gcd, lcm, perm
+from math import gcd, lcm
 from types import MappingProxyType
 from typing import Iterable, List, Mapping, Tuple, Union
 
@@ -67,16 +66,6 @@ SIDES = ("x", "z")
 Key = Tuple[int, int]
 # (key, numerator, denominator) of one term
 Part = Tuple[Key, int, int]
-
-
-@lru_cache(maxsize=1024)
-def _swap_weights(j: int, i: int) -> tuple:
-    """Integer weights for rewriting D^j x^i, indexed by the contraction t.
-
-    The cache is bounded because exponents reach 4096, so the keys of a
-    long-lived process fed varied input would grow without limit.
-    """
-    return tuple(perm(i, t) * comb(j, t) for t in range(min(i, j) + 1))
 
 
 def _check_side_name(side: str) -> None:
@@ -138,21 +127,29 @@ def _contract(pairs, low: int) -> "WeylElement":
     keys and distinct keys never collide.  Each order ``t`` convolves the
     terms of ``(1/t!) (d/dD)^t left``, with their keys lowered by ``t``, and
     those of ``(d/dx)^t right``; the sum is unpacked and settled once over
-    the product of the denominators.  A zero operand (order and x-degree
-    -1) takes no order, so nothing is unpacked when ``m <= 0``.
+    the product of the denominators.  Each operand's list is built once and
+    moved from order ``t - 1`` to ``t`` by ``C(j, t) = C(j, t-1) (j-t+1) /
+    t``, with ``j-t+1 = k % m`` on a left key ``k``, and by ``perm(i, t) =
+    perm(i, t-1) (i-t+1)``, with ``i-t+1 = k // m`` on a right key; the
+    division is exact.  A zero operand (order and x-degree -1) takes no
+    order, so nothing is unpacked when ``m <= 0``.
     """
     a, b, _ = pairs[0]
     m = a.order + b.order + 1
     acc: dict = {}
     get = acc.get
     for left, right, sign in pairs:
-        for t in range(low, min(left.order, right.x_degree) + 1):
-            ls = [(i * m + j - t, sign * comb(j, t) * n) for (i, j), n in left.nums.items() if j >= t]
-            rs = [((i - t) * m + j, perm(i, t) * n) for (i, j), n in right.nums.items() if i >= t]
-            for k1, n1 in ls:
-                for k2, n2 in rs:
-                    k = k1 + k2
-                    acc[k] = get(k, 0) + n1 * n2
+        ls = [(i * m + j, sign * n) for (i, j), n in left.nums.items()]
+        rs = [(i * m + j, n) for (i, j), n in right.nums.items()]
+        for t in range(min(left.order, right.x_degree) + 1):
+            if t:
+                ls = [(k - 1, n * (k % m) // t) for k, n in ls if k % m]
+                rs = [(k - m, n * (k // m)) for k, n in rs if k >= m]
+            if t >= low:
+                for k1, n1 in ls:
+                    for k2, n2 in rs:
+                        k = k1 + k2
+                        acc[k] = get(k, 0) + n1 * n2
     return _settle(((divmod(k, m), n) for k, n in acc.items()), a.den * b.den, a.side)
 
 

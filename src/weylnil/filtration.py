@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import comb, gcd
+from math import gcd
 from typing import Optional, Tuple, Union
 
 from .element import WeylElement, _new, _settle
@@ -145,16 +145,15 @@ class FactoredForm:
         reads ``X^i Y^j``.  With ``scale = p/q`` in lowest terms it is
         ``sum_s C(k, s) * (-p)^s * q^(k-s) / q^k * X^s * Y^(n + r*(k-s))``,
         canonical as built since ``gcd(q^k, p^k) == 1``; a zero scale
-        leaves the one term ``Y^(n + r*k)``."""
+        leaves the one term ``Y^(n + r*k)``.  Each numerator follows from
+        the one before by the exact step ``* (k-s) * (-p) / ((s+1) * q)``."""
         n, r, k = self.y_power, self.ratio, self.multiplicity
         p, q = -self.scale.numerator, self.scale.denominator
-        den = qq = q**k
-        pp = 1  # pp == (-scale.numerator)^s and qq == scale.denominator^(k-s)
+        den = w = q**k  # w == C(k, s) * (-scale.numerator)^s * scale.denominator^(k-s)
         nums = {}
         for s in range(k + 1 if p else 1):
-            nums[(s, n + r * (k - s))] = comb(k, s) * pp * qq
-            pp *= p
-            qq //= q
+            nums[(s, n + r * (k - s))] = w
+            w = w * (k - s) * p // ((s + 1) * q)
         return _new("x", den, nums)
 
     def format(self) -> str:

@@ -7,10 +7,12 @@ closed-form exchange rule and of the integer-numerator arithmetic of the
 package: sums and scalar multiples are taken on plain dicts of
 ``Fraction``s, and a ``WeylElement`` is built once per result.
 ``slow_commutator`` subtracts the two ``slow_product`` expansions on such a
-dict.  ``slow_shift`` substitutes the shift generators monomial by monomial
-on top of the same expansion, independent of the packed Horner kernel in
-``automorphism``.  ``ccr_preserved`` checks a word against the defining
-relation ``[D, x] == 1`` on the images of the generators.
+dict.  ``slow_fourier`` normalizes the letter word of each Fourier image,
+independent of the exchange weights in ``automorphism``.  ``slow_shift``
+substitutes the shift generators monomial by monomial on top of the same
+expansion, independent of the packed Horner kernel in ``automorphism``.
+``ccr_preserved`` checks a word against the defining relation ``[D, x] ==
+1`` on the images of the generators.
 """
 
 from __future__ import annotations
@@ -72,6 +74,17 @@ def slow_commutator(a: WeylElement, b: WeylElement) -> WeylElement:
     acc = _product_terms(a.terms, b.terms)
     _add_into(acc, _product_terms(b.terms, a.terms).items(), Fraction(-1))
     return WeylElement(acc, a.side)
+
+
+def slow_fourier(e: WeylElement, inverse: bool) -> WeylElement:
+    """Image of ``e`` under ``Fourier()`` or, with ``inverse``,
+    ``FourierInverse()``: ``x^i D^j`` goes to ``(-1)^j D^i x^j`` or
+    ``(-1)^i D^i x^j``, the letter word normalized by single swaps."""
+    acc: dict = {}
+    for (i, j), c in e.terms.items():
+        sign = -1 if (i if inverse else j) % 2 else 1
+        _add_into(acc, _normalize_word(("d",) * i + ("x",) * j), sign * c)
+    return WeylElement(acc, e.side)
 
 
 def _slow_power(base: Mapping, n: int) -> dict:

@@ -28,7 +28,7 @@ from weylnil import (
 )
 
 from conftest import auto_words, rand_element, rand_word, shift_polys, weyl_elements
-from oracles import ccr_preserved, slow_shift
+from oracles import ccr_preserved, slow_fourier, slow_shift
 
 x, d = generators()
 
@@ -166,6 +166,22 @@ def test_fourier_inverse_is_threefold_fourier():
         assert apply_generator(FourierInverse(), e) == apply_word(
             (Fourier(), Fourier(), Fourier()), e
         )
+
+
+def test_fourier_swaps_match_single_swap_normalization():
+    # every exchange order up to 7, on both sides, the zero element included
+    rng = random.Random(97)
+    zero_seen = 0
+    for case in range(300):
+        side = "xz"[case % 2]
+        if case % 50 == 0:
+            e = WeylElement.zero(side)
+        else:
+            e = rand_element(rng, max_terms=5, max_exp=7, max_num=40, max_den=30, side=side)
+        zero_seen += e.is_zero()
+        assert apply_generator(Fourier(), e) == slow_fourier(e, False), e
+        assert apply_generator(FourierInverse(), e) == slow_fourier(e, True), e
+    assert zero_seen >= 6
 
 
 def test_random_words_fix_nothing_but_identity_on_average():

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import comb, factorial, gcd
 
 import pytest
 from hypothesis import given
@@ -248,6 +248,18 @@ def test_products_and_brackets_match_oracles_to_exponent_ten():
         assert ba == slow_product(b, a)
         assert commutator(a, b) == slow_commutator(a, b) == ab - ba
         assert commutator(b, a) == slow_commutator(b, a) == ba - ab
+
+
+def test_exchange_weights_over_a_long_recurrence():
+    # D^n x^n = sum_t t! C(n, t)^2 x^(n-t) D^(n-t): 301 contraction orders,
+    # each weight checked against one built from scratch
+    n = 300
+    swap = {(n - t, n - t): factorial(t) * comb(n, t) ** 2 for t in range(n + 1)}
+    xn, dn = x**n, d**n
+    assert apply_generator(Fourier(), xn * dn) == WeylElement({k: (-1) ** n * w for k, w in swap.items()})
+    assert dn * xn == WeylElement(swap)
+    del swap[(n, n)]
+    assert commutator(dn, xn) == WeylElement(swap)
 
 
 def _monomial(c, i, j):

@@ -275,6 +275,12 @@ def _expansion_oracle(f, r, order):
     return FormIssue.POSITIVE_Y_POWER if n > 0 else "accepted"
 
 
+def _assert_expansion(n, r, k, scale):
+    power = FactoredForm(n, r, k, scale).expand()
+    assert power.side == "x" and power.den >= 1 and gcd(power.den, *power.nums.values()) == 1
+    assert power == WeylElement(_fraction_expansion(n, r, k, scale)), (n, r, k, scale)
+
+
 def test_factor_form_agrees_with_the_expansion_oracle():
     rng = random.Random(31)
     kinds = set()
@@ -283,9 +289,7 @@ def test_factor_form_agrees_with_the_expansion_oracle():
         scale = Fraction(rng.choice((-1, 1)) * rng.randint(1, 40), rng.randint(1, 40))
         order = n + r * k
         f = _fraction_expansion(n, r, k, scale)
-        power = FactoredForm(n, r, k, scale).expand()
-        assert power.side == "x" and power.den >= 1 and gcd(power.den, *power.nums.values()) == 1
-        assert power == WeylElement(f)
+        _assert_expansion(n, r, k, scale)
         edge = [(s, n + r * (k - s)) for s in range(1, k + 1)]
         variant = rng.randrange(4)
         if variant == 1:  # one coefficient perturbed
@@ -310,6 +314,13 @@ def test_factor_form_agrees_with_the_expansion_oracle():
                 assert out.partial.expand() == WeylElement(f)
         assert kind == _expansion_oracle(f, r, order), (r, k, n, scale, variant)
         kinds.add((kind, variant > 0))
+    # expansions alone at multiplicities up to 40, with zero, negative
+    # integer and non-integer scales
+    for k in range(1, 41):
+        n, r, sign = rng.randint(0, 3), rng.randint(1, 4), rng.choice((-1, 1))
+        odd_half = Fraction(sign * rng.randrange(1, 80, 2), 2 * rng.randint(1, 20))
+        for scale in (Fraction(0), Fraction(-rng.randint(1, 40)), odd_half):
+            _assert_expansion(n, r, k, scale)
     assert kinds >= {
         ("accepted", False),
         (FormIssue.POSITIVE_Y_POWER, False),
