@@ -194,8 +194,9 @@ def apply_generator(gen: Generator, e: WeylElement) -> WeylElement:
         return _apply_fourier(e, inverse=True)
     if isinstance(gen, (ShiftX, ShiftD)):
         # constants are dropped on construction, so degree 1 or more means a
-        # nonzero derivative
-        if gen.poly.degree < 1 or e.is_zero():
+        # nonzero derivative; an element without the shifted generator (the
+        # zero element's order and x-degree are -1) is fixed
+        if gen.poly.degree < 1 or (e.x_degree if isinstance(gen, ShiftX) else e.order) < 1:
             return e
         return _substitute(e, gen)
     raise TypeError(f"unknown generator {gen!r}")

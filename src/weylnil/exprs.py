@@ -15,28 +15,33 @@ One expression must stay on a single side.  Exponents are capped at 4096,
 parentheses nest at most 100 deep and a number literal may have as many
 digits as ``int`` converts (4300 by default).
 
-The parser walks the text by position and reads a token only when it needs
-one.  At the start of each term it first tries one match of the printed
-shape of a term (``_term_pattern``): the separator `` + `` or `` - `` (on
-the first term of an expression or group a bare ``-`` or nothing), then
-``c[/d]``, ``x^i`` and ``D^j`` joined by ``*``, each optional but not all,
-then a printed separator, ``)`` or the end.  A match is one monomial and
-goes straight into the list of terms.  Every other term goes through the
-factor loop: a term of numbers, symbols and symbol powers with no coordinate
-factor right of a derivative factor (``-3/2*x^4*D^2``, ``2*x*1/2``) is
-still one monomial, accumulated as an integer numerator, an integer
-denominator and two exponents; only a parenthesised group, or a coordinate
-factor after a derivative factor (``D*x``), is multiplied on with the
-operator product.  Terms are summed on integer numerators over the least
-common multiple of their denominators.
+A *printed level* is the whole text, or a group with no parentheses inside,
+made only of printed terms (``_term_pattern``): the separator `` + `` or
+`` - `` (on the first term a bare ``-`` or nothing), then ``c[/d]``, ``x^i``
+and ``D^j`` joined by ``*``, each optional but not all, then a printed
+separator, ``)`` or the end.  A printed level is read in one sweep of that
+pattern (``_sweep``), which checks that the matches tile the level and adds
+their numerators, over the least common multiple of their denominators,
+into one key map.  Any other level, or one with an exponent above the cap
+or a literal that ``int`` refuses, is read by the factor loop, which walks
+the text by position and reads a token only when it needs one: a term of
+numbers, symbols and symbol powers with no coordinate factor right of a
+derivative factor (``-3/2*x^4*D^2``, ``2*x*1/2``) is one monomial,
+accumulated as an integer numerator, an integer denominator and two
+exponents; only a parenthesised group, or a coordinate factor after a
+derivative factor (``D*x``), is multiplied on with the operator product.
+So a level that holds one term of another shape, ``D*x + x^2 - 3/2*D``,
+reads all its terms by the factor loop.
 
-Errors come in a fixed order: a bad character anywhere, then the first
-unknown symbol, then mixed sides, then the first syntax error in reading
-order.  One scan for letter runs settles the side before parsing; the full
-token scan runs only when an error is about to be raised.  Parsing takes
-time linear in the length of the text: the term pattern matches no
-whitespace beyond its fixed separators, and whitespace before the end of
-the text is one token match.
+The side is ``z`` when the text holds a ``z`` and ``x`` otherwise.  Errors
+come in a fixed order: a bad character anywhere, then the first unknown
+symbol, then mixed sides, then the first syntax error in reading order.  The
+sweep raises nothing, and the factor loop stops at the first symbol off the
+side; the full token scan runs only when an error is about to be raised.
+Parsing takes time linear in the length of the text: a term match starts
+at no digit that follows a digit, so it backtracks over a digit run at most
+once; the term pattern matches no whitespace beyond its fixed separators,
+and whitespace before the end of the text is one token match.
 
 ``str`` of an element prints terms sorted descending by (derivative exponent,
 coordinate exponent), so ``x^2 + D + x*D^3 + x^3`` prints as
@@ -47,9 +52,10 @@ element.
 from __future__ import annotations
 
 import re
-from typing import List, NamedTuple
+from math import lcm
+from typing import List, NamedTuple, Optional
 
-from .element import Part, WeylElement, _element, _new
+from .element import Part, WeylElement, _element, _new, _settle
 from .errors import ParseError
 
 MAX_EXPONENT = 4096
@@ -61,7 +67,6 @@ MAX_NESTING = 100
 # character and no group (``\Z``) is the end of the text
 _TOKEN = re.compile(r"\s*(?:(\d+(?:/\d+)?)|([A-Za-z]+)|([-+*^()])|(\S)|\Z)")
 _KINDS = (None, "num", "name", "op")
-_NAME = re.compile(r"[A-Za-z]+")
 
 _SYMBOLS = {"x": ("x", False), "D": ("x", True), "z": ("z", False), "Dz": ("z", True)}
 
@@ -72,11 +77,13 @@ def _term_pattern(xs: str, ds: str) -> "re.Pattern":
     Groups: 1 a separator's sign, 2 a bare leading minus, 3 the numerator,
     4 the denominator, 5 the coordinate, 6 its exponent, 7 the derivative,
     8 its exponent.  A zero denominator or an exponent of five or more
-    digits does not match, so such terms take the factor loop.
+    digits does not match, so a level holding such a term takes the factor
+    loop.  No match starts right after a digit, which keeps a sweep linear
+    on long digit runs.
     """
     end = r"(?= [-+] |\)|\Z)"
     return re.compile(
-        rf"(?: ([-+]) |(-)?)(?=[\d{xs}{ds[0]}])"
+        rf"(?: ([-+]) |(-)?)(?<!\d)(?=[\d{xs}{ds[0]}])"
         rf"(?:(\d+)(?:/(0*[1-9]\d*))?(?:\*(?=[{xs}{ds[0]}])|{end}))?"
         rf"(?:({xs})(?:\^(\d{{1,4}}))?(?:\*(?={ds[0]})|{end}))?"
         rf"(?:({ds})(?:\^(\d{{1,4}}))?)?{end}"
@@ -123,7 +130,6 @@ class _Parser:
         self.text = text
         self.pos = 0
         self.side = side
-        self.term = _TERMS[side]
         self.depth = 0
 
     def peek(self) -> _Token:
@@ -146,23 +152,10 @@ class _Parser:
             raise ParseError(f"expected {op!r}", tok.pos)
 
     def parse_expr(self) -> List[Part]:
-        """The parts of the terms of an expression; each term is first tried
-        as one printed-term match, then read by the factor loop."""
+        """The parts of the terms of an expression, read by the factor loop."""
         parts: List[Part] = []
         first = True
         while True:
-            m = self.term.match(self.text, self.pos)
-            if m is not None and (first or m[1]):
-                sep, minus, num, den, xs, i, ds, j = m.groups()
-                i = int(i) if i else 1 if xs else 0
-                j = int(j) if j else 1 if ds else 0
-                if i <= MAX_EXPONENT and j <= MAX_EXPONENT:
-                    num = _int(num, m.start(3)) if num else 1
-                    den = _int(den, m.start(3)) if den else 1
-                    parts.append(((i, j), -num if minus or sep == "-" else num, den))
-                    self.pos = m.end()
-                    first = False
-                    continue
             tok = self.peek()
             sign = 1
             if tok.kind == "op" and tok.text in "+-":
@@ -194,8 +187,12 @@ class _Parser:
                 num *= _int(top, tok.pos) ** n
                 den *= bottom**n
             elif tok.kind == "name":
+                symbol = _SYMBOLS.get(tok.text)
+                if symbol is None or symbol[0] != self.side:
+                    # parse_expression's scan reports the unknown symbol or the mixed sides
+                    raise ParseError(f"unexpected symbol {tok.text!r}", tok.pos)
                 n = self.parse_exponent()
-                if _SYMBOLS[tok.text][1]:
+                if symbol[1]:
                     j += n
                 elif j and n:
                     acc = _times(acc, _monomial(i, j, self.side))
@@ -239,9 +236,17 @@ class _Parser:
     def parse_group(self, opening: _Token) -> WeylElement:
         if self.depth == MAX_NESTING:
             raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", opening.pos)
-        self.depth += 1
-        inner = _element(self.parse_expr(), self.side)
-        self.depth -= 1
+        text, pos = self.text, self.pos
+        close = text.find(")", pos)
+        inner = None
+        if close >= 0 and text.find("(", pos, close) < 0:
+            inner = _sweep(text[pos:close], self.side)
+        if inner is None:
+            self.depth += 1
+            inner = _element(self.parse_expr(), self.side)
+            self.depth -= 1
+        else:
+            self.pos = close
         self.expect_op(")")
         return inner
 
@@ -254,13 +259,54 @@ def _times(acc, e: WeylElement) -> WeylElement:
     return e if acc is None else acc * e
 
 
+def _sweep(level: str, side: str) -> Optional[WeylElement]:
+    """The element of the printed level ``level``, or None when it is not
+    one: when the matches of the term pattern do not tile it, or it holds an
+    exponent above ``MAX_EXPONENT`` or a literal that ``int`` refuses.  The
+    factor loop then reads the level and raises any error.
+
+    One ``split`` returns the text before each match, the match's eight
+    groups, and the text after the last match; the matches tile the level
+    when all those texts are empty.  A level whose first term does not
+    match, such as the spaced ``2 * x``, is refused by one match before the
+    split.
+    """
+    term = _TERMS[side]
+    if term.match(level) is None:
+        return None
+    pieces = term.split(level)
+    if any(pieces[::9]):
+        return None
+    terms = iter(pieces)
+    next(terms)
+    try:
+        # each denominator's text maps to its factor up to the lcm
+        dens = set(pieces[4::9])
+        den = lcm(*[int(d) for d in dens if d])
+        scale = {d: den // int(d) if d else den for d in dens}
+        acc: dict = {}
+        get = acc.get
+        for sep, minus, num, d, xs, i, ds, j, _ in zip(*[terms] * 9):
+            i = int(i) if i else 1 if xs else 0
+            j = int(j) if j else 1 if ds else 0
+            if i > MAX_EXPONENT or j > MAX_EXPONENT:
+                return None
+            n = int(num) * scale[d] if num else scale[d]
+            key = (i, j)
+            acc[key] = get(key, 0) + (-n if minus or sep == "-" else n)
+    except ValueError:  # more digits than int converts
+        return None
+    return _settle(acc.items(), den, side)
+
+
 def parse_expression(text: str) -> WeylElement:
     """Parse an expression to a normal-ordered element."""
-    names = set(_NAME.findall(text))
-    sides = {_SYMBOLS[name][0] for name in names & _SYMBOLS.keys()}
-    if len(sides) > 1 or not names <= _SYMBOLS.keys():
-        _raise_scan_error(text)
-    parser = _Parser(text, sides.pop() if sides else "x")
+    side = "z" if "z" in text else "x"
+    if "(" not in text:
+        e = _sweep(text, side)
+        if e is not None:
+            return e
+    parser = _Parser(text, side)
     try:
         parts = parser.parse_expr()
         tail = parser.peek()
@@ -269,4 +315,4 @@ def parse_expression(text: str) -> WeylElement:
     except ParseError:
         _raise_scan_error(text)
         raise
-    return _element(parts, parser.side)
+    return _element(parts, side)

@@ -51,7 +51,8 @@ def weight_value(e: WeylElement, w: Weight) -> int:
     """Maximal weight over the support; undefined for the zero element."""
     if e.is_zero():
         raise ValueError("weight value of the zero element is undefined")
-    return max(w.of(i, j) for i, j in e.nums)
+    a, b = w.x_weight, w.d_weight
+    return max(a * i + b * j for i, j in e.nums)
 
 
 @dataclass(frozen=True)
@@ -72,7 +73,8 @@ class NewtonData:
 def associated_poly(e: WeylElement, w: Weight) -> NewtonData:
     """Collect the top-weight terms of ``e`` into a commutative polynomial."""
     v = weight_value(e, w)
-    assoc = _settle(((k, n) for k, n in e.nums.items() if w.of(*k) == v), e.den, e.side)
+    a, b = w.x_weight, w.d_weight
+    assoc = _settle((((i, j), n) for (i, j), n in e.nums.items() if a * i + b * j == v), e.den, e.side)
     return NewtonData(w, v, assoc)
 
 
@@ -114,8 +116,9 @@ def choose_weights(e: WeylElement) -> Weight:
     k0, m0 = best
     g = gcd(n - m0, k0)
     w = Weight((n - m0) // g, k0 // g)
-    limit = n * w.d_weight
-    if any(w.of(i, j) > limit for i, j in e.nums):
+    a, b = w.x_weight, w.d_weight
+    limit = n * b
+    if any(a * i + b * j > limit for i, j in e.nums):
         raise InvariantViolation("support escapes above the chosen Newton edge")
     return w
 

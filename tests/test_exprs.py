@@ -17,6 +17,9 @@ from oracles import slow_product
 
 x, d = generators()
 
+# 149 printed terms; a term appended to it is the 150th
+_LONG = " + ".join(f"{k}/7*x^{k}*D" for k in range(1, 150))
+
 
 def test_parse_airy():
     assert parse_expression("D^2 - x") == d**2 - x
@@ -164,6 +167,9 @@ def test_parse_long_sum_collects_terms():
         ("3/7^2*D", d * Fraction(9, 49)),
         ("-D*x*D", -(x * d**2) - d),
         ("x*D^0*x", x**2),
+        ("D*x + (x^2 - 3/2*D)^2", x * d + 1 + (x**2 - Fraction(3, 2) * d) ** 2),
+        ("( + x)", x),
+        ("x + x - 2*x", WeylElement.zero()),
     ],
 )
 def test_parse_product_terms(text, expected):
@@ -233,6 +239,8 @@ def test_parse_product_matches_product_of_factors(parts):
         ("x^2^3", 3, "unexpected trailing '^'"),
         ("(x)D", 3, "unexpected trailing 'D'"),
         ("D*x2", 3, "unexpected trailing '2'"),
+        ("()", 1, "unexpected ')'"),
+        (_LONG + " + x^4097*D - 3", len(_LONG) + 5, "exponent overflow"),
     ],
 )
 def test_parse_error_positions(text, position, message):
@@ -249,7 +257,8 @@ def _spaced(text: str) -> str:
 @settings(max_examples=150, deadline=None)
 @given(e=weyl_elements(max_terms=6, max_exp=5), side=st.sampled_from(["x", "z"]))
 def test_spaced_and_grouped_forms_parse_alike(e, side):
-    # spaces around every * and ^ take every term off the printed-term match
+    # spaces around every * and ^ make a level that is not printed, so the
+    # factor loop reads it
     e = WeylElement(e.terms, side)
     text = str(e)
     expected = e if not e.is_constant() else WeylElement(e.terms, "x")
@@ -266,15 +275,21 @@ def test_parse_time_is_linear_in_whitespace():
     assert info.value.position == 20003
     assert parse_expression(" " * 20000 + "x*" + " " * 20000 + "D") == x * d
     assert parse_expression(" " * 2500 + "x*" + " " * 2500 + "D") == x * d
+    # a digit run that no term match ends: each match attempt starts at the
+    # run's first digit only
+    with pytest.raises(ParseError) as info:
+        parse_expression("x + " + "1" * 20000 + "^2")
+    assert info.value.position == 4
     assert time.perf_counter() - started < 2
 
 
 @pytest.mark.parametrize(
     "text, position",
     [
-        ("1" * 5000 + "*x", 0),  # printed-term match
+        ("1" * 5000 + "*x", 0),  # printed levels, refused by the sweep
         ("x + " + "1" * 5000 + "/3*D", 4),
         ("x + 3/" + "1" * 5000 + "*D", 4),
+        (_LONG + " - " + "1" * 5000 + "*x*D^2 + x", len(_LONG) + 3),
         ("x^" + "1" * 5000, 2),  # factor loop
         ("D*x*" + "1" * 5000, 4),
         ("(" + "1" * 5000 + ")", 1),
