@@ -1,20 +1,25 @@
 """Strict-nilpotency decision procedure and the constructions built on it.
 
-``decide`` classifies an operator by infinite descent on its order.  After
-scaling monic and killing the next-to-top coefficient, each stage reads the
-Newton-edge weights, demands that the top-weight polynomial is a pure
-binomial power ``(Y^r - c*X)^k``, and applies a shift along the derivative
-that collapses the operator onto coordinate degree ``k``.  A second shift
-clears the ``x^(k-1)`` slice, an inverse Fourier swap returns to a monic
-derivative-side operator of order ``k = N/r <= N/2``, and the stage repeats
-until the iterate is free of the coordinate.  Inverting the accumulated
-generators yields a certificate: an automorphism word and a polynomial whose
-evaluation at the derivative reproduces the input exactly.  Failure of the
-shape test at any stage is a sound rejection, because a nilpotently acting
-operator admits the binomial-power presentation at every stage.
+``decide`` classifies an operator by infinite descent on its order.  It
+normalizes, then scales monic: one shift kills the next-to-top coefficient
+of the unscaled operator, and the smaller image is divided by its top
+coefficient.  Then each stage reads the Newton-edge weights, demands that
+the top-weight polynomial is a pure binomial power ``(Y^r - c*X)^k``, and
+applies a shift along the derivative that collapses the operator onto
+coordinate degree ``k``.  A second shift clears the ``x^(k-1)`` slice, an
+inverse Fourier swap returns to a monic derivative-side operator of order
+``k = N/r <= N/2``, and the stage repeats until the iterate is free of the
+coordinate.  Inverting the accumulated generators yields a certificate: an
+automorphism word and a polynomial whose evaluation at the derivative
+reproduces the input exactly.  Failure of the shape test at any stage is a
+sound rejection, because a nilpotently acting operator admits the
+binomial-power presentation at every stage.
 
 Everything is exact rational arithmetic; every certificate is re-verified by
-recomputation before it is returned.  A verdict holds values only: the
+recomputation before it is returned.  The checks between the phases, the
+scalars and the stage generators read the integer pairs ``(den, nums)``
+and compare scalars by cross-multiplication; a slice polynomial is built
+only where its value is kept.  A verdict holds values only: the
 prologue generators applied before stage 1, the top coefficient ``lead``
 divided out, and one ``StageRecord`` (Newton data, factored form,
 generators, elements) per stage.  A stage's order, edge point and order
@@ -28,6 +33,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from enum import Enum
+from itertools import repeat
 from typing import List, Optional, Tuple, Union
 
 from .automorphism import (
@@ -46,6 +52,8 @@ from .automorphism import (
 )
 from .element import (
     WeylElement,
+    _column_empty,
+    _row_empty,
     ccr_check,
     commutator,
     coordinate,
@@ -68,7 +76,7 @@ from .filtration import (
     factor_form,
     weight_value,
 )
-from .poly import UniPoly
+from .poly import UniPoly, _integral
 
 
 class Reason(Enum):
@@ -125,7 +133,8 @@ class StrictlyNilpotent:
     """A certified operator.  ``prologue`` holds the generators applied to
     the input before stage 1, first entry first: the ``FourierInverse`` swap
     if one was taken, then the normalizing ``ShiftD`` if it is nonzero;
-    ``lead`` is the top coefficient divided out after the swap."""
+    ``lead`` is the top coefficient after the swap, divided out of the
+    normalized operator."""
 
     certificate: Certificate
     prologue: Tuple[Generator, ...] = ()
@@ -186,19 +195,21 @@ def normalize_subleading(e: WeylElement) -> Tuple[WeylElement, Generator]:
     For an order-N operator with constant top coefficient c the image of
     ``ShiftD(r)`` has next-to-top coefficient ``V - N*c*r'``, so
     ``r' = V/(N*c)`` forces it to vanish; the vanishing is re-checked on the
-    computed image.  Returns the image and the generator used (a zero shift
-    when nothing had to be done).
+    computed image.  On the integer pair ``r'`` is the ``D^(N-1)`` row's
+    numerators over ``N`` times the top numerator, since the shared
+    denominator cancels.  Returns the image and the generator used (a zero
+    shift when nothing had to be done).
     """
     n = e.order
-    top = e.d_slice(n)
-    if n < 1 or not top.is_constant():
+    if n < 1 or not _row_empty(e, n, 1):
         raise NotNormalizableError("operator must have constant top coefficient of order >= 1")
-    sub = e.d_slice(n - 1)
-    if sub.is_zero():
+    if _row_empty(e, n - 1):
         return e, ShiftD(UniPoly.zero())
-    gen = ShiftD((sub / (n * top.constant_value())).antiderivative())
+    nums = e.nums
+    sub = map(nums.get, zip(range(e.x_degree + 1), repeat(n - 1)), repeat(0))
+    gen = ShiftD(_integral(n * nums[(0, n)], list(sub)))
     image = apply_generator(gen, e)
-    if not image.d_slice(image.order - 1).is_zero():
+    if not _row_empty(image, image.order - 1):
         raise InvariantViolation("next-to-top coefficient survived normalization")
     return image, gen
 
@@ -213,12 +224,14 @@ def descent_step(e: WeylElement) -> Union[StageRecord, FormDiagnostic]:
     the swapped operator already has a vanishing next-to-top coefficient,
     and one division by its leading coefficient ``lam^k`` makes it monic of
     order ``multiplicity = order/ratio``, ready for the next stage.  A failed
-    shape test returns its diagnostic.
+    shape test returns its diagnostic.  Every check reads the integer pair,
+    and with ``lam = p/q`` a scalar ``a/den`` equals ``b/q^k`` exactly when
+    ``a*q^k == b*den``.
     """
     n = e.order
-    if n < 1 or e.d_slice(n) != 1:
+    if n < 1 or e.nums.get((0, n)) != e.den or not _row_empty(e, n, 1):
         raise NotNormalizableError("descent stage requires a monic operator of order >= 1")
-    if not e.d_slice(n - 1).is_zero():
+    if not _row_empty(e, n - 1):
         raise ValueError("descent stage requires a vanishing next-to-top coefficient")
     if not e.depends_on_x():
         raise ValueError("descent stage requires dependence on the coordinate")
@@ -232,36 +245,44 @@ def descent_step(e: WeylElement) -> Union[StageRecord, FormDiagnostic]:
         raise InvariantViolation(
             "weight ratio 1 after normalization contradicts the vanishing next-to-top coefficient"
         )
+    p, q = lam.numerator, lam.denominator
+    pk, qk = p**k, q**k
+    c_top = -pk if k % 2 else pk  # (-lam)^k == c_top / qk
 
     # collapse the derivative structure: x -> x + lam^-1 D^r
-    g_main = ShiftX(UniPoly.monomial(r + 1, Fraction(1, r + 1) / lam))
+    g_main = ShiftX(_integral(p, [0] * r + [q]))
     cur = shift_image = apply_generator(g_main, e)
     gens: List[Generator] = [g_main]
 
-    c_top = (-lam) ** k
-    if cur.x_degree != k or cur.x_slice(k) != c_top:
+    if cur.x_degree != k or cur.nums.get((k, 0), 0) * qk != c_top * cur.den or not _column_empty(cur, k, 1):
         raise InvariantViolation("collapse did not produce the expected top coordinate slice")
 
     # clear the x^(k-1) slice; its degree must sit strictly below the ratio
-    edge = cur.x_slice(k - 1)
-    if not edge.is_zero():
-        if edge.degree >= r:
+    if not _column_empty(cur, k - 1):
+        if not _column_empty(cur, k - 1, r):
             raise InvariantViolation("next-to-top coordinate slice exceeds the weight bound")
-        g_edge = ShiftX((edge / (-k * c_top)).antiderivative())
+        # s' = edge / (-k*(-lam)^k): the slice's numerators times q^k over
+        # cur.den * -k*c_top
+        edge = map(cur.nums.get, zip(repeat(k - 1), range(r)), repeat(0))
+        g_edge = ShiftX(_integral(-k * c_top * cur.den, [qk * v for v in edge]))
         cur = apply_generator(g_edge, cur)
         gens.append(g_edge)
-        if not cur.x_slice(k - 1).is_zero():
+        if not _column_empty(cur, k - 1):
             raise InvariantViolation("next-to-top coordinate slice survived the clearing shift")
 
     # swap back to a derivative-side operator, already normalized; rescale monic
     g_swap = FourierInverse()
     cur = apply_generator(g_swap, cur)
     gens.append(g_swap)
-    scale = lam**k
-    if cur.order != k or cur.d_slice(k) != scale or not cur.d_slice(k - 1).is_zero():
+    if (
+        cur.order != k
+        or cur.nums.get((0, k), 0) * qk != pk * cur.den
+        or not _row_empty(cur, k, 1)
+        or not _row_empty(cur, k - 1)
+    ):
         raise InvariantViolation("swapped operator is not lam^k*D^k plus terms of order k-2 or less")
 
-    return StageRecord(nd, ff, shift_image, tuple(gens), cur / scale)
+    return StageRecord(nd, ff, shift_image, tuple(gens), cur._scaled(qk, pk))
 
 
 def decide(e: WeylElement) -> Verdict:
@@ -269,14 +290,17 @@ def decide(e: WeylElement) -> Verdict:
 
     Constants are reported separately; pure coordinate or pure derivative
     polynomials certify immediately with an empty word.  Otherwise the input
-    is scaled monic (switching representation through an inverse Fourier
-    swap if only the coordinate-leading side is constant), normalized, and
-    descended stage by stage.  Every iterate has order at least one, so the
-    loop ends on the derivative side, once the iterate is free of the
-    coordinate.  The certificate word is the inverse of the prologue
-    followed by each stage's generators, and the certificate polynomial
-    absorbs ``lead`` and every stage's scale, so the reconstruction is
-    exact; it is re-verified before being returned.
+    is brought to a constant top coefficient (switching representation
+    through an inverse Fourier swap if only the coordinate-leading side is
+    constant), normalized, then scaled monic, and descended stage by stage.
+    Normalizing first shifts the unscaled operator, whose image is smaller
+    than the input; the shift is linear and its generator divides by the top
+    coefficient, so both equal those of the monic operator.  Every iterate
+    has order at least one, so the loop ends on the derivative side, once
+    the iterate is free of the coordinate.  The certificate word is the
+    inverse of the prologue followed by each stage's generators, and the
+    certificate polynomial absorbs ``lead`` and every stage's scale, so the
+    reconstruction is exact; it is re-verified before being returned.
     """
     if e.is_constant():
         return TriviallyConstant(e.constant_value())
@@ -287,33 +311,37 @@ def decide(e: WeylElement) -> Verdict:
 
     prologue: List[Generator] = []
     cur = e
-    if not cur.d_slice(cur.order).is_constant():
+    if not _row_empty(cur, cur.order, 1):
         # the swap sends x^i D^j to (-1)^i x^j D^i plus terms of lower order,
         # so its top coefficient is +-x_slice(x_degree) read with D -> x: test
         # that first and swap only when it is constant
-        if not cur.x_slice(cur.x_degree).is_constant():
+        if not _column_empty(cur, cur.x_degree, 1):
             return NotStrictlyNilpotent()
         prologue.append(FourierInverse())
         cur = apply_generator(FourierInverse(), cur)
 
-    lead = scale = cur.d_slice(cur.order).constant_value()
-    if lead != 1:
-        cur = cur / lead
+    lead = Fraction(cur.nums[(0, cur.order)], cur.den)
     cur, g_norm = normalize_subleading(cur)
     if not g_norm.poly.is_zero():
         prologue.append(g_norm)
+    if lead != 1:
+        cur = cur._scaled(lead.denominator, lead.numerator)
 
+    # the certificate polynomial's scale lead * prod(lam^k), as num / den
+    num, den = lead.numerator, lead.denominator
     stages: List[StageRecord] = []
     while cur.depends_on_x():
         out = descent_step(cur)
         if isinstance(out, FormDiagnostic):
             return NotStrictlyNilpotent(out, tuple(prologue), tuple(stages), lead)
-        scale *= out.form.scale**out.form.multiplicity
+        k, lam = out.form.multiplicity, out.form.scale
+        num *= lam.numerator**k
+        den *= lam.denominator**k
         cur = out.element
         stages.append(out)
 
     word = tuple(invert_generator(g) for g in prologue + [g for rec in stages for g in rec.generators])
-    cert = Certificate(word, cur.x_slice(0) * scale, "d")
+    cert = Certificate(word, cur.x_slice(0) * Fraction(num, den), "d")
     if not verify_certificate(e, cert):
         raise InvariantViolation("assembled certificate failed re-verification")
     return StrictlyNilpotent(cert, tuple(prologue), tuple(stages), lead)

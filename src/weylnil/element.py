@@ -30,7 +30,9 @@ divides out one ``gcd``; negation, the anti-involution, a parsed monomial
 and an element built from a polynomial's pair by ``from_d_poly`` are
 canonical as built and go to ``_new``.  The slices ``d_slice`` and
 ``x_slice`` hand their numerators to the polynomial module's ``_settle``
-over the element's ``den``, with no ``Fraction`` in between.  Equality,
+over the element's ``den``, with no ``Fraction`` in between; ``_row_empty``
+and ``_column_empty`` probe the same keys for a check that keeps no
+polynomial.  Equality,
 hashing and the structural queries read the pair, as other modules do; a
 constant element hashes like its ``Fraction`` value.  ``_element`` builds
 an element from ``(key, numerator, denominator)`` parts, for the constructor
@@ -53,6 +55,7 @@ concurrent use is safe.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
 from types import MappingProxyType
 from typing import Iterable, List, Mapping, Tuple, Union
@@ -114,6 +117,19 @@ def _sum(a: "WeylElement", b: "WeylElement", sign: int) -> "WeylElement":
     for k, n in b.nums.items():
         out[k] = get(k, 0) + n * scale_b
     return _settle(out.items(), den, a.side)
+
+
+def _row_empty(e: "WeylElement", j: int, start: int = 0) -> bool:
+    """Whether ``e`` has no term ``x^i D^j`` with ``i >= start``: probes the
+    keys of that part of the ``D^j`` row, as ``d_slice`` does, and builds
+    no polynomial."""
+    return e.nums.keys().isdisjoint(zip(range(start, e.x_degree + 1), repeat(j)))
+
+
+def _column_empty(e: "WeylElement", i: int, start: int = 0) -> bool:
+    """Whether ``e`` has no term ``x^i D^j`` with ``j >= start``, the mirror
+    of ``_row_empty`` on the ``x^i`` column."""
+    return e.nums.keys().isdisjoint(zip(repeat(i), range(start, e.order + 1)))
 
 
 def _contract(pairs, low: int) -> "WeylElement":
@@ -304,13 +320,15 @@ class WeylElement:
             return NotImplemented
         return _sum(other, self, -1)
 
-    def _scaled(self, c: Scalar) -> "WeylElement":
-        num = c.numerator
-        return _settle(((k, n * num) for k, n in self.nums.items()), self.den * c.denominator, self.side)
+    def _scaled(self, num: int, den: int) -> "WeylElement":
+        """``self * num/den`` for integers with ``den != 0``, settled once."""
+        if den < 0:
+            num, den = -num, -den
+        return _settle(((k, n * num) for k, n in self.nums.items()), self.den * den, self.side)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self._scaled(other)
+            return self._scaled(other.numerator, other.denominator)
         if not isinstance(other, WeylElement):
             return NotImplemented
         self._check_side(other)
@@ -318,7 +336,7 @@ class WeylElement:
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self._scaled(other)
+            return self._scaled(other.numerator, other.denominator)
         return NotImplemented
 
     def __truediv__(self, scalar):
@@ -326,7 +344,7 @@ class WeylElement:
             return NotImplemented
         if not scalar:
             raise ZeroDivisionError("division of an element by zero")
-        return self._scaled(1 / Fraction(scalar))
+        return self._scaled(scalar.denominator, scalar.numerator)
 
     def __pow__(self, n: int):
         # products by the small base cost far less than squares of large powers

@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional, Tuple, Union
 
-from .element import WeylElement, _new, _settle
+from .element import WeylElement, _new, _row_empty, _settle
 from .errors import InvariantViolation, NotNormalizableError
 from .poly import _format_terms
 
@@ -39,9 +39,6 @@ class Weight:
             raise ValueError("weights must be positive integers")
         if gcd(self.x_weight, self.d_weight) != 1:
             raise ValueError("weight pair must be coprime")
-
-    def of(self, i: int, j: int) -> int:
-        return self.x_weight * i + self.d_weight * j
 
     def as_tuple(self) -> Tuple[int, int]:
         return (self.x_weight, self.d_weight)
@@ -96,7 +93,7 @@ def choose_weights(e: WeylElement) -> Weight:
     depend on the coordinate has no such point and raises ``ValueError``.
     """
     n = e.order
-    if n < 1 or not e.d_slice(n).is_constant():
+    if n < 1 or not _row_empty(e, n, 1):
         raise NotNormalizableError("operator must have a constant nonzero top coefficient")
     if not e.depends_on_x():
         raise ValueError("operator has constant coefficients; no edge to choose")

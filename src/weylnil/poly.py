@@ -72,6 +72,18 @@ def _settle(den: int, nums: list) -> "UniPoly":
     return _new(den, tuple(nums))
 
 
+def _integral(den: int, nums: list) -> "UniPoly":
+    """The antiderivative with zero constant term of the polynomial with
+    coefficients ``n / den`` for the numerators ``nums`` (ascending by
+    degree, ``den != 0``), as a canonical polynomial."""
+    if den < 0:
+        den, nums = -den, [-n for n in nums]
+    while nums and not nums[-1]:
+        nums.pop()
+    scale = lcm(*range(1, len(nums) + 1))
+    return _settle(den * scale, [0] + [n * (scale // (i + 1)) for i, n in enumerate(nums)])
+
+
 def _coefficient(c) -> Fraction:
     """A constructor coefficient as a ``Fraction``: ``int``, ``Fraction`` and
     ``str`` are exact; anything else, a binary ``float`` among them, is a
@@ -250,9 +262,7 @@ class UniPoly:
 
     def antiderivative(self) -> "UniPoly":
         """Antiderivative with zero constant term."""
-        nums = self.nums
-        scale = lcm(*range(1, len(nums) + 1))
-        return _settle(self.den * scale, [0] + [n * (scale // (i + 1)) for i, n in enumerate(nums)])
+        return _integral(self.den, list(self.nums))
 
     def drop_constant(self) -> "UniPoly":
         if not self.nums or not self.nums[0]:

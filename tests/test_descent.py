@@ -628,6 +628,37 @@ def test_scaling_keeps_the_verdict_kind():
             assert type(decide(c * e)) is kind, (e, c)
 
 
+# inputs whose top coefficient is nonconstant until the prologue swap
+SWAP_CORPUS = ("x*D^2 + x^3", "D*x^2 + x^3 + D")
+
+
+def test_scaling_multiplies_lead_and_certificate_polynomial():
+    # decide normalizes before it scales monic, so a scalar factor c must
+    # leave every generator and stage alone and only multiply the lead
+    # coefficient and the certificate polynomial by c
+    operators = [
+        random_orbit_element(seed, word_len=seed % 4, max_deg=4, max_q_deg=3, max_order=10)[0]
+        for seed in range(10)
+    ]
+    operators += [parse_expression(text) for text in NEGATIVE_CORPUS + SWAP_CORPUS]
+    for text in SWAP_CORPUS:
+        assert decide(parse_expression(text)).prologue[0] == FourierInverse()
+    for e in operators:
+        ref = decide(e)
+        for c in (Fraction(-1), Fraction(2), Fraction(-3, 7), Fraction(5, 2)):
+            out = decide(c * e)
+            assert type(out) is type(ref), (e, c)
+            assert out.prologue == ref.prologue and out.stages == ref.stages, (e, c)
+            if isinstance(ref, StrictlyNilpotent):
+                assert out.certificate.word == ref.certificate.word, (e, c)
+                assert out.certificate.side == ref.certificate.side, (e, c)
+                assert out.certificate.gen_poly == ref.certificate.gen_poly * c, (e, c)
+            else:
+                assert out.diagnostic == ref.diagnostic, (e, c)
+            if ref.prologue or ref.stages:
+                assert out.lead == ref.lead * c, (e, c)
+
+
 @pytest.mark.parametrize(
     "call, error, message",
     [
@@ -635,6 +666,12 @@ def test_scaling_keeps_the_verdict_kind():
         (lambda: Certificate((), UniPoly((3,)), "d"), ValueError, "must be nonconstant"),
         (lambda: normalize_subleading(x * d**2 + d), NotNormalizableError, "constant top coefficient"),
         (lambda: descent_step(2 * d**2 + x), NotNormalizableError, "monic operator"),
+        (lambda: descent_step(x * d**2 + d**2 + x), NotNormalizableError, "monic operator"),
+        (lambda: descent_step(d**2 + x * d + x), ValueError, "vanishing next-to-top"),
+        (lambda: descent_step(d**2 + 1), ValueError, "dependence on the coordinate"),
+        (lambda: choose_weights(x * d**2 + x), NotNormalizableError, "constant nonzero top coefficient"),
+        (lambda: choose_weights(d**2 + 1), ValueError, "no edge to choose"),
+        (lambda: normalize_subleading(x**2), NotNormalizableError, "constant top coefficient"),
         (lambda: ad_nilpotency_test(airy, x, cap=0), ValueError, "cap must be positive"),
         (lambda: bispectral_partner(parse_expression("Dz^2 - z")), UnsupportedSideError, "x-side"),
         (lambda: random_orbit_element(1, max_order=0), ValueError, "no draw satisfied the order bound"),
@@ -644,6 +681,12 @@ def test_scaling_keeps_the_verdict_kind():
         "cert-constant",
         "normalize-top",
         "stage-monic",
+        "stage-monic-row",
+        "stage-subleading",
+        "stage-coordinate",
+        "weights-top",
+        "weights-edge",
+        "normalize-order",
         "ad-cap",
         "partner-side",
         "orbit-bound",

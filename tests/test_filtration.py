@@ -35,7 +35,8 @@ def test_weight_requires_primitive_positive_pair():
         Weight(0, 1)
     with pytest.raises(ValueError):
         Weight(2, 4)
-    assert Weight(2, 1).of(1, 1) == 3
+    w = Weight(2, 1)
+    assert w.x_weight * 1 + w.d_weight * 1 == 3
 
 
 def test_weight_value_examples():
@@ -126,7 +127,7 @@ def test_choose_weights_bounds_support():
             continue
         w = choose_weights(e)
         limit = 5 * w.d_weight
-        assert all(w.of(i, j) <= limit for i, j in e.terms)
+        assert all(w.x_weight * i + w.d_weight * j <= limit for i, j in e.terms)
 
 
 def test_factor_form_quartic():
@@ -201,10 +202,10 @@ def test_homogeneity_of_top_part(e, rho, sigma):
     if e.is_zero():
         return
     nd = associated_poly(e, w)
-    assert all(w.of(i, j) == nd.value for i, j in nd.assoc.nums)
+    assert all(w.x_weight * i + w.d_weight * j == nd.value for i, j in nd.assoc.nums)
     # complete: the top weight of the support, with every term of that weight
-    assert nd.value == max(w.of(i, j) for i, j in e.nums)
-    top = {k: Fraction(n, e.den) for k, n in e.nums.items() if w.of(*k) == nd.value}
+    assert nd.value == max(w.x_weight * i + w.d_weight * j for i, j in e.nums)
+    top = {(i, j): Fraction(n, e.den) for (i, j), n in e.nums.items() if w.x_weight * i + w.d_weight * j == nd.value}
     assert nd.assoc == WeylElement(top, e.side)
 
 
