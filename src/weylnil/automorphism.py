@@ -33,42 +33,42 @@ convention ``invert_word`` reverses the sequence and inverts each entry, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from typing import Sequence, Tuple, Union
 
+from ._value import Value
 from .element import WeylElement, _new, _settle
 from .poly import UniPoly
 
 
-@dataclass(frozen=True)
-class ShiftX:
+class ShiftX(Value):
     """x -> x + poly'(D); the exponential of bracketing with poly(D)."""
 
-    poly: UniPoly
+    __slots__ = ("poly",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "poly", self.poly.drop_constant())
+    def __init__(self, poly: UniPoly):
+        object.__setattr__(self, "poly", poly.drop_constant())
 
 
-@dataclass(frozen=True)
-class ShiftD:
+class ShiftD(Value):
     """D -> D - poly'(x); the exponential of bracketing with poly(x)."""
 
-    poly: UniPoly
+    __slots__ = ("poly",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "poly", self.poly.drop_constant())
+    def __init__(self, poly: UniPoly):
+        object.__setattr__(self, "poly", poly.drop_constant())
 
 
-@dataclass(frozen=True)
-class Fourier:
+class Fourier(Value):
     """x -> D, D -> -x."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class FourierInverse:
+
+class FourierInverse(Value):
     """x -> -D, D -> x."""
+
+    __slots__ = ()
 
 
 Generator = Union[ShiftX, ShiftD, Fourier, FourierInverse]

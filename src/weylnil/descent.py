@@ -30,12 +30,12 @@ as ``r*k``, ``X^k`` and ``k``; ``wire`` alone renders them as text.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from enum import Enum
 from itertools import repeat
 from typing import List, Optional, Tuple, Union
 
+from ._value import Value
 from .automorphism import (
     AutoWord,
     Fourier,
@@ -87,8 +87,7 @@ class Reason(Enum):
     POSITIVE_Y_MULTIPLICITY = "positive-y-multiplicity"
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Value):
     """Witness that an operator is an automorphism image of a polynomial.
 
     ``side`` is ``"d"`` when the generator polynomial is evaluated at the
@@ -96,19 +95,19 @@ class Certificate:
     ``apply_word(word, gen_poly(side generator))`` reproduces the operator.
     """
 
-    word: AutoWord
-    gen_poly: UniPoly
-    side: str
+    __slots__ = ("word", "gen_poly", "side")
 
-    def __post_init__(self):
-        if self.side not in ("x", "d"):
+    def __init__(self, word: AutoWord, gen_poly: UniPoly, side: str):
+        if side not in ("x", "d"):
             raise ValueError("certificate side must be 'x' or 'd'")
-        if self.gen_poly.is_constant():
+        if gen_poly.is_constant():
             raise ValueError("certificate polynomial must be nonconstant")
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "gen_poly", gen_poly)
+        object.__setattr__(self, "side", side)
 
 
-@dataclass(frozen=True)
-class StageRecord:
+class StageRecord(Value):
     """One successful descent stage, kept as values.
 
     ``newton`` holds the Newton-edge weights and top-weight part of the
@@ -121,39 +120,65 @@ class StageRecord:
     verdict's ``stages``, from 1.
     """
 
-    newton: NewtonData
-    form: FactoredForm
-    shift_image: WeylElement
-    generators: Tuple[Generator, ...]
-    element: WeylElement
+    __slots__ = ("newton", "form", "shift_image", "generators", "element")
+
+    def __init__(
+        self,
+        newton: NewtonData,
+        form: FactoredForm,
+        shift_image: WeylElement,
+        generators: Tuple[Generator, ...],
+        element: WeylElement,
+    ):
+        object.__setattr__(self, "newton", newton)
+        object.__setattr__(self, "form", form)
+        object.__setattr__(self, "shift_image", shift_image)
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "element", element)
 
 
-@dataclass(frozen=True)
-class StrictlyNilpotent:
+class StrictlyNilpotent(Value):
     """A certified operator.  ``prologue`` holds the generators applied to
     the input before stage 1, first entry first: the ``FourierInverse`` swap
     if one was taken, then the normalizing ``ShiftD`` if it is nonzero;
     ``lead`` is the top coefficient after the swap, divided out of the
     normalized operator."""
 
-    certificate: Certificate
-    prologue: Tuple[Generator, ...] = ()
-    stages: Tuple[StageRecord, ...] = ()
-    lead: Fraction = Fraction(1)
+    __slots__ = ("certificate", "prologue", "stages", "lead")
+
+    def __init__(
+        self,
+        certificate: Certificate,
+        prologue: Tuple[Generator, ...] = (),
+        stages: Tuple[StageRecord, ...] = (),
+        lead: Fraction = Fraction(1),
+    ):
+        object.__setattr__(self, "certificate", certificate)
+        object.__setattr__(self, "prologue", prologue)
+        object.__setattr__(self, "stages", stages)
+        object.__setattr__(self, "lead", lead)
 
 
-@dataclass(frozen=True)
-class NotStrictlyNilpotent:
+class NotStrictlyNilpotent(Value):
     """A rejection.  ``diagnostic`` is the failed shape test of the rejected
     iterate, or ``None`` when no representation has a constant top
     coefficient; ``prologue``, ``lead`` and ``stages`` lead up to the
     rejected iterate as in ``StrictlyNilpotent``.  The ``reason`` and the
     ``stage`` are read from these, so they cannot disagree with them."""
 
-    diagnostic: Optional[FormDiagnostic] = None
-    prologue: Tuple[Generator, ...] = ()
-    stages: Tuple[StageRecord, ...] = ()
-    lead: Fraction = Fraction(1)
+    __slots__ = ("diagnostic", "prologue", "stages", "lead")
+
+    def __init__(
+        self,
+        diagnostic: Optional[FormDiagnostic] = None,
+        prologue: Tuple[Generator, ...] = (),
+        stages: Tuple[StageRecord, ...] = (),
+        lead: Fraction = Fraction(1),
+    ):
+        object.__setattr__(self, "diagnostic", diagnostic)
+        object.__setattr__(self, "prologue", prologue)
+        object.__setattr__(self, "stages", stages)
+        object.__setattr__(self, "lead", lead)
 
     @property
     def stage(self) -> int:
@@ -169,9 +194,13 @@ class NotStrictlyNilpotent:
         return Reason.ASSOC_NOT_FACTORED
 
 
-@dataclass(frozen=True)
-class TriviallyConstant:
-    value: Fraction
+class TriviallyConstant(Value):
+    """A constant operator, with its ``value``."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: Fraction):
+        object.__setattr__(self, "value", value)
 
 
 Verdict = Union[StrictlyNilpotent, NotStrictlyNilpotent, TriviallyConstant]
@@ -352,27 +381,33 @@ def decide(e: WeylElement) -> Verdict:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NilpotentAt:
+class NilpotentAt(Value):
     """Iterated bracket vanished: step ``steps`` is zero, step-1 was not."""
 
-    steps: int
+    __slots__ = ("steps",)
+
+    def __init__(self, steps: int):
+        object.__setattr__(self, "steps", steps)
 
 
-@dataclass(frozen=True)
-class EigenObstruction:
+class EigenObstruction(Value):
     """The bracket fixed a scalar direction, certifying non-nilpotence."""
 
-    eigenvalue: Fraction
+    __slots__ = ("eigenvalue",)
+
+    def __init__(self, eigenvalue: Fraction):
+        object.__setattr__(self, "eigenvalue", eigenvalue)
 
 
-@dataclass(frozen=True)
-class BoundExhausted:
+class BoundExhausted(Value):
     """No conclusion within the cap; carries the total degree of the last
     iterate as a coarse progress indicator."""
 
-    cap: int
-    last_weight: int
+    __slots__ = ("cap", "last_weight")
+
+    def __init__(self, cap: int, last_weight: int):
+        object.__setattr__(self, "cap", cap)
+        object.__setattr__(self, "last_weight", last_weight)
 
 
 AdTestResult = Union[NilpotentAt, EigenObstruction, BoundExhausted]
@@ -419,8 +454,7 @@ def ad_nilpotency_test(op: WeylElement, target: WeylElement, cap: int = 64) -> A
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BispectralPartner:
+class BispectralPartner(Value):
     """Partner operator in the spectral variable together with its data.
 
     ``lambda_op`` lives on the z side; for the certified operator L with
@@ -429,8 +463,11 @@ class BispectralPartner:
     so it is not stored.
     """
 
-    lambda_op: WeylElement
-    f_poly: UniPoly
+    __slots__ = ("lambda_op", "f_poly")
+
+    def __init__(self, lambda_op: WeylElement, f_poly: UniPoly):
+        object.__setattr__(self, "lambda_op", lambda_op)
+        object.__setattr__(self, "f_poly", f_poly)
 
 
 def _derivative_certificate(e: WeylElement, construction: str) -> Certificate:
@@ -477,29 +514,33 @@ def centralizer_generator(e: WeylElement) -> WeylElement:
     return gen
 
 
-@dataclass(frozen=True)
-class GenerationWitness:
+class GenerationWitness(Value):
     """Constructive proof that a commutation pair generates the algebra.
 
     The first element is ``word(a*D + b)`` and the second is
     ``word(x/a + tail(D))``; since D and x generate, so do the images.
     """
 
-    word: AutoWord
-    a: Fraction
-    b: Fraction
-    tail: UniPoly
+    __slots__ = ("word", "a", "b", "tail")
+
+    def __init__(self, word: AutoWord, a: Fraction, b: Fraction, tail: UniPoly):
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "tail", tail)
 
 
-@dataclass(frozen=True)
-class CounterexampleCandidate:
+class CounterexampleCandidate(Value):
     """A commutation pair whose first member failed the decision procedure.
 
     Any genuine instance would separate the commutation identity from
     generation of the algebra; the full verdict is kept for audit.
     """
 
-    verdict: Verdict
+    __slots__ = ("verdict",)
+
+    def __init__(self, verdict: Verdict):
+        object.__setattr__(self, "verdict", verdict)
 
 
 def ccr_to_generators(

@@ -16,29 +16,29 @@ for the shape ``(Y^r - c*X)^k`` the edge ends at ``X^k``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd
 from typing import Optional, Tuple, Union
 
+from ._value import Value
 from .element import WeylElement, _new, _row_empty, _settle
 from .errors import InvariantViolation, NotNormalizableError
 from .poly import _format_terms
 
 
-@dataclass(frozen=True)
-class Weight:
+class Weight(Value):
     """Primitive positive integer weight pair for the (x, D) grading."""
 
-    x_weight: int
-    d_weight: int
+    __slots__ = ("x_weight", "d_weight")
 
-    def __post_init__(self):
-        if self.x_weight < 1 or self.d_weight < 1:
+    def __init__(self, x_weight: int, d_weight: int):
+        if x_weight < 1 or d_weight < 1:
             raise ValueError("weights must be positive integers")
-        if gcd(self.x_weight, self.d_weight) != 1:
+        if gcd(x_weight, d_weight) != 1:
             raise ValueError("weight pair must be coprime")
+        object.__setattr__(self, "x_weight", x_weight)
+        object.__setattr__(self, "d_weight", d_weight)
 
     def as_tuple(self) -> Tuple[int, int]:
         return (self.x_weight, self.d_weight)
@@ -52,8 +52,7 @@ def weight_value(e: WeylElement, w: Weight) -> int:
     return max(a * i + b * j for i, j in e.nums)
 
 
-@dataclass(frozen=True)
-class NewtonData:
+class NewtonData(Value):
     """Top-weight data of one element for one weight pair.
 
     ``assoc`` is the top-weight part: the maximal-weight terms as a
@@ -62,9 +61,12 @@ class NewtonData:
     direction); it is weight-homogeneous of weight ``value``.
     """
 
-    weight: Weight
-    value: int
-    assoc: WeylElement
+    __slots__ = ("weight", "value", "assoc")
+
+    def __init__(self, weight: Weight, value: int, assoc: WeylElement):
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "assoc", assoc)
 
 
 def associated_poly(e: WeylElement, w: Weight) -> NewtonData:
@@ -129,16 +131,18 @@ class FormIssue(Enum):
     POSITIVE_Y_POWER = "positive-y-power"
 
 
-@dataclass(frozen=True)
-class FactoredForm:
+class FactoredForm(Value):
     """Exact presentation ``Y^y_power * (Y^ratio - scale*X)^multiplicity``;
     ``expand`` builds that power, and ``factor_form`` compares a top-weight
     part with it."""
 
-    y_power: int
-    ratio: int
-    multiplicity: int
-    scale: Fraction
+    __slots__ = ("y_power", "ratio", "multiplicity", "scale")
+
+    def __init__(self, y_power: int, ratio: int, multiplicity: int, scale: Fraction):
+        object.__setattr__(self, "y_power", y_power)
+        object.__setattr__(self, "ratio", ratio)
+        object.__setattr__(self, "multiplicity", multiplicity)
+        object.__setattr__(self, "scale", scale)
 
     def expand(self) -> WeylElement:
         """The power as a canonical x-side element whose key ``(i, j)``
@@ -166,8 +170,7 @@ class FactoredForm:
         return f"{yy}*{body}"
 
 
-@dataclass(frozen=True)
-class FormDiagnostic:
+class FormDiagnostic(Value):
     """Structured reason why recognition failed.
 
     ``strictly_semisimple`` marks the harmonic-oscillator shape
@@ -177,10 +180,19 @@ class FormDiagnostic:
     correct except for a positive Y power.
     """
 
-    issue: FormIssue
-    message: str
-    strictly_semisimple: bool = False
-    partial: Optional[FactoredForm] = None
+    __slots__ = ("issue", "message", "strictly_semisimple", "partial")
+
+    def __init__(
+        self,
+        issue: FormIssue,
+        message: str,
+        strictly_semisimple: bool = False,
+        partial: Optional[FactoredForm] = None,
+    ):
+        object.__setattr__(self, "issue", issue)
+        object.__setattr__(self, "message", message)
+        object.__setattr__(self, "strictly_semisimple", strictly_semisimple)
+        object.__setattr__(self, "partial", partial)
 
 
 def factor_form(nd: NewtonData) -> Union[FactoredForm, FormDiagnostic]:

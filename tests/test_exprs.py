@@ -223,11 +223,11 @@ def test_parse_product_matches_product_of_factors(parts):
         ("3*q^2", 2, "unknown symbol 'q'"),
         ("D*(x^2 + )", 9, "unexpected ')'"),
         ("1/0*x^9", 0, "zero denominator"),
-        ("x^-1", 2, "exponent must be a nonnegative integer literal"),
+        pytest.param("x^-1", 2, "exponent must be a nonnegative integer literal", id="negative-exponent"),
         ("x D", 2, "unexpected trailing 'D'"),
         ("x + + $", 6, "unexpected character '$'"),
         ("x + + y", 6, "unknown symbol 'y'"),
-        ("x + + z", 0, "expression mixes x-side and z-side symbols"),
+        pytest.param("x + + z", 0, "expression mixes x-side and z-side symbols", id="mixed-sides-after-plus"),
         ("1/2/3", 3, "unexpected character '/'"),
         ("Dzz", 0, "unknown symbol 'Dzz'"),
         ("x*Dz", 0, "expression mixes x-side and z-side symbols"),
@@ -240,7 +240,9 @@ def test_parse_product_matches_product_of_factors(parts):
         ("(x)D", 3, "unexpected trailing 'D'"),
         ("D*x2", 3, "unexpected trailing '2'"),
         ("()", 1, "unexpected ')'"),
-        (_LONG + " + x^4097*D - 3", len(_LONG) + 5, "exponent overflow"),
+        pytest.param(
+            _LONG + " + x^4097*D - 3", len(_LONG) + 5, "exponent overflow", id="long-level-exponent-overflow"
+        ),
     ],
 )
 def test_parse_error_positions(text, position, message):
@@ -293,6 +295,15 @@ def test_parse_time_is_linear_in_whitespace():
         ("x^" + "1" * 5000, 2),  # factor loop
         ("D*x*" + "1" * 5000, 4),
         ("(" + "1" * 5000 + ")", 1),
+    ],
+    ids=[
+        "printed-coefficient",
+        "printed-numerator",
+        "printed-denominator",
+        "long-level-coefficient",
+        "exponent",
+        "factor",
+        "group",
     ],
 )
 def test_long_literal_is_parse_error(text, position):
