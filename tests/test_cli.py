@@ -219,31 +219,6 @@ RATIONAL_SHIFT_WITNESS = {
             "commutator equals 1: true\n" + json.dumps(RATIONAL_SHIFT_WITNESS, indent=2) + "\n",
         ),
     ],
-    # named ids: an id taken from the expected text would change with it
-    ids=[
-        "decide-airy",
-        "decide-json-airy",
-        "partner-airy",
-        "polygon-constant-coefficients",
-        "polygon-quartic",
-        "decide-positive-y",
-        "decide-json-positive-y",
-        "decide-oscillator",
-        "decide-euler",
-        "polygon-positive-y",
-        "decide-constant",
-        "polygon-nonconstant-top",
-        "decide-json-swapped",
-        "ad-zero-target",
-        "decide-coordinate-polynomial",
-        "decide-derivative-polynomial",
-        "decide-shift-only",
-        "decide-scaled-airy",
-        "polygon-rational-airy",
-        "polygon-rational-square",
-        "decide-scaled-oscillator",
-        "ccr-rational-shift",
-    ],
 )
 def test_golden_output(capsys, argv, text):
     assert _run(capsys, *argv) == (0, text, "")
