@@ -1,0 +1,298 @@
+"""Time the fixed cases behind the repository's speed claims, set by set.
+
+Run from the repository root, on the tree whose ``src`` is first on the
+path:
+
+    PYTHONPATH=src python3 scripts/cases.py SET [--repeat N] [--json]
+
+``SET`` is ``shift``, ``exchange``, ``parse``, ``descent``, ``import`` or
+``all`` (each in turn).  A set starts from a fresh import of weylnil and
+builds its inputs before the clock starts; garbage is collected before each
+case, which runs ``--repeat`` times (by default 3, 3, 5, 5 and 15 in the
+order above).  A case reports a sha256 prefix of its output, so two trees
+compare on the same table: equal digests mean equal outputs.  An element's
+output is its ``(side, den, sorted numerators)``.  With ``--json`` the last
+line of a set's output is its table as one JSON object.
+
+``shift``: the best run of ``apply_generator`` (``apply_word`` for a word)
+and the images' term count, on ``ShiftD(t^3/3)`` on ``D^64``
+(``cube_on_D64``); a batch of 2000 seeded elements of the size the decide
+workloads shift, up to 6 terms and exponents 4, under shifts of degree 1 to
+5 (``small_2000``); a batch of 600, up to 8 terms and exponents 8, under
+degree 1 to 4 (``dense_600``); ``(ShiftX(p), ShiftD(p), ShiftX(p),
+ShiftD(p))`` for ``p = t - t^2 + t^3 + 2t^4 - t^5 + t^6`` on ``D``, 39501
+terms (``word_on_D``); and ``ShiftD(t^2)`` on ``D^300``
+(``square_on_D300``).
+
+``exchange``: the weights ``t! C(i, t) C(j, t)`` of moving ``D^j`` past
+``x^i``, up to the exponent cap of 4096.  Each case imports weylnil afresh,
+so its first (cold) run, reported with the best, reads no cache an earlier
+case filled.  Integers are digested in hex, as a large numerator's decimal
+string exceeds Python's limit; a ``decide`` output is its exit code and
+standard output.  The cases: ``FactoredForm(1, 2, 2048, -7/3).expand()``,
+the descent's ``Y (Y^2 + 7/3 X)^2048`` (``expand_k2048``);
+``apply_generator(Fourier(), x^4096 D^4096)`` (``fourier_x4096D4096``) and
+``D^4096 * x^4096`` (``product_D4096x4096``), both of 4097 terms;
+``decide`` through ``cli.run`` on ``D^512*x^512+x^1024``,
+``D^1024*x^1024+x^2048`` and ``D^4096*x^4096`` (``decide_D512x512``,
+``decide_D1024x1024``, ``decide_D4096x4096``).
+
+``parse``: the best ``parse_expression`` call on the prints of ``q(D)``
+under ``(ShiftD(t/2 - t^3/3), ShiftX(t - t^2/2 + 2t^3/3), ShiftD(t^2 -
+t^3/3))`` for ``q = D^3 - D/3``, ``D^4 - D^2/3 + D`` and ``D^5 - D/3``
+(``orbit157``, ``orbit273``, ``orbit421``, by term count), in four forms:
+``printed``, the canonical text ``decide`` reads in the benchmark, read in
+one sweep of the term pattern; ``grouped``, in parentheses; ``mixed``, with
+``D*x`` in front, so the factor loop reads every term; ``spaced``, with
+spaces around each ``*`` and ``^``, also for the factor loop.  All forms but
+``mixed`` share an element's digest.
+
+``descent``: the best run of one ``decide`` per operator; the output is each
+verdict's ``verdict_to_doc`` JSON, keys sorted.  ``criterion1``: the 200
+certified, so re-verified, operators of acceptance criterion 1,
+``random_orbit_element(seed, word_len=seed % 4, max_deg=5, max_q_deg=4,
+max_order=16)`` for seeds 1 to 200.  ``rejected``: criterion 2's negative
+corpus times 1 and -3/2 under four fixed words, each call running the
+prologue, the normalizing shift and the descent up to a rejection.
+
+``import``: medians, no digest.  ``reimport`` drops weylnil from
+``sys.modules`` and imports ``weylnil.cli`` again, as ``perfbench/run.py``
+does before each set-up, after one untimed import; the drop (about 0.05 ms)
+is timed too, and whether the source is compiled follows the environment.
+``cold_cli`` runs ``python -m weylnil.cli decide "D^2 - x"``, start-up
+included, which must exit 0 with the Airy verdict.  ``modules`` says whether
+a fresh ``import weylnil.cli`` loads ``dataclasses`` or ``inspect``.
+"""
+
+import argparse
+import contextlib
+import gc
+import hashlib
+import importlib
+import io
+import json
+import operator
+import random
+import statistics
+import subprocess
+import sys
+import time
+from fractions import Fraction
+from functools import partial
+
+# json is imported after the check, so only weylnil.cli's imports are seen
+PROBE = (
+    "import sys, weylnil.cli; loaded = [m for m in ('dataclasses', 'inspect') if m in sys.modules]; "
+    "import json; print(json.dumps(loaded))"
+)
+
+
+def fresh_weylnil():
+    """Import weylnil afresh, dropping every module state of earlier cases."""
+    for name in [n for n in sys.modules if n == "weylnil" or n.startswith("weylnil.")]:
+        del sys.modules[name]
+    importlib.import_module("weylnil.cli")
+    return sys.modules["weylnil"]
+
+
+def timed(run, repeat):
+    """Collect garbage, then call ``run`` ``repeat`` times: the seconds of
+    each call and the last output."""
+    gc.collect()
+    times = []
+    for _ in range(repeat):
+        start = time.perf_counter()
+        out = run()
+        times.append(time.perf_counter() - start)
+    return times, out
+
+
+def digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def element_digest(elements) -> str:
+    return digest("".join(repr((e.side, e.den, sorted(e.nums.items()))) for e in elements))
+
+
+def best(times):
+    return {"best_s": min(times)}
+
+
+def cold_and_best(times):
+    return {"cold_s": times[0], "best_s": min(times)}
+
+
+def time_cases(cases, summary, describe, line, repeat):
+    """Time each ``(name, run, facts)`` of ``cases()``, print its row and
+    return the table.  A row is the set's ``summary`` of the run times, the
+    input ``facts``, then what ``describe`` reads from the last output."""
+    table = {}
+    for name, run, facts in cases():
+        times, out = timed(run, repeat)
+        table[name] = row = {**summary(times), **facts, **describe(out)}
+        print(line(name, row))
+    return table
+
+
+def _random_batch(wn, seed, count, max_terms, max_exp, max_deg):
+    rng = random.Random(seed)
+    batch = []
+    while len(batch) < count:
+        terms = {}
+        for _ in range(rng.randint(1, max_terms)):
+            key = (rng.randint(0, max_exp), rng.randint(0, max_exp))
+            terms[key] = Fraction(rng.randint(-50, 50), rng.randint(1, 30))
+        e = wn.WeylElement(terms)
+        if not e.is_zero():
+            coeffs = [0] + [Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(rng.randint(1, max_deg))]
+            coeffs[-1] = coeffs[-1] or Fraction(1)
+            batch.append((rng.choice((wn.ShiftX, wn.ShiftD))(wn.UniPoly(coeffs)), e))
+    return batch
+
+
+def shift_cases():
+    wn = fresh_weylnil()
+    _, d = wn.generators()
+    p = wn.UniPoly((0, 1, -1, 1, 2, -1, 1))
+    word = (wn.ShiftX(p), wn.ShiftD(p), wn.ShiftX(p), wn.ShiftD(p))
+    batch = lambda pairs: (lambda: [wn.apply_generator(g, e) for g, e in pairs])
+    return [
+        ("cube_on_D64", batch([(wn.ShiftD(wn.UniPoly((0, 0, 0, Fraction(1, 3)))), d**64)]), {}),
+        ("small_2000", batch(_random_batch(wn, 2000, 2000, 6, 4, 5)), {}),
+        ("dense_600", batch(_random_batch(wn, 600, 600, 8, 8, 4)), {}),
+        ("word_on_D", lambda: [wn.apply_word(word, d)], {}),
+        ("square_on_D300", batch([(wn.ShiftD(wn.UniPoly((0, 0, 1))), d**300)]), {}),
+    ]
+
+
+def shift_outputs(images):
+    return {"terms_out": sum(len(e.nums) for e in images), "digest": element_digest(images)}
+
+
+def _decide(wn, text):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = wn.cli.run(["decide", text])
+    return code, buf.getvalue()
+
+
+def exchange_cases():
+    """Each case's input is built on its own fresh import."""
+    prepares = [
+        ("expand_k2048", lambda wn: wn.FactoredForm(1, 2, 2048, Fraction(-7, 3)).expand),
+        ("fourier_x4096D4096", lambda wn: partial(wn.apply_generator, wn.Fourier(), wn.WeylElement({(4096, 4096): 1}))),
+        ("product_D4096x4096", lambda wn: partial(operator.mul, wn.derivative() ** 4096, wn.coordinate() ** 4096)),
+        ("decide_D512x512", lambda wn: partial(_decide, wn, "D^512*x^512+x^1024")),
+        ("decide_D1024x1024", lambda wn: partial(_decide, wn, "D^1024*x^1024+x^2048")),
+        ("decide_D4096x4096", lambda wn: partial(_decide, wn, "D^4096*x^4096")),
+    ]
+    for name, prepare in prepares:
+        yield name, prepare(fresh_weylnil()), {}
+
+
+def exchange_outputs(out):
+    if isinstance(out, tuple):
+        return {"digest": digest(repr(out))}
+    return {"digest": digest(repr((out.side, hex(out.den), [(k, hex(n)) for k, n in sorted(out.nums.items())])))}
+
+
+def parse_cases():
+    wn = fresh_weylnil()
+    _, d = wn.generators()
+    third = Fraction(1, 3)
+    word = (
+        wn.ShiftD(wn.UniPoly((0, Fraction(1, 2), 0, -third))),
+        wn.ShiftX(wn.UniPoly((0, 1, Fraction(-1, 2), 2 * third))),
+        wn.ShiftD(wn.UniPoly((0, 0, 1, -third))),
+    )
+    cases = []
+    for name, q in (("orbit157", d**3 - third * d), ("orbit273", d**4 - third * d**2 + d), ("orbit421", d**5 - third * d)):
+        text = str(wn.apply_word(word, q))
+        mixed = "D*x - " + text[1:] if text.startswith("-") else "D*x + " + text
+        spaced = text.replace("*", " * ").replace("^", " ^ ")
+        for form, t in (("printed", text), ("grouped", "(" + text + ")"), ("mixed", mixed), ("spaced", spaced)):
+            cases.append((f"{name}_{form}", partial(wn.parse_expression, t), {"chars": len(t)}))
+    return cases
+
+
+def descent_cases():
+    wn = fresh_weylnil()
+    poly = lambda *coeffs: wn.UniPoly([Fraction(c) for c in coeffs])
+    # last entry applied first, as in apply_word
+    words = (
+        (wn.ShiftD(poly(0, 0, -1, "1/3")),),
+        (wn.ShiftX(poly(0, 1, "-1/2", 0, 2)), wn.ShiftD(poly(0, 0, 1, -1))),
+        (wn.Fourier(), wn.ShiftD(poly(0, "1/2", 0, "-2/3"))),
+        (wn.ShiftD(poly(0, 0, 2)), wn.ShiftX(poly(0, 0, -1, "1/3")), wn.ShiftD(poly(0, 1, 0, "1/4"))),
+    )
+    criterion1 = [
+        wn.random_orbit_element(seed, word_len=seed % 4, max_deg=5, max_q_deg=4, max_order=16)[0]
+        for seed in range(1, 201)
+    ]
+    rejected = [
+        wn.apply_word(word, c * wn.parse_expression(text))
+        for text in ("x*D", "D^2 + x^2", "D^2 + 5*x^2", "D^3 + x*D", "x^2*D^2")
+        for c in (Fraction(1), Fraction(-3, 2))
+        for word in words
+    ]
+    return [
+        (name, lambda ops=ops: [wn.decide(e) for e in ops], {"operators": len(ops), "terms": sum(len(e.nums) for e in ops)})
+        for name, ops in (("criterion1", criterion1), ("rejected", rejected))
+    ]
+
+
+def descent_outputs(verdicts):
+    from weylnil.wire import verdict_to_doc  # of the set's fresh import, as the verdicts are
+
+    return {"digest": digest("".join(json.dumps(verdict_to_doc(v), sort_keys=True) + "\n" for v in verdicts))}
+
+
+def cold_cli():
+    done = subprocess.run([sys.executable, "-m", "weylnil.cli", "decide", "D^2 - x"], capture_output=True, text=True)
+    if done.returncode != 0 or "verdict: strictly-nilpotent" not in done.stdout.splitlines():
+        raise SystemExit(f"cold CLI run failed with exit {done.returncode}: {done.stderr.strip()}")
+
+
+def import_set(repeat):
+    fresh_weylnil()
+    reimport = statistics.median(timed(fresh_weylnil, repeat)[0])
+    cold = statistics.median(timed(cold_cli, repeat)[0])
+    loaded = json.loads(subprocess.run([sys.executable, "-c", PROBE], capture_output=True, text=True, check=True).stdout)
+    print(f"reimport   {reimport * 1e3:8.2f} ms  median of {repeat}")
+    print(f"cold_cli   {cold * 1e3:8.2f} ms  median of {repeat}")
+    print(f"modules    import weylnil.cli loads: {', '.join(loaded) or 'neither dataclasses nor inspect'}")
+    return {"reimport_s": reimport, "cold_cli_s": cold, "repeat": repeat, "loads": loaded}
+
+
+SETS = {  # set name: (default repeat, run(repeat) -> table)
+    "shift": (3, partial(time_cases, shift_cases, best, shift_outputs, lambda name, r: (
+        f"{name:16s} {r['best_s']:10.4f} s  {r['terms_out']:8d} terms  {r['digest']}"))),
+    "exchange": (3, partial(time_cases, exchange_cases, cold_and_best, exchange_outputs, lambda name, r: (
+        f"{name:20s} cold {r['cold_s']:9.4f} s  best {r['best_s']:9.4f} s  {r['digest']}"))),
+    "parse": (5, partial(time_cases, parse_cases, best, lambda e: {"digest": element_digest([e])}, lambda name, r: (
+        f"{name:18s} {r['best_s'] * 1e3:9.3f} ms  {r['chars']:6d} chars  {r['digest']}"))),
+    "descent": (5, partial(time_cases, descent_cases, best, descent_outputs, lambda name, r: (
+        f"{name:12s} {r['best_s'] * 1e3:9.3f} ms  {r['operators']:4d} operators  {r['terms']:6d} terms  {r['digest']}"))),
+    "import": (15, import_set),
+}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("set", choices=[*SETS, "all"])
+    parser.add_argument("--repeat", type=int, help="runs per case (default: the set's own)")
+    parser.add_argument("--json", action="store_true", help="end each set with its table as one JSON line")
+    args = parser.parse_args(argv)
+    for name in SETS if args.set == "all" else [args.set]:
+        default, run_set = SETS[name]
+        if args.set == "all":
+            print(f"# {name}")
+        table = run_set(max(default if args.repeat is None else args.repeat, 1))
+        if args.json:
+            print(json.dumps(table))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -3,7 +3,6 @@ strict-nilpotency decision procedure and bispectral partner construction."""
 
 from .element import (
     WeylElement,
-    ad_power,
     ccr_check,
     commutator,
     coordinate,

@@ -551,7 +551,11 @@ def ccr_to_generators(
     Runs the decision procedure on ``op``; with a certificate (word, q) in
     hand, q must be linear and the preimage of ``mate`` must be
     ``x/a + tail(D)``, which yields the witness.  A rejection of ``op`` is
-    returned as a counterexample candidate instead.
+    returned as a counterexample candidate instead.  That the word sends
+    ``a*D + b`` to ``op`` rests on ``decide``, whose certificates send
+    ``q(D) = a*D + b`` to ``op`` exactly: it re-verifies that image, or reads
+    ``q`` off an operator free of ``x`` or of ``D``.  Only the mate's image
+    is recomputed here.
     """
     if not ccr_check(op, mate):
         raise ValueError("inputs do not satisfy the commutation identity [a, b] == 1")
@@ -572,11 +576,11 @@ def ccr_to_generators(
     tail = m.x_slice(0)
     witness = GenerationWitness(word, a, b, tail)
     side = op.side
-    first = apply_word(word, a * derivative(side) + WeylElement.scalar(b, side))
+    first = a * derivative(side) + WeylElement.scalar(b, side)
     second = apply_word(
         word, coordinate(side) / a + WeylElement.from_d_poly(tail, side)
     )
-    if first != op or second != mate:
+    if first != WeylElement.from_d_poly(q, side) or second != mate:
         raise InvariantViolation("generation witness failed to reproduce the pair")
     return witness
 

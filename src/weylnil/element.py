@@ -412,18 +412,6 @@ def ccr_check(a: WeylElement, b: WeylElement) -> bool:
     return commutator(a, b) == WeylElement.one(a.side)
 
 
-def ad_power(op: WeylElement, target: WeylElement, steps: int) -> WeylElement:
-    """The ``steps``-fold iterated commutator [op, [op, ... [op, target]]]."""
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
-    cur = target
-    for _ in range(steps):
-        if cur.is_zero():
-            return cur
-        cur = commutator(op, cur)
-    return cur
-
-
 def poly_at(p: UniPoly, value: WeylElement) -> WeylElement:
     """Evaluate a rational polynomial at an element: Horner's rule on the
     integer numerators, then one division by the shared denominator."""

