@@ -5,14 +5,14 @@ path:
 
     PYTHONPATH=src python3 scripts/cases.py SET [--repeat N] [--json]
 
-``SET`` is ``shift``, ``exchange``, ``parse``, ``descent``, ``import`` or
-``all`` (each in turn).  A set starts from a fresh import of weylnil and
-builds its inputs before the clock starts; garbage is collected before each
-case, which runs ``--repeat`` times (by default 3, 3, 5, 5 and 15 in the
-order above).  A case reports a sha256 prefix of its output, so two trees
-compare on the same table: equal digests mean equal outputs.  An element's
-output is its ``(side, den, sorted numerators)``.  With ``--json`` the last
-line of a set's output is its table as one JSON object.
+``SET`` is ``shift``, ``exchange``, ``parse``, ``descent``, ``product``,
+``import`` or ``all`` (each in turn).  A set starts from a fresh import of
+weylnil and builds its inputs before the clock starts; garbage is collected
+before each case, which runs ``--repeat`` times (by default 3, 3, 5, 5, 3
+and 15 in the order above).  A case reports a sha256 prefix of its output,
+so two trees compare on the same table: equal digests mean equal outputs.
+An element's output is its ``(side, den, sorted numerators)``.  With
+``--json`` the last line of a set's output is its table as one JSON object.
 
 ``shift``: the best run of ``apply_generator`` (``apply_word`` for a word)
 and the images' term count, on ``ShiftD(t^3/3)`` on ``D^64``
@@ -54,6 +54,16 @@ certified, so re-verified, operators of acceptance criterion 1,
 max_order=16)`` for seeds 1 to 200.  ``rejected``: criterion 2's negative
 corpus times 1 and -3/2 under four fixed words, each call running the
 prologue, the normalizing shift and the descent up to a rejection.
+
+``product``: the best run and the outputs' term count of the product
+kernel, digested with the integers in hex.  ``laws_50``: 50 seeded triples
+of the ``algebra_laws`` shape (six distinct monomials ``x^i D^j``, i, j <=
+4, coefficients p/q with 1 <= |p|, q <= 100) through its five law sides,
+``(a*b)*c``, ``a*(b*c)``, the Jacobi sum, ``[a, b*c]`` and ``[a, b]*c +
+b*[a, c]``; ``(x+D)^64 * (x+D)^64`` (``xD64_squared``), a dense product;
+``commutator((x+D)^64, x^3*D^5 + D^2*x^7)`` (``bracket_xD64``), a dense
+bracket; and ``D^4096 * x^4096`` (``D4096_x4096``), a sparse product over a
+4097-by-4097 key rectangle.
 
 ``import``: medians, no digest.  ``reimport`` drops weylnil from
 ``sys.modules`` and imports ``weylnil.cli`` again, as ``perfbench/run.py``
@@ -115,6 +125,12 @@ def element_digest(elements) -> str:
     return digest("".join(repr((e.side, e.den, sorted(e.nums.items()))) for e in elements))
 
 
+def hex_digest(elements) -> str:
+    """``element_digest`` with the integers in hex, as a large numerator's
+    decimal string exceeds Python's limit."""
+    return digest("".join(repr((e.side, hex(e.den), [(k, hex(n)) for k, n in sorted(e.nums.items())])) for e in elements))
+
+
 def best(times):
     return {"best_s": min(times)}
 
@@ -170,6 +186,10 @@ def shift_outputs(images):
     return {"terms_out": sum(len(e.nums) for e in images), "digest": element_digest(images)}
 
 
+def product_outputs(elements):
+    return {"terms_out": sum(len(e.nums) for e in elements), "digest": hex_digest(elements)}
+
+
 def _decide(wn, text):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
@@ -192,9 +212,7 @@ def exchange_cases():
 
 
 def exchange_outputs(out):
-    if isinstance(out, tuple):
-        return {"digest": digest(repr(out))}
-    return {"digest": digest(repr((out.side, hex(out.den), [(k, hex(n)) for k, n in sorted(out.nums.items())])))}
+    return {"digest": digest(repr(out)) if isinstance(out, tuple) else hex_digest([out])}
 
 
 def parse_cases():
@@ -248,6 +266,50 @@ def descent_outputs(verdicts):
     return {"digest": digest("".join(json.dumps(verdict_to_doc(v), sort_keys=True) + "\n" for v in verdicts))}
 
 
+def _law_triples(wn, seed, count):
+    """``count`` triples of the ``algebra_laws`` shape: six distinct monomials
+    ``x^i D^j`` (i, j <= 4) with coefficients p/q, 1 <= |p|, q <= 100."""
+    rng = random.Random(seed)
+    grid = [(i, j) for i in range(5) for j in range(5)]
+
+    def element():
+        return wn.WeylElement(
+            {k: Fraction(rng.choice((-1, 1)) * rng.randint(1, 100), rng.randint(1, 100)) for k in rng.sample(grid, 6)}
+        )
+
+    return [(element(), element(), element()) for _ in range(count)]
+
+
+def _laws(wn, triples):
+    """Associativity, Jacobi and Leibniz on each triple: the five sides."""
+    com = wn.commutator
+    out = []
+    for a, b, c in triples:
+        bc = b * c
+        out += [
+            (a * b) * c,
+            a * bc,
+            com(a, com(b, c)) + com(b, com(c, a)) + com(c, com(a, b)),
+            com(a, bc),
+            com(a, b) * c + b * com(a, c),
+        ]
+    return out
+
+
+def product_cases():
+    wn = fresh_weylnil()
+    x, d = wn.generators()
+    triples = _law_triples(wn, 27, 50)
+    power, other = (x + d) ** 64, x**3 * d**5 + d**2 * x**7
+    dn, xn = d**4096, x**4096
+    return [
+        ("laws_50", partial(_laws, wn, triples), {}),
+        ("xD64_squared", lambda: [power * power], {}),
+        ("bracket_xD64", lambda: [wn.commutator(power, other)], {}),
+        ("D4096_x4096", lambda: [dn * xn], {}),
+    ]
+
+
 def cold_cli():
     done = subprocess.run([sys.executable, "-m", "weylnil.cli", "decide", "D^2 - x"], capture_output=True, text=True)
     if done.returncode != 0 or "verdict: strictly-nilpotent" not in done.stdout.splitlines():
@@ -274,6 +336,8 @@ SETS = {  # set name: (default repeat, run(repeat) -> table)
         f"{name:18s} {r['best_s'] * 1e3:9.3f} ms  {r['chars']:6d} chars  {r['digest']}"))),
     "descent": (5, partial(time_cases, descent_cases, best, descent_outputs, lambda name, r: (
         f"{name:12s} {r['best_s'] * 1e3:9.3f} ms  {r['operators']:4d} operators  {r['terms']:6d} terms  {r['digest']}"))),
+    "product": (3, partial(time_cases, product_cases, best, product_outputs, lambda name, r: (
+        f"{name:14s} {r['best_s']:10.4f} s  {r['terms_out']:8d} terms  {r['digest']}"))),
     "import": (15, import_set),
 }
 

@@ -14,9 +14,13 @@ D^(j1+j2-t)``, so each contraction order ``t`` is one plain commutative
 convolution of two weighted term lists, on keys packed into single integers
 and already lowered by ``t``.  Each order's lists follow from the previous
 order's by one exact integer step per term, so no weight is computed from
-scratch and none is stored.  ``_contract`` runs it for both the product and
-the bracket, which takes both products from ``t = 1`` on into one
-accumulator.
+scratch and none is kept between calls.  ``_contract`` runs it for both the
+product and the bracket, which takes both products from ``t = 1`` on into
+one accumulator.  The accumulator is a zero list indexed by the packed key
+when the key rectangle has no more slots than the call makes term products,
+and a ``defaultdict(int)`` otherwise, so its size is bounded by the work
+either way; the result is unpacked and settled once, with no intermediate
+pairs.
 
 An element stores integer numerators over one shared denominator: ``nums``
 maps ``(i, j)`` to a nonzero ``int`` and the coefficient of ``x^i D^j`` is
@@ -26,7 +30,8 @@ of the reduced coefficient denominators and equal values have equal pairs.
 The zero element is ``den == 1`` with no numerators.  Every operation
 computes on Python integers over one denominator and settles its result
 once: ``_settle`` drops the zeros of its ``(key, numerator)`` pairs and
-divides out one ``gcd``; negation, the anti-involution, a parsed monomial
+``_reduce`` divides out one ``gcd``, which ``_contract`` calls directly on
+the numerators it unpacks; negation, the anti-involution, a parsed monomial
 and an element built from a polynomial's pair by ``from_d_poly`` are
 canonical as built and go to ``_new``.  The slices ``d_slice`` and
 ``x_slice`` hand their numerators to the polynomial module's ``_settle``
@@ -54,6 +59,7 @@ concurrent use is safe.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
@@ -89,7 +95,12 @@ def _new(side: str, den: int, nums: dict) -> "WeylElement":
 def _settle(items: Iterable[Tuple[Key, int]], den: int, side: str) -> "WeylElement":
     """The canonical element with coefficients ``n / den`` for the ``(key,
     n)`` pairs of ``items`` (distinct keys, ``den >= 1``), zeros dropped."""
-    nums = {k: n for k, n in items if n}
+    return _reduce({k: n for k, n in items if n}, den, side)
+
+
+def _reduce(nums: dict, den: int, side: str) -> "WeylElement":
+    """The canonical element with coefficients ``n / den`` for the nonzero
+    numerators ``nums`` (``den >= 1``): one ``gcd`` divided out."""
     g = gcd(den, *nums.values())
     if g != 1:
         den //= g
@@ -142,18 +153,28 @@ def _contract(pairs, low: int) -> "WeylElement":
     the result, so the key of a product term is the sum of the two packed
     keys and distinct keys never collide.  Each order ``t`` convolves the
     terms of ``(1/t!) (d/dD)^t left``, with their keys lowered by ``t``, and
-    those of ``(d/dx)^t right``; the sum is unpacked and settled once over
-    the product of the denominators.  Each operand's list is built once and
+    those of ``(d/dx)^t right``.  Each operand's list is built once and
     moved from order ``t - 1`` to ``t`` by ``C(j, t) = C(j, t-1) (j-t+1) /
     t``, with ``j-t+1 = k % m`` on a left key ``k``, and by ``perm(i, t) =
     perm(i, t-1) (i-t+1)``, with ``i-t+1 = k // m`` on a right key; the
-    division is exact.  A zero operand (order and x-degree -1) takes no
-    order, so nothing is unpacked when ``m <= 0``.
+    division is exact.
+
+    The lists of every order are built before any is convolved, so the
+    number of term products, the sum of their length products, is known
+    first.  The convolution adds into a zero list indexed by the packed
+    key when the key rectangle, ``(x-degree sum + 1) * m`` slots, is no
+    longer than that number, and into a ``defaultdict(int)`` otherwise: the
+    list's allocation and its scan never exceed the multiplications made,
+    so sparse products such as ``D^4096 * x^4096`` keep the dict.  Each
+    order's lists are dropped once convolved.  The sum is unpacked and
+    settled once over the product of the denominators: one dict
+    comprehension that drops the zeros, then one ``gcd``.  A zero operand
+    (order and x-degree -1) takes no order and makes no product, so
+    nothing is unpacked when ``m <= 0``.
     """
     a, b, _ = pairs[0]
     m = a.order + b.order + 1
-    acc: dict = {}
-    get = acc.get
+    orders = []
     for left, right, sign in pairs:
         ls = [(i * m + j, sign * n) for (i, j), n in left.nums.items()]
         rs = [(i * m + j, n) for (i, j), n in right.nums.items()]
@@ -162,11 +183,16 @@ def _contract(pairs, low: int) -> "WeylElement":
                 ls = [(k - 1, n * (k % m) // t) for k, n in ls if k % m]
                 rs = [(k - m, n * (k // m)) for k, n in rs if k >= m]
             if t >= low:
-                for k1, n1 in ls:
-                    for k2, n2 in rs:
-                        k = k1 + k2
-                        acc[k] = get(k, 0) + n1 * n2
-    return _settle(((divmod(k, m), n) for k, n in acc.items()), a.den * b.den, a.side)
+                orders.append((ls, rs))
+    size = (a.x_degree + b.x_degree + 1) * m
+    acc = [0] * size if size <= sum(len(ls) * len(rs) for ls, rs in orders) else defaultdict(int)
+    while orders:
+        ls, rs = orders.pop()
+        for k1, n1 in ls:
+            for k2, n2 in rs:
+                acc[k1 + k2] += n1 * n2
+    keyed = enumerate(acc) if type(acc) is list else acc.items()
+    return _reduce({divmod(k, m): n for k, n in keyed if n}, a.den * b.den, a.side)
 
 
 class WeylElement:

@@ -1,6 +1,7 @@
 """Core arithmetic: normal ordering, brackets, top slices, algebra laws."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 from math import comb, factorial, gcd
 
@@ -298,6 +299,117 @@ def test_products_and_brackets_with_zero_or_constant_operands():
         assert a * c == c * a == slow_product(a, c) == a * c.constant_value()
         assert c * c == slow_product(c, c)
         assert commutator(c, c) == commutator(a, c) == commutator(c, a) == zero
+
+
+# The product and the bracket add into a list over the packed key rectangle
+# when it has no more slots than the call makes term products, and into a
+# dict otherwise.  The pairs below sit on both sides of that choice and on
+# its edge; the count and the rectangle are recomputed here from the terms.
+
+ACCUMULATOR_SIDES = ("below", "equal", "one_above", "above")
+
+
+def _term_products(left, right, low):
+    """Term products of ``left * right`` at the orders ``t >= low``: terms
+    ``x^i D^j`` of ``left`` and ``x^k D^l`` of ``right`` meet at the orders
+    ``low <= t <= min(j, k)``."""
+    return sum(max(min(j, k) + 1 - low, 0) for _, j in left.nums for k, _ in right.nums)
+
+
+def _grid_operand(rng):
+    """Zero or a scalar (1 in 20 each), else distinct monomials drawn from a
+    corner of the grid ``x^0..4 D^0..4``, with coefficients p/q, 1 <= |p|,
+    q <= 100."""
+    r = rng.random()
+    if r < 0.05:
+        return WeylElement.zero()
+    if r < 0.1:
+        return WeylElement.scalar(Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9)))
+    grid = [(i, j) for i in range(rng.randint(1, 5)) for j in range(rng.randint(1, 5))]
+    keys = rng.sample(grid, rng.randint(1, len(grid)))
+    return WeylElement({k: Fraction(rng.choice((-1, 1)) * rng.randint(1, 100), rng.randint(1, 100)) for k in keys})
+
+
+def _accumulator_pairs():
+    """Seeded pairs by ``(kind, side)``: the rectangle below the term product
+    count of the product or the bracket, equal to it, one slot above it or
+    further above.  Up to four pairs a class, and every pair with a constant
+    operand."""
+    rng = random.Random(2027)
+    picked = {}
+    for _ in range(200):
+        a, b = _grid_operand(rng), _grid_operand(rng)
+        rectangle = (a.x_degree + b.x_degree + 1) * (a.order + b.order + 1)
+        counts = (("product", _term_products(a, b, 0)), ("bracket", _term_products(a, b, 1) + _term_products(b, a, 1)))
+        for kind, work in counts:
+            side = ACCUMULATOR_SIDES[min(max(rectangle - work, -1), 2) + 1]
+            cases = picked.setdefault((kind, side), [])
+            if len(cases) < 4 or a.is_constant() or b.is_constant():
+                cases.append((a, b))
+    return picked
+
+
+def test_products_and_brackets_on_both_sides_of_the_list_choice():
+    picked = _accumulator_pairs()
+    assert set(picked) == {(kind, side) for kind in ("product", "bracket") for side in ACCUMULATOR_SIDES}
+    constants = {c for pairs in picked.values() for pair in pairs for c in pair if c.is_constant()}
+    assert WeylElement.zero() in constants and any(not c.is_zero() for c in constants)
+    for (kind, _), pairs in picked.items():
+        for a, b in pairs:
+            if kind == "product":
+                assert a * b == slow_product(a, b), (a, b)
+                assert b * a == slow_product(b, a), (b, a)
+            else:
+                assert commutator(a, b) == slow_commutator(a, b), (a, b)
+
+
+def test_products_and_brackets_on_both_sides_of_the_list_choice_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.holonomic import DifferentialOperators
+
+    ring, _ = DifferentialOperators(sympy.QQ.old_poly_ring(sympy.Symbol("x")), "Dx")
+    for (kind, _), pairs in _accumulator_pairs().items():
+        for a, b in pairs:
+            sa, sb = _to_sympy(a, ring, sympy), _to_sympy(b, ring, sympy)
+            if kind == "product":
+                assert a * b == _from_sympy(sa * sb, ring, sympy), (a, b)
+            else:
+                assert commutator(a, b) == _from_sympy(sa * sb - sb * sa, ring, sympy), (a, b)
+
+
+def _peak_bytes(run):
+    """The traced memory peak of ``run()``, in bytes."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sparse_deep_product_stays_off_the_rectangle():
+    # D^4096 * x^4096 makes 4097 term products over a rectangle of 4097^2
+    # slots, whose list alone would take 134 MB; the dict result takes ~15 MB
+    n = 4096
+    dn, xn = d**n, x**n
+    out = []
+    assert _peak_bytes(lambda: out.append(dn * xn)) < 32 * 10**6
+    (product,) = out
+    assert len(product.nums) == n + 1 and product.den == 1
+    assert product.nums[(n, n)] == 1 and product.nums[(0, 0)] == factorial(n)
+
+
+def test_deep_product_with_shallow_terms_stays_off_the_rectangle():
+    # 47 terms a side, but only D^2048 and x^2048 meet past t = 0: 47^2 + 2048
+    # term products over a rectangle of 2094^2 slots (a 35 MB list).  A count
+    # of len * len * orders, 4.5 million, would have taken the list.
+    n, k = 2048, 46
+    shallow_x = WeylElement({(i, 0): i + 1 for i in range(k)})
+    shallow_d = WeylElement({(0, j): j + 1 for j in range(k)})
+    a, b = d**n + shallow_x, x**n + shallow_d
+    out = []
+    assert _peak_bytes(lambda: out.append(a * b)) < 16 * 10**6
+    assert out[0] == d**n * x**n + d**n * shallow_d + shallow_x * x**n + shallow_x * shallow_d
 
 
 # Metamorphic checks at exponents up to the 4096 cap.  A large derivative
