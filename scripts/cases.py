@@ -70,8 +70,9 @@ bracket; and ``D^4096 * x^4096`` (``D4096_x4096``), a sparse product over a
 does before each set-up, after one untimed import; the drop (about 0.05 ms)
 is timed too, and whether the source is compiled follows the environment.
 ``cold_cli`` runs ``python -m weylnil.cli decide "D^2 - x"``, start-up
-included, which must exit 0 with the Airy verdict.  ``modules`` says whether
-a fresh ``import weylnil.cli`` loads ``dataclasses`` or ``inspect``.
+included, which must exit 0 with the Airy verdict.  That a fresh ``import
+weylnil.cli`` loads neither ``dataclasses`` nor ``inspect`` is a tier-1 test
+in ``tests/test_values.py``.
 """
 
 import argparse
@@ -89,12 +90,6 @@ import sys
 import time
 from fractions import Fraction
 from functools import partial
-
-# json is imported after the check, so only weylnil.cli's imports are seen
-PROBE = (
-    "import sys, weylnil.cli; loaded = [m for m in ('dataclasses', 'inspect') if m in sys.modules]; "
-    "import json; print(json.dumps(loaded))"
-)
 
 
 def fresh_weylnil():
@@ -320,11 +315,9 @@ def import_set(repeat):
     fresh_weylnil()
     reimport = statistics.median(timed(fresh_weylnil, repeat)[0])
     cold = statistics.median(timed(cold_cli, repeat)[0])
-    loaded = json.loads(subprocess.run([sys.executable, "-c", PROBE], capture_output=True, text=True, check=True).stdout)
     print(f"reimport   {reimport * 1e3:8.2f} ms  median of {repeat}")
     print(f"cold_cli   {cold * 1e3:8.2f} ms  median of {repeat}")
-    print(f"modules    import weylnil.cli loads: {', '.join(loaded) or 'neither dataclasses nor inspect'}")
-    return {"reimport_s": reimport, "cold_cli_s": cold, "repeat": repeat, "loads": loaded}
+    return {"reimport_s": reimport, "cold_cli_s": cold, "repeat": repeat}
 
 
 SETS = {  # set name: (default repeat, run(repeat) -> table)

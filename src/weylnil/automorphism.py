@@ -47,7 +47,7 @@ class ShiftX(Value):
     __slots__ = ("poly",)
 
     def __init__(self, poly: UniPoly):
-        object.__setattr__(self, "poly", poly.drop_constant())
+        super().__init__(poly.drop_constant())
 
 
 class ShiftD(Value):
@@ -56,7 +56,7 @@ class ShiftD(Value):
     __slots__ = ("poly",)
 
     def __init__(self, poly: UniPoly):
-        object.__setattr__(self, "poly", poly.drop_constant())
+        super().__init__(poly.drop_constant())
 
 
 class Fourier(Value):

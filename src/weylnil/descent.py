@@ -66,10 +66,8 @@ from .errors import (
     UnsupportedSideError,
 )
 from .filtration import (
-    FactoredForm,
     FormDiagnostic,
     FormIssue,
-    NewtonData,
     Weight,
     associated_poly,
     choose_weights,
@@ -102,9 +100,7 @@ class Certificate(Value):
             raise ValueError("certificate side must be 'x' or 'd'")
         if gen_poly.is_constant():
             raise ValueError("certificate polynomial must be nonconstant")
-        object.__setattr__(self, "word", word)
-        object.__setattr__(self, "gen_poly", gen_poly)
-        object.__setattr__(self, "side", side)
+        super().__init__(word, gen_poly, side)
 
 
 class StageRecord(Value):
@@ -122,41 +118,17 @@ class StageRecord(Value):
 
     __slots__ = ("newton", "form", "shift_image", "generators", "element")
 
-    def __init__(
-        self,
-        newton: NewtonData,
-        form: FactoredForm,
-        shift_image: WeylElement,
-        generators: Tuple[Generator, ...],
-        element: WeylElement,
-    ):
-        object.__setattr__(self, "newton", newton)
-        object.__setattr__(self, "form", form)
-        object.__setattr__(self, "shift_image", shift_image)
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "element", element)
-
 
 class StrictlyNilpotent(Value):
-    """A certified operator.  ``prologue`` holds the generators applied to
-    the input before stage 1, first entry first: the ``FourierInverse`` swap
-    if one was taken, then the normalizing ``ShiftD`` if it is nonzero;
-    ``lead`` is the top coefficient after the swap, divided out of the
-    normalized operator."""
+    """A certified operator with its re-verified ``certificate``.
+    ``prologue`` holds the generators applied to the input before stage 1,
+    first entry first: the ``FourierInverse`` swap if one was taken, then
+    the normalizing ``ShiftD`` if it is nonzero; ``lead`` is the top
+    coefficient after the swap, divided out of the normalized operator, and
+    ``stages`` holds one ``StageRecord`` per descent stage."""
 
     __slots__ = ("certificate", "prologue", "stages", "lead")
-
-    def __init__(
-        self,
-        certificate: Certificate,
-        prologue: Tuple[Generator, ...] = (),
-        stages: Tuple[StageRecord, ...] = (),
-        lead: Fraction = Fraction(1),
-    ):
-        object.__setattr__(self, "certificate", certificate)
-        object.__setattr__(self, "prologue", prologue)
-        object.__setattr__(self, "stages", stages)
-        object.__setattr__(self, "lead", lead)
+    _defaults = {"prologue": (), "stages": (), "lead": Fraction(1)}
 
 
 class NotStrictlyNilpotent(Value):
@@ -167,18 +139,7 @@ class NotStrictlyNilpotent(Value):
     ``stage`` are read from these, so they cannot disagree with them."""
 
     __slots__ = ("diagnostic", "prologue", "stages", "lead")
-
-    def __init__(
-        self,
-        diagnostic: Optional[FormDiagnostic] = None,
-        prologue: Tuple[Generator, ...] = (),
-        stages: Tuple[StageRecord, ...] = (),
-        lead: Fraction = Fraction(1),
-    ):
-        object.__setattr__(self, "diagnostic", diagnostic)
-        object.__setattr__(self, "prologue", prologue)
-        object.__setattr__(self, "stages", stages)
-        object.__setattr__(self, "lead", lead)
+    _defaults = {"diagnostic": None, "prologue": (), "stages": (), "lead": Fraction(1)}
 
     @property
     def stage(self) -> int:
@@ -198,9 +159,6 @@ class TriviallyConstant(Value):
     """A constant operator, with its ``value``."""
 
     __slots__ = ("value",)
-
-    def __init__(self, value: Fraction):
-        object.__setattr__(self, "value", value)
 
 
 Verdict = Union[StrictlyNilpotent, NotStrictlyNilpotent, TriviallyConstant]
@@ -386,28 +344,18 @@ class NilpotentAt(Value):
 
     __slots__ = ("steps",)
 
-    def __init__(self, steps: int):
-        object.__setattr__(self, "steps", steps)
-
 
 class EigenObstruction(Value):
-    """The bracket fixed a scalar direction, certifying non-nilpotence."""
+    """The bracket fixed a scalar direction, with ``eigenvalue``, certifying non-nilpotence."""
 
     __slots__ = ("eigenvalue",)
 
-    def __init__(self, eigenvalue: Fraction):
-        object.__setattr__(self, "eigenvalue", eigenvalue)
-
 
 class BoundExhausted(Value):
-    """No conclusion within the cap; carries the total degree of the last
-    iterate as a coarse progress indicator."""
+    """No conclusion within ``cap`` steps; ``last_weight`` is the total
+    degree of the last iterate, a coarse progress indicator."""
 
     __slots__ = ("cap", "last_weight")
-
-    def __init__(self, cap: int, last_weight: int):
-        object.__setattr__(self, "cap", cap)
-        object.__setattr__(self, "last_weight", last_weight)
 
 
 AdTestResult = Union[NilpotentAt, EigenObstruction, BoundExhausted]
@@ -458,16 +406,13 @@ class BispectralPartner(Value):
     """Partner operator in the spectral variable together with its data.
 
     ``lambda_op`` lives on the z side; for the certified operator L with
-    certificate (word, q) the eigenvalue polynomial is ``f(z) = q(z)``.
+    certificate (word, q) the eigenvalue polynomial ``f_poly`` is
+    ``f(z) = q(z)``.
     The dual eigenvalue function is always the coordinate, ``theta(x) = x``,
     so it is not stored.
     """
 
     __slots__ = ("lambda_op", "f_poly")
-
-    def __init__(self, lambda_op: WeylElement, f_poly: UniPoly):
-        object.__setattr__(self, "lambda_op", lambda_op)
-        object.__setattr__(self, "f_poly", f_poly)
 
 
 def _derivative_certificate(e: WeylElement, construction: str) -> Certificate:
@@ -523,24 +468,15 @@ class GenerationWitness(Value):
 
     __slots__ = ("word", "a", "b", "tail")
 
-    def __init__(self, word: AutoWord, a: Fraction, b: Fraction, tail: UniPoly):
-        object.__setattr__(self, "word", word)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "tail", tail)
-
 
 class CounterexampleCandidate(Value):
     """A commutation pair whose first member failed the decision procedure.
 
     Any genuine instance would separate the commutation identity from
-    generation of the algebra; the full verdict is kept for audit.
+    generation of the algebra; the full ``verdict`` is kept for audit.
     """
 
     __slots__ = ("verdict",)
-
-    def __init__(self, verdict: Verdict):
-        object.__setattr__(self, "verdict", verdict)
 
 
 def ccr_to_generators(

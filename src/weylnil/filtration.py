@@ -28,7 +28,7 @@ from .poly import _format_terms
 
 
 class Weight(Value):
-    """Primitive positive integer weight pair for the (x, D) grading."""
+    """Primitive positive integer weight pair ``(x_weight, d_weight)`` for the (x, D) grading."""
 
     __slots__ = ("x_weight", "d_weight")
 
@@ -37,8 +37,7 @@ class Weight(Value):
             raise ValueError("weights must be positive integers")
         if gcd(x_weight, d_weight) != 1:
             raise ValueError("weight pair must be coprime")
-        object.__setattr__(self, "x_weight", x_weight)
-        object.__setattr__(self, "d_weight", d_weight)
+        super().__init__(x_weight, d_weight)
 
     def as_tuple(self) -> Tuple[int, int]:
         return (self.x_weight, self.d_weight)
@@ -53,7 +52,7 @@ def weight_value(e: WeylElement, w: Weight) -> int:
 
 
 class NewtonData(Value):
-    """Top-weight data of one element for one weight pair.
+    """Top-weight data of one element for one weight pair ``weight``.
 
     ``assoc`` is the top-weight part: the maximal-weight terms as a
     canonical ``WeylElement`` on the element's side, whose key ``(i, j)``
@@ -62,11 +61,6 @@ class NewtonData(Value):
     """
 
     __slots__ = ("weight", "value", "assoc")
-
-    def __init__(self, weight: Weight, value: int, assoc: WeylElement):
-        object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "assoc", assoc)
 
 
 def associated_poly(e: WeylElement, w: Weight) -> NewtonData:
@@ -138,12 +132,6 @@ class FactoredForm(Value):
 
     __slots__ = ("y_power", "ratio", "multiplicity", "scale")
 
-    def __init__(self, y_power: int, ratio: int, multiplicity: int, scale: Fraction):
-        object.__setattr__(self, "y_power", y_power)
-        object.__setattr__(self, "ratio", ratio)
-        object.__setattr__(self, "multiplicity", multiplicity)
-        object.__setattr__(self, "scale", scale)
-
     def expand(self) -> WeylElement:
         """The power as a canonical x-side element whose key ``(i, j)``
         reads ``X^i Y^j``.  With ``scale = p/q`` in lowest terms it is
@@ -171,7 +159,7 @@ class FactoredForm(Value):
 
 
 class FormDiagnostic(Value):
-    """Structured reason why recognition failed.
+    """Structured reason why recognition failed: its ``issue`` and ``message``.
 
     ``strictly_semisimple`` marks the harmonic-oscillator shape
     ``Y^2 + c*X^2`` on the equal-weight edge, whose operator acts diagonally
@@ -181,18 +169,7 @@ class FormDiagnostic(Value):
     """
 
     __slots__ = ("issue", "message", "strictly_semisimple", "partial")
-
-    def __init__(
-        self,
-        issue: FormIssue,
-        message: str,
-        strictly_semisimple: bool = False,
-        partial: Optional[FactoredForm] = None,
-    ):
-        object.__setattr__(self, "issue", issue)
-        object.__setattr__(self, "message", message)
-        object.__setattr__(self, "strictly_semisimple", strictly_semisimple)
-        object.__setattr__(self, "partial", partial)
+    _defaults = {"strictly_semisimple": False, "partial": None}
 
 
 def factor_form(nd: NewtonData) -> Union[FactoredForm, FormDiagnostic]:

@@ -4,12 +4,19 @@ descent records, verdicts and construction results.
 Each type is a frozen value: its ``repr`` names every field in order, equal
 fields give equal, equal-hashing instances of the same type only, fields
 cannot be set or deleted, copies and pickles round-trip, keywords and
-defaults construct it, and positional ``match`` patterns read its fields.
+defaults construct it, bad arguments raise ``TypeError`` before any field is
+set, and positional ``match`` patterns read its fields.
 """
 
 import copy
+import os
 import pickle
+import re
+import subprocess
+import sys
 from fractions import Fraction
+from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +45,7 @@ from weylnil import (
     Weight,
     WeylElement,
 )
+from weylnil._value import Value
 
 T2 = UniPoly((0, 0, 1))
 NEWTON = NewtonData(Weight(2, 1), 2, WeylElement({(0, 2): 1, (1, 0): -1}))
@@ -205,3 +213,55 @@ def test_no_public_type_is_a_dataclass():
     classes = [value for value in vars(weylnil).values() if isinstance(value, type)]
     assert set(map(type, VALUES)) <= set(classes)
     assert [c.__name__ for c in classes if hasattr(c, "__dataclass_fields__")] == []
+
+
+def _bad_calls():
+    """One call per way to misname the fields of each sample's type."""
+    for value in VALUES:
+        fields = _fields(value)
+        args = list(fields.values())
+        name = type(value).__name__
+        yield pytest.param(value, args + [None], {}, id=f"{name}-one-positional-too-many")
+        yield pytest.param(value, args, {"unknown": None}, id=f"{name}-unknown-keyword")
+        for first in list(fields)[:1]:
+            yield pytest.param(value, args, {first: fields[first]}, id=f"{name}-position-and-keyword")
+
+
+@pytest.mark.parametrize("value, args, kwargs", list(_bad_calls()))
+def test_bad_arguments_raise_before_any_field_is_set(value, args, kwargs):
+    blank = type(value).__new__(type(value))
+    with pytest.raises(TypeError):
+        blank.__init__(*args, **kwargs)
+    assert [name for name in type(value).__slots__ if hasattr(blank, name)] == []
+
+
+def test_missing_fields_raise():
+    for make in (NilpotentAt, StrictlyNilpotent, partial(StageRecord, NEWTON), partial(FormDiagnostic, message="m")):
+        with pytest.raises(TypeError, match="missing"):
+            make()
+
+
+def test_defaults_are_trailing_and_immutable():
+    # one _defaults dict is shared by every instance of its type
+    for cls in Value.__subclasses__():
+        names, defaults = cls.__slots__, cls._defaults
+        assert set(defaults) == set(names[len(names) - len(defaults) :]), cls.__name__
+        for default in defaults.values():
+            assert default == () or default is None or type(default) in (bool, Fraction), cls.__name__
+
+
+def test_docstrings_name_every_field():
+    # the binder's signature is (*args, **kwargs), so only the docstring names the fields
+    for cls in Value.__subclasses__():
+        assert [name for name in cls.__slots__ if not re.search(rf"\b{name}\b", cls.__doc__)] == [], cls.__name__
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # a fresh interpreter, since this one has imported both for pytest
+    src = str(Path(weylnil.__file__).parents[1])
+    probe = "import sys, weylnil.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
