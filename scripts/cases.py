@@ -6,10 +6,10 @@ path:
     PYTHONPATH=src python3 scripts/cases.py SET [--repeat N] [--json]
 
 ``SET`` is ``shift``, ``exchange``, ``parse``, ``descent``, ``product``,
-``import`` or ``all`` (each in turn).  A set starts from a fresh import of
-weylnil and builds its inputs before the clock starts; garbage is collected
-before each case, which runs ``--repeat`` times (by default 3, 3, 5, 5, 3
-and 15 in the order above).  A case reports a sha256 prefix of its output,
+``cli``, ``import`` or ``all`` (each in turn).  A set starts from a fresh
+import of weylnil and builds its inputs before the clock starts; garbage is
+collected before each case, which runs ``--repeat`` times (by default 3, 3,
+5, 5, 3, 5 and 15 in the order above).  A case reports a sha256 prefix of its output,
 so two trees compare on the same table: equal digests mean equal outputs.
 An element's output is its ``(side, den, sorted numerators)``.  With
 ``--json`` the last line of a set's output is its table as one JSON object.
@@ -64,6 +64,15 @@ b*[a, c]``; ``(x+D)^64 * (x+D)^64`` (``xD64_squared``), a dense product;
 ``commutator((x+D)^64, x^3*D^5 + D^2*x^7)`` (``bracket_xD64``), a dense
 bracket; and ``D^4096 * x^4096`` (``D4096_x4096``), a sparse product over a
 4097-by-4097 key rectangle.
+
+``cli``: the best run of fixed ``cli.run`` calls in process, each output
+the exit codes and standard output of its calls.  ``decide_airy_json``:
+``decide --json "D^2 - x"``; ``decide_orbit_96``: ``decide --json --`` on
+the printed criterion-1 operators of seeds 1 to 96, one call each, as the
+``decide_orbit`` benchmark calls it; ``ccr_generators``: ``ccr "D - x^2"
+"x" --generators``; ``random_seed7``: ``random --seed 7``.  Each call
+parses its arguments and writes its JSON or text, so the set follows the
+command line's own share of a decide.
 
 ``import``: medians, no digest.  ``reimport`` drops weylnil from
 ``sys.modules`` and imports ``weylnil.cli`` again, as ``perfbench/run.py``
@@ -305,6 +314,40 @@ def product_cases():
     ]
 
 
+def _cli_calls(wn, calls):
+    """Run each argument list through ``cli.run``: the exit codes and standard output."""
+    buf = io.StringIO()
+    codes = []
+    with contextlib.redirect_stdout(buf):
+        for argv in calls:
+            codes.append(wn.cli.run(argv))
+    return codes, buf.getvalue()
+
+
+def cli_cases():
+    wn = fresh_weylnil()
+    orbit = [
+        str(wn.random_orbit_element(seed, word_len=seed % 4, max_deg=5, max_q_deg=4, max_order=16)[0])
+        for seed in range(1, 97)
+    ]
+    return [
+        (name, partial(_cli_calls, wn, calls), {"calls": len(calls)})
+        for name, calls in (
+            ("decide_airy_json", [["decide", "--json", "D^2 - x"]]),
+            ("decide_orbit_96", [["decide", "--json", "--", text] for text in orbit]),
+            ("ccr_generators", [["ccr", "D - x^2", "x", "--generators"]]),
+            ("random_seed7", [["random", "--seed", "7"]]),
+        )
+    ]
+
+
+def cli_outputs(out):
+    codes, text = out
+    if any(codes):
+        raise SystemExit(f"a cli case exited with {codes}")
+    return {"digest": digest(text)}
+
+
 def cold_cli():
     done = subprocess.run([sys.executable, "-m", "weylnil.cli", "decide", "D^2 - x"], capture_output=True, text=True)
     if done.returncode != 0 or "verdict: strictly-nilpotent" not in done.stdout.splitlines():
@@ -331,6 +374,8 @@ SETS = {  # set name: (default repeat, run(repeat) -> table)
         f"{name:12s} {r['best_s'] * 1e3:9.3f} ms  {r['operators']:4d} operators  {r['terms']:6d} terms  {r['digest']}"))),
     "product": (3, partial(time_cases, product_cases, best, product_outputs, lambda name, r: (
         f"{name:14s} {r['best_s']:10.4f} s  {r['terms_out']:8d} terms  {r['digest']}"))),
+    "cli": (5, partial(time_cases, cli_cases, best, cli_outputs, lambda name, r: (
+        f"{name:18s} {r['best_s'] * 1e3:9.3f} ms  {r['calls']:4d} calls  {r['digest']}"))),
     "import": (15, import_set),
 }
 

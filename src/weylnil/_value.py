@@ -8,14 +8,20 @@ trailing fields only and holds immutable values, since every instance shares
 it.  Too many arguments, an unknown keyword, a field given twice or a field
 left without a value raise ``TypeError`` before any field is set.  A
 subclass that checks or normalizes its input defines its own ``__init__``
-and passes the fields on through ``super().__init__``.
+and passes the fields on through ``super().__init__``.  A built value keeps
+its fields: calling ``__init__`` on it again raises ``TypeError``, whatever
+the arguments, before any field is set, so a value hashed into a set or
+dict cannot be rebound.  The binder tells a built value from a blank one by
+what the value refers to (``gc.get_referents`` reads the non-empty slots
+without raising); a class with no fields keeps ``object.__init__``, which
+takes no arguments.
 
 Equality, hashing, ``repr``, pickling, copying and positional ``match``
 patterns read that field tuple, as a frozen dataclass's generated methods
 would, but no code is generated when the class is defined.
 """
 
-_set = object.__setattr__  # looked up once, not once per field
+from gc import get_referents as _referents
 
 
 class Value:
@@ -25,31 +31,43 @@ class Value:
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls.__match_args__ = cls.__slots__
+        if not cls.__slots__ and cls.__init__ is Value.__init__:
+            cls.__init__ = object.__init__
+        # each field's slot descriptor setter: cheaper than object.__setattr__ by name
+        cls._setters = tuple(vars(cls)[name].__set__ for name in cls.__slots__)
+        cls._blank = _referents(object.__new__(cls))
 
     def __init__(self, *args, **kwargs):
-        names = self.__slots__
-        if kwargs or len(args) != len(names):
+        if _referents(self) != self._blank:
+            raise TypeError(f"{type(self).__qualname__} is already built; its fields cannot be rebound")
+        setters = self._setters
+        if kwargs or len(args) != len(setters):
             args = self._bind(args, kwargs)
-        for name, value in zip(names, args):
-            _set(self, name, value)
+        for put, value in zip(setters, args):
+            put(self, value)
 
     @classmethod
     def _bind(cls, args, kwargs) -> list:
         """The field values of any call but one positional argument per field."""
         names, defaults = cls.__slots__, cls._defaults
-        if len(args) > len(names):
-            raise TypeError(f"{cls.__qualname__}() takes {len(names)} arguments but {len(args)} were given")
-        bound = dict(zip(names, args))
-        for name, value in kwargs.items():
+        given = len(args)
+        if given > len(names):
+            raise TypeError(f"{cls.__qualname__}() takes {len(names)} arguments but {given} were given")
+        for name in kwargs:
             if name not in names:
                 raise TypeError(f"{cls.__qualname__}() got an unexpected keyword argument {name!r}")
-            if name in bound:
+            if names.index(name) < given:
                 raise TypeError(f"{cls.__qualname__}() got multiple values for argument {name!r}")
-            bound[name] = value
-        missing = [name for name in names if name not in bound and name not in defaults]
-        if missing:
-            raise TypeError(f"{cls.__qualname__}() missing required arguments: {', '.join(map(repr, missing))}")
-        return [bound[name] if name in bound else defaults[name] for name in names]
+        values = list(args)
+        for name in names[given:]:
+            if name in kwargs:
+                values.append(kwargs[name])
+            elif name in defaults:
+                values.append(defaults[name])
+            else:
+                missing = [name for name in names[given:] if name not in kwargs and name not in defaults]
+                raise TypeError(f"{cls.__qualname__}() missing required arguments: {', '.join(map(repr, missing))}")
+        return values
 
     def _fields(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])

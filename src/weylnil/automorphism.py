@@ -37,7 +37,7 @@ from math import gcd
 from typing import Sequence, Tuple, Union
 
 from ._value import Value
-from .element import WeylElement, _new, _settle
+from .element import WeylElement, _new, _reduce, _settle
 from .poly import UniPoly
 
 
@@ -183,7 +183,7 @@ def _substitute(e: WeylElement, gen: Union[ShiftX, ShiftD]) -> WeylElement:
             if s:
                 out[(b, a) if swap else (a, b)] = s
             a += 1
-    return _settle(out.items(), e.den * den**top, e.side)
+    return _reduce(out, e.den * den**top, e.side)
 
 
 def apply_generator(gen: Generator, e: WeylElement) -> WeylElement:

@@ -42,6 +42,11 @@ from .wire import (
 )
 
 
+# every indented JSON output: the documents are trees, so the circular check
+# finds nothing, and an encoder keeps no state between calls
+_JSON = json.JSONEncoder(indent=2, check_circular=False)
+
+
 class _UsageError(Exception):
     pass
 
@@ -77,7 +82,7 @@ def _verdict_text(verdict) -> str:
 
 def _cmd_decide(ns) -> str:
     verdict = decide(parse_expression(ns.expr))
-    return json.dumps(verdict_to_doc(verdict), indent=2) if ns.json else _verdict_text(verdict)
+    return _JSON.encode(verdict_to_doc(verdict)) if ns.json else _verdict_text(verdict)
 
 
 def _cmd_ad(ns) -> str:
@@ -111,7 +116,7 @@ def _cmd_ccr(ns) -> str:
     if isinstance(outcome, CounterexampleCandidate):
         return (
             f"{text}\ncounterexample candidate: first member rejected by the decision procedure\n"
-            + json.dumps(verdict_to_doc(outcome.verdict), indent=2)
+            + _JSON.encode(verdict_to_doc(outcome.verdict))
         )
     doc = {
         "word": word_to_doc(outcome.word),
@@ -119,7 +124,7 @@ def _cmd_ccr(ns) -> str:
         "b": str(outcome.b),
         "r": _poly_to_strings(outcome.tail),
     }
-    return f"{text}\n{json.dumps(doc, indent=2)}"
+    return f"{text}\n{_JSON.encode(doc)}"
 
 
 def _cmd_polygon(ns) -> str:
@@ -169,7 +174,7 @@ def _cmd_random(ns) -> str:
         "printed": str(element),
         "certificate": certificate_to_doc(cert),
     }
-    return json.dumps(doc, indent=2)
+    return _JSON.encode(doc)
 
 
 def _cmd_verify(ns) -> str:
@@ -179,7 +184,8 @@ def _cmd_verify(ns) -> str:
 
 
 @functools.cache
-def _build_parser() -> _ArgumentParser:
+def _build_parser() -> tuple[_ArgumentParser, dict[str, _ArgumentParser]]:
+    """The top-level parser and each subcommand's own parser, by name."""
     parser = _ArgumentParser(prog="weylnil", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -226,13 +232,20 @@ def _build_parser() -> _ArgumentParser:
     p.add_argument("expr")
     p.set_defaults(func=_cmd_verify)
 
-    return parser
+    return parser, sub.choices
 
 
 def run(argv=None) -> int:
-    parser = _build_parser()
+    """Run one command in process, writing its output, and return its exit code."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _build_parser()
+    # A call that names a subcommand goes straight to that subcommand's
+    # parser: the top-level one would only pass it the remaining arguments,
+    # after a second parsing pass of its own.  Anything else (no arguments,
+    # -h, an unknown name) gets the top-level help or usage error.
+    command = commands.get(argv[0]) if argv else None
     try:
-        ns = parser.parse_args(argv)
+        ns = parser.parse_args(argv) if command is None else command.parse_args(argv[1:])
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

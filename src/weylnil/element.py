@@ -30,8 +30,8 @@ of the reduced coefficient denominators and equal values have equal pairs.
 The zero element is ``den == 1`` with no numerators.  Every operation
 computes on Python integers over one denominator and settles its result
 once: ``_settle`` drops the zeros of its ``(key, numerator)`` pairs and
-``_reduce`` divides out one ``gcd``, which ``_contract`` calls directly on
-the numerators it unpacks; negation, the anti-involution, a parsed monomial
+``_reduce`` divides out one ``gcd``, which ``_contract`` and the shift
+substitution call directly on the nonzero numerators they read out; negation, the anti-involution, a parsed monomial
 and an element built from a polynomial's pair by ``from_d_poly`` are
 canonical as built and go to ``_new``.  The slices ``d_slice`` and
 ``x_slice`` hand their numerators to the polynomial module's ``_settle``

@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 
 import weylnil
+from weylnil import cli
 from weylnil.cli import main, run
-from weylnil.wire import certificate_from_doc
+from weylnil.wire import certificate_from_doc, verdict_to_doc
 
 
 def _run(capsys, *argv):
@@ -189,37 +190,43 @@ RATIONAL_SHIFT_WITNESS = {
 }
 
 
-@pytest.mark.parametrize(
-    "argv, text",
-    [
-        (("decide", "D^2 - x"), AIRY_TEXT),
-        (("decide", "--json", "D^2 - x"), json.dumps(AIRY_DOC, indent=2) + "\n"),
-        (("partner", "D^2 - x"), "lambda: Dz^2 - z\nf: z\ntheta: x\n"),
-        (("polygon", "D^3 + 2*D"), "diagnostic: operator has constant coefficients; no edge to choose\n"),
-        (("polygon", "D^4 + 2*x*D^2 + 2*D + x^2"), QUARTIC_POLYGON),
-        (("decide", "D^3 + x*D"), POSITIVE_Y_TEXT),
-        (("decide", "--json", "D^3 + x*D"), json.dumps(POSITIVE_Y_DOC, indent=2) + "\n"),
-        (("decide", "D^2 + x^2"), OSCILLATOR_TEXT),
-        (("decide", "x*D"), EULER_TEXT),
-        (("polygon", "D^3 + x*D"), POSITIVE_Y_POLYGON),
-        (("decide", "7/2"), "verdict: trivially-constant\nvalue: 7/2\n"),
-        (("polygon", "x*D"), "diagnostic: operator has no constant top coefficient of order >= 1\n"),
-        (("decide", "--json", "x^2*D + x^3"), json.dumps(SWAPPED_DOC, indent=2) + "\n"),
-        (("ad", "D", "0"), "nilpotent at 0\n"),
-        (("decide", "x^3 + 2*x"), COORDINATE_TEXT),
-        (("decide", "D^2 + D"), DERIVATIVE_TEXT),
-        (("decide", "D^2 + 2*x*D + x^2 + 1"), SHIFT_ONLY_TEXT),
-        (("decide", "3*D^2 - 3*x"), SCALED_AIRY_TEXT),
-        # coefficients with denominators other than 1
-        (("polygon", "D^2 - 2/3*x"), RATIONAL_AIRY_POLYGON),
-        (("polygon", "D^4 + 1/3*x*D^2 + 1/36*x^2"), RATIONAL_SQUARE_POLYGON),
-        (("decide", "3/2*D^2 - x + 1/5*x^2"), SCALED_OSCILLATOR_TEXT),
-        (
-            ("ccr", "--generators", "D - 1/2*x^2", "x"),
-            "commutator equals 1: true\n" + json.dumps(RATIONAL_SHIFT_WITNESS, indent=2) + "\n",
-        ),
-    ],
-)
+GOLDEN = {
+    "decide-airy": (("decide", "D^2 - x"), AIRY_TEXT),
+    "decide-airy-json": (("decide", "--json", "D^2 - x"), json.dumps(AIRY_DOC, indent=2) + "\n"),
+    "partner-airy": (("partner", "D^2 - x"), "lambda: Dz^2 - z\nf: z\ntheta: x\n"),
+    "polygon-constant-coefficients": (
+        ("polygon", "D^3 + 2*D"),
+        "diagnostic: operator has constant coefficients; no edge to choose\n",
+    ),
+    "polygon-quartic": (("polygon", "D^4 + 2*x*D^2 + 2*D + x^2"), QUARTIC_POLYGON),
+    "decide-positive-y": (("decide", "D^3 + x*D"), POSITIVE_Y_TEXT),
+    "decide-positive-y-json": (("decide", "--json", "D^3 + x*D"), json.dumps(POSITIVE_Y_DOC, indent=2) + "\n"),
+    "decide-oscillator": (("decide", "D^2 + x^2"), OSCILLATOR_TEXT),
+    "decide-euler": (("decide", "x*D"), EULER_TEXT),
+    "polygon-positive-y": (("polygon", "D^3 + x*D"), POSITIVE_Y_POLYGON),
+    "decide-constant": (("decide", "7/2"), "verdict: trivially-constant\nvalue: 7/2\n"),
+    "polygon-no-constant-top": (
+        ("polygon", "x*D"),
+        "diagnostic: operator has no constant top coefficient of order >= 1\n",
+    ),
+    "decide-swapped-json": (("decide", "--json", "x^2*D + x^3"), json.dumps(SWAPPED_DOC, indent=2) + "\n"),
+    "ad-zero": (("ad", "D", "0"), "nilpotent at 0\n"),
+    "decide-coordinate": (("decide", "x^3 + 2*x"), COORDINATE_TEXT),
+    "decide-derivative": (("decide", "D^2 + D"), DERIVATIVE_TEXT),
+    "decide-shift-only": (("decide", "D^2 + 2*x*D + x^2 + 1"), SHIFT_ONLY_TEXT),
+    "decide-scaled-airy": (("decide", "3*D^2 - 3*x"), SCALED_AIRY_TEXT),
+    # coefficients with denominators other than 1
+    "polygon-rational-airy": (("polygon", "D^2 - 2/3*x"), RATIONAL_AIRY_POLYGON),
+    "polygon-rational-square": (("polygon", "D^4 + 1/3*x*D^2 + 1/36*x^2"), RATIONAL_SQUARE_POLYGON),
+    "decide-scaled-oscillator": (("decide", "3/2*D^2 - x + 1/5*x^2"), SCALED_OSCILLATOR_TEXT),
+    "ccr-rational-shift": (
+        ("ccr", "--generators", "D - 1/2*x^2", "x"),
+        "commutator equals 1: true\n" + json.dumps(RATIONAL_SHIFT_WITNESS, indent=2) + "\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, text", list(GOLDEN.values()), ids=list(GOLDEN))
 def test_golden_output(capsys, argv, text):
     assert _run(capsys, *argv) == (0, text, "")
 
@@ -559,3 +566,95 @@ def test_z_side_input_decides_like_its_x_side_twin(capsys):
                 stage["shift_image"] = _z_side(stage["shift_image"])
             assert json.loads(z_out) == doc, text
         assert _run(capsys, "polygon", "--", z_text) == _run(capsys, "polygon", "--", text), text
+
+
+# one valid call per subcommand; apply and verify name files that parsing
+# does not open
+VALID_ARGV = [
+    ("decide", "--json", "--", "-3*D"),
+    ("ad", "x*D", "-x", "--max-steps", "10"),
+    ("partner", "D^2 - x"),
+    ("ccr", "D - x^2", "x", "--generators"),
+    ("polygon", "-D^2 + x"),
+    ("apply", "--word", "word.json", "D"),
+    ("random", "--seed", "7", "--max-order", "16"),
+    ("verify", "-D", "--cert", "cert.json"),
+]
+
+
+def test_every_subcommand_has_a_valid_call():
+    assert sorted(cli._build_parser()[1]) == sorted(argv[0] for argv in VALID_ARGV)
+
+
+@pytest.mark.parametrize("argv", VALID_ARGV, ids=[argv[0] for argv in VALID_ARGV])
+def test_subcommand_parser_reads_what_the_top_level_parser_reads(argv):
+    # run parses a call that names a subcommand with that subcommand's own
+    # parser; the top-level parser adds only the command name
+    parser, commands = cli._build_parser()
+    top = vars(parser.parse_args(argv))
+    assert top.pop("command") == argv[0]
+    assert vars(commands[argv[0]].parse_args(argv[1:])) == top
+
+
+def _outcome(capsys, argv):
+    """Exit code (or the SystemExit of a help request), stdout and stderr of one run."""
+    try:
+        code = run(list(argv))
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        ((), 1),
+        (("frobnicate",), 1),
+        (("frobnicate", "x"), 1),
+        (("-h",), ("SystemExit", 0)),
+        (("--help",), ("SystemExit", 0)),
+        (("decide",), 1),
+        (("decide", "--bogus", "x"), 1),
+        (("decide", "-h"), ("SystemExit", 0)),
+        (("decide", "--help"), ("SystemExit", 0)),
+        (("decide", "-3*D"), 0),
+        (("decide", "--", "-3*D"), 0),
+        (("decide", "--json", "x", "y"), 1),
+    ],
+    ids=[
+        "no-arguments",
+        "unknown-command",
+        "unknown-command-with-argument",
+        "top-level-h",
+        "top-level-help",
+        "decide-no-expression",
+        "decide-unknown-flag",
+        "decide-h",
+        "decide-help",
+        "decide-leading-minus",
+        "decide-double-dash",
+        "decide-extra-argument",
+    ],
+)
+def test_usage_paths_match_the_top_level_parser(capsys, monkeypatch, argv, code):
+    # the same call once more with every argument list handed to the
+    # top-level parser: the same exit code, help text and error line
+    direct = _outcome(capsys, argv)
+    assert direct[0] == code
+    parser, _ = cli._build_parser()
+    monkeypatch.setattr(cli, "_build_parser", lambda: (parser, {}))
+    assert _outcome(capsys, argv) == direct
+
+
+def test_shared_encoder_writes_what_json_dumps_writes(capsys):
+    docs = [AIRY_DOC, POSITIVE_Y_DOC, SWAPPED_DOC, RATIONAL_SHIFT_WITNESS]
+    for seed in range(1, 21):
+        element, _ = weylnil.random_orbit_element(seed, word_len=seed % 4, max_deg=5, max_q_deg=4, max_order=16)
+        docs.append(verdict_to_doc(weylnil.decide(element)))
+    for seed in (5, 7):
+        code, out, _ = _run(capsys, "random", "--seed", str(seed), "--max-order", "16")
+        assert code == 0
+        docs.append(json.loads(out))
+    for doc in docs:
+        assert cli._JSON.encode(doc) == json.dumps(doc, indent=2)

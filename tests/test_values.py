@@ -265,3 +265,33 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("value", VALUES, ids=IDS)
+def test_a_built_value_keeps_its_fields(value):
+    # a second __init__ would rebind a value already hashed into a set;
+    # types with their own __init__ (the shifts, Weight, Certificate) reach
+    # the binder through super().__init__; a type with no fields has
+    # nothing to rebind, and object.__init__ takes no arguments
+    before, held = repr(value), {value}
+    args = list(_fields(value).values())
+    for call in (partial(type(value).__init__, value, *args), partial(value.__init__, *args)):
+        if args:
+            with pytest.raises(TypeError, match="already built"):
+                call()
+        else:
+            call()
+    assert repr(value) == before
+    assert value in held
+
+
+def test_rebinding_weight_is_refused():
+    w = Weight(2, 1)
+    held = {w}
+    with pytest.raises(TypeError, match="already built"):
+        Weight.__init__(w, 3, 1)
+    assert w == Weight(2, 1) and w in held
+    with pytest.raises(TypeError, match="already built"):
+        ShiftD.__init__(ShiftD(T2), UniPoly((0, 1)))
+    with pytest.raises(TypeError, match="already built"):
+        NilpotentAt(2).__init__(5)
