@@ -11,6 +11,9 @@ import of weylnil and builds its inputs before the clock starts; garbage is
 collected before each case, which runs ``--repeat`` times (by default 3, 3,
 5, 5, 3, 5 and 15 in the order above).  A case reports a sha256 prefix of its output,
 so two trees compare on the same table: equal digests mean equal outputs.
+``scripts/case_digests.json`` holds the digests of this tree by set and
+case; CI runs ``all --repeat 1 --json`` and fails on any digest that
+differs from it.
 An element's output is its ``(side, den, sorted numerators)``.  With
 ``--json`` the last line of a set's output is its table as one JSON object.
 

@@ -41,22 +41,25 @@ from .element import WeylElement, _new, _reduce, _settle
 from .poly import UniPoly
 
 
-class ShiftX(Value):
+class _Shift(Value):
+    """A shift by the derivative of ``poly``, stored without its constant."""
+
+    __slots__ = ("poly",)
+
+    def __init__(self, poly: UniPoly):
+        super().__init__(poly.drop_constant())
+
+
+class ShiftX(_Shift):
     """x -> x + poly'(D); the exponential of bracketing with poly(D)."""
 
-    __slots__ = ("poly",)
-
-    def __init__(self, poly: UniPoly):
-        super().__init__(poly.drop_constant())
+    __slots__ = ()
 
 
-class ShiftD(Value):
+class ShiftD(_Shift):
     """D -> D - poly'(x); the exponential of bracketing with poly(x)."""
 
-    __slots__ = ("poly",)
-
-    def __init__(self, poly: UniPoly):
-        super().__init__(poly.drop_constant())
+    __slots__ = ()
 
 
 class Fourier(Value):
@@ -90,7 +93,7 @@ def _apply_fourier(e: WeylElement, inverse: bool) -> WeylElement:
     return _settle(out.items(), e.den, e.side)
 
 
-def _substitute(e: WeylElement, gen: Union[ShiftX, ShiftD]) -> WeylElement:
+def _substitute(e: WeylElement, gen: _Shift) -> WeylElement:
     """Image of a nonzero ``e`` under a shift with nonzero derivative.
 
     ``ShiftD(r)`` sends ``D -> D - p(x)`` with ``p = r'``.  ``ShiftX(s)`` is
@@ -188,17 +191,15 @@ def _substitute(e: WeylElement, gen: Union[ShiftX, ShiftD]) -> WeylElement:
 
 def apply_generator(gen: Generator, e: WeylElement) -> WeylElement:
     """Image of an element under one generator, in normal order."""
-    if isinstance(gen, Fourier):
-        return _apply_fourier(e, inverse=False)
-    if isinstance(gen, FourierInverse):
-        return _apply_fourier(e, inverse=True)
-    if isinstance(gen, (ShiftX, ShiftD)):
+    if isinstance(gen, _Shift):
         # constants are dropped on construction, so degree 1 or more means a
         # nonzero derivative; an element without the shifted generator (the
         # zero element's order and x-degree are -1) is fixed
         if gen.poly.degree < 1 or (e.x_degree if isinstance(gen, ShiftX) else e.order) < 1:
             return e
         return _substitute(e, gen)
+    if isinstance(gen, (Fourier, FourierInverse)):
+        return _apply_fourier(e, isinstance(gen, FourierInverse))
     raise TypeError(f"unknown generator {gen!r}")
 
 
@@ -232,14 +233,10 @@ def shape_bound(word: Sequence[Generator], x_deg: int, order: int) -> Tuple[int,
 
 
 def invert_generator(gen: Generator) -> Generator:
-    if isinstance(gen, ShiftX):
-        return ShiftX(-gen.poly)
-    if isinstance(gen, ShiftD):
-        return ShiftD(-gen.poly)
-    if isinstance(gen, Fourier):
-        return FourierInverse()
-    if isinstance(gen, FourierInverse):
-        return Fourier()
+    if isinstance(gen, _Shift):
+        return type(gen)(-gen.poly)
+    if isinstance(gen, (Fourier, FourierInverse)):
+        return Fourier() if isinstance(gen, FourierInverse) else FourierInverse()
     raise TypeError(f"unknown generator {gen!r}")
 
 

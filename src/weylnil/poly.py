@@ -140,18 +140,8 @@ class UniPoly:
         return cls()
 
     @classmethod
-    def one(cls) -> "UniPoly":
-        return cls((1,))
-
-    @classmethod
     def const(cls, c: Scalar) -> "UniPoly":
         return cls((c,))
-
-    @classmethod
-    def monomial(cls, degree: int, coeff: Scalar = 1) -> "UniPoly":
-        if degree < 0:
-            raise ValueError("degree must be nonnegative")
-        return cls((0,) * degree + (coeff,))
 
     @property
     def degree(self) -> int:
@@ -173,11 +163,6 @@ class UniPoly:
         if 0 <= i < len(self.nums):
             return Fraction(self.nums[i], self.den)
         return Fraction(0)
-
-    def leading(self) -> Fraction:
-        if not self.nums:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return Fraction(self.nums[-1], self.den)
 
     def __bool__(self) -> bool:
         return bool(self.nums)

@@ -193,17 +193,23 @@ RATIONAL_SHIFT_WITNESS = {
 @pytest.mark.parametrize(
     "argv, text",
     [
-        (("decide", "D^2 - x"), AIRY_TEXT),
-        (("decide", "--json", "D^2 - x"), json.dumps(AIRY_DOC, indent=2) + "\n"),
-        (("partner", "D^2 - x"), "lambda: Dz^2 - z\nf: z\ntheta: x\n"),
-        (("polygon", "D^3 + 2*D"), "diagnostic: operator has constant coefficients; no edge to choose\n"),
-        (("polygon", "D^4 + 2*x*D^2 + 2*D + x^2"), QUARTIC_POLYGON),
-        (("decide", "D^3 + x*D"), POSITIVE_Y_TEXT),
-        (("decide", "--json", "D^3 + x*D"), json.dumps(POSITIVE_Y_DOC, indent=2) + "\n"),
-        (("decide", "D^2 + x^2"), OSCILLATOR_TEXT),
-        (("decide", "x*D"), EULER_TEXT),
-        (("polygon", "D^3 + x*D"), POSITIVE_Y_POLYGON),
-        (("decide", "7/2"), "verdict: trivially-constant\nvalue: 7/2\n"),
+        pytest.param(("decide", "D^2 - x"), AIRY_TEXT, id="decide-airy"),
+        pytest.param(("decide", "--json", "D^2 - x"), json.dumps(AIRY_DOC, indent=2) + "\n", id="decide-json-airy"),
+        pytest.param(("partner", "D^2 - x"), "lambda: Dz^2 - z\nf: z\ntheta: x\n", id="partner-airy"),
+        pytest.param(
+            ("polygon", "D^3 + 2*D"),
+            "diagnostic: operator has constant coefficients; no edge to choose\n",
+            id="polygon-constant-coefficients",
+        ),
+        pytest.param(("polygon", "D^4 + 2*x*D^2 + 2*D + x^2"), QUARTIC_POLYGON, id="polygon-quartic"),
+        pytest.param(("decide", "D^3 + x*D"), POSITIVE_Y_TEXT, id="decide-positive-y"),
+        pytest.param(
+            ("decide", "--json", "D^3 + x*D"), json.dumps(POSITIVE_Y_DOC, indent=2) + "\n", id="decide-json-positive-y"
+        ),
+        pytest.param(("decide", "D^2 + x^2"), OSCILLATOR_TEXT, id="decide-oscillator"),
+        pytest.param(("decide", "x*D"), EULER_TEXT, id="decide-euler"),
+        pytest.param(("polygon", "D^3 + x*D"), POSITIVE_Y_POLYGON, id="polygon-positive-y"),
+        pytest.param(("decide", "7/2"), "verdict: trivially-constant\nvalue: 7/2\n", id="decide-constant"),
         (("polygon", "x*D"), "diagnostic: operator has no constant top coefficient of order >= 1\n"),
         (("decide", "--json", "x^2*D + x^3"), json.dumps(SWAPPED_DOC, indent=2) + "\n"),
         (("ad", "D", "0"), "nilpotent at 0\n"),
@@ -336,15 +342,22 @@ def test_random_subcommand_emits_valid_certificate(capsys):
 
 
 def test_invariant_violation_exit_two(capsys, monkeypatch):
+    # raised by the command, then by the descent's own re-verification:
+    # exit 2, one error line and nothing on stdout
     from weylnil.errors import InvariantViolation
 
     def boom(_):
         raise InvariantViolation("synthetic failure")
 
     monkeypatch.setattr("weylnil.cli.decide", boom)
-    code, _, err = _run(capsys, "decide", "D^2 - x")
-    assert code == 2
-    assert "internal invariant violation" in err
+    assert _run(capsys, "decide", "D^2 - x") == (2, "", "internal invariant violation: synthetic failure\n")
+    monkeypatch.undo()
+    monkeypatch.setattr("weylnil.descent.verify_certificate", lambda e, cert: False)
+    assert _run(capsys, "decide", "D^2 - x") == (
+        2,
+        "",
+        "internal invariant violation: assembled certificate failed re-verification\n",
+    )
 
 
 def test_verify_rejects_tampered_certificate(capsys, tmp_path):

@@ -11,6 +11,7 @@ from weylnil import (
     Certificate,
     CounterexampleCandidate,
     EigenObstruction,
+    FactoredForm,
     FormDiagnostic,
     Fourier,
     FourierInverse,
@@ -540,6 +541,89 @@ def test_ccr_to_generators_rejects_a_tampered_certificate(monkeypatch, word, q, 
         monkeypatch.setattr(weylnil.descent, "invert_word", inverse)
     with pytest.raises(InvariantViolation, match=message):
         ccr_to_generators(d, x)
+
+
+def _shift_images_plus(extra):
+    """``apply_generator`` with ``extra`` added to every ``ShiftX`` image."""
+    import weylnil.automorphism
+
+    real = weylnil.automorphism.apply_generator
+    return lambda gen, e: real(gen, e) + extra if isinstance(gen, ShiftX) else real(gen, e)
+
+
+def _swap_image_zero():
+    """``apply_generator`` with every ``FourierInverse`` image zero."""
+    import weylnil.automorphism
+
+    real = weylnil.automorphism.apply_generator
+    return lambda gen, e: WeylElement.zero(e.side) if isinstance(gen, FourierInverse) else real(gen, e)
+
+
+# each descent invariant, broken by a fault injected into a name the descent
+# calls; the Airy operator D^2 - x passes one stage: Y^2 - X, ratio 2, k = 1
+@pytest.mark.parametrize(
+    "call, name, fault, message",
+    [
+        (
+            lambda: normalize_subleading(d**2 + x * d),
+            "apply_generator",
+            lambda: lambda gen, e: e,
+            "next-to-top coefficient survived normalization",
+        ),
+        (
+            lambda: descent_step(airy),
+            "factor_form",
+            lambda: lambda nd: FactoredForm(0, 1, 2, Fraction(1)),
+            "weight ratio 1 after normalization contradicts the vanishing next-to-top coefficient",
+        ),
+        (
+            lambda: descent_step(airy),
+            "apply_generator",
+            lambda: lambda gen, e: WeylElement.zero(e.side),
+            "collapse did not produce the expected top coordinate slice",
+        ),
+        # the x^0 slice reaches D^2, the ratio
+        (
+            lambda: descent_step(airy),
+            "apply_generator",
+            lambda: _shift_images_plus(d**2),
+            "next-to-top coordinate slice exceeds the weight bound",
+        ),
+        # the x^0 slice D is put back after the clearing shift
+        (
+            lambda: descent_step(airy),
+            "apply_generator",
+            lambda: _shift_images_plus(d),
+            "next-to-top coordinate slice survived the clearing shift",
+        ),
+        (
+            lambda: descent_step(airy),
+            "apply_generator",
+            _swap_image_zero,
+            r"swapped operator is not lam\^k\*D\^k plus terms of order k-2 or less",
+        ),
+        (
+            lambda: decide(airy),
+            "verify_certificate",
+            lambda: lambda e, cert: False,
+            "assembled certificate failed re-verification",
+        ),
+        (
+            lambda: centralizer_generator(airy),
+            "commutator",
+            lambda: lambda a, b: WeylElement.one(a.side),
+            "centralizer generator does not commute with the input",
+        ),
+    ],
+    ids=["normalize", "ratio-1", "collapse", "weight-bound", "clearing", "swap", "reverify", "centralizer"],
+)
+def test_descent_invariants_raise_on_an_injected_fault(monkeypatch, call, name, fault, message):
+    import weylnil.descent
+
+    call()  # the unbroken run passes every check
+    monkeypatch.setattr(weylnil.descent, name, fault())
+    with pytest.raises(InvariantViolation, match=f"^{message}$"):
+        call()
 
 
 # ----------------------------------------------------------------------

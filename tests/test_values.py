@@ -121,8 +121,19 @@ def _fields(value):
     return {name: getattr(value, name) for name in type(value).__match_args__}
 
 
+def _value_types(cls=Value):
+    """Every weylnil class below ``cls``, at any depth: the shifts sit one
+    level below ``Value``, under their shared base."""
+    for sub in cls.__subclasses__():
+        if sub.__module__.startswith("weylnil."):
+            yield sub
+        yield from _value_types(sub)
+
+
 def test_one_sample_per_value_type():
     assert len(set(IDS)) == len(IDS) == 19
+    # the contract tests below walk these types, the shifts among them
+    assert set(map(type, VALUES)) == {cls for cls in _value_types() if not cls.__name__.startswith("_")}
 
 
 @pytest.mark.parametrize("value, text", SAMPLES, ids=IDS)
@@ -195,6 +206,7 @@ def test_shifts_drop_the_constant_term():
     assert ShiftX(t + 1).poly == t
     assert ShiftD(t + 1).poly == t
     assert ShiftX(t + 1) == ShiftX(t)
+    assert SUBCLASSES[ShiftD](t + 1).poly == t
 
 
 def test_checks_keep_their_messages():
@@ -232,7 +244,7 @@ def test_bad_arguments_raise_before_any_field_is_set(value, args, kwargs):
     blank = type(value).__new__(type(value))
     with pytest.raises(TypeError):
         blank.__init__(*args, **kwargs)
-    assert [name for name in type(value).__slots__ if hasattr(blank, name)] == []
+    assert [name for name in type(value).__match_args__ if hasattr(blank, name)] == []
 
 
 def test_missing_fields_raise():
@@ -243,8 +255,8 @@ def test_missing_fields_raise():
 
 def test_defaults_are_trailing_and_immutable():
     # one _defaults dict is shared by every instance of its type
-    for cls in Value.__subclasses__():
-        names, defaults = cls.__slots__, cls._defaults
+    for cls in _value_types():
+        names, defaults = cls.__match_args__, cls._defaults
         assert set(defaults) == set(names[len(names) - len(defaults) :]), cls.__name__
         for default in defaults.values():
             assert default == () or default is None or type(default) in (bool, Fraction), cls.__name__
@@ -252,8 +264,8 @@ def test_defaults_are_trailing_and_immutable():
 
 def test_docstrings_name_every_field():
     # the binder's signature is (*args, **kwargs), so only the docstring names the fields
-    for cls in Value.__subclasses__():
-        assert [name for name in cls.__slots__ if not re.search(rf"\b{name}\b", cls.__doc__)] == [], cls.__name__
+    for cls in _value_types():
+        assert [name for name in cls.__match_args__ if not re.search(rf"\b{name}\b", cls.__doc__)] == [], cls.__name__
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
@@ -283,6 +295,37 @@ def test_a_built_value_keeps_its_fields(value):
             call()
     assert repr(value) == before
     assert value in held
+
+
+def _subclass(cls):
+    """A subclass of ``cls`` that adds no field, at module level so that
+    pickle finds it by name."""
+    name = f"Sub{cls.__name__}"
+    sub = globals()[name] = type(name, (cls,), {"__slots__": (), "__module__": __name__, "__qualname__": name})
+    return sub
+
+
+FIELDED = [value for value in VALUES if type(value).__match_args__]
+SUBCLASSES = {type(value): _subclass(type(value)) for value in FIELDED}
+
+
+@pytest.mark.parametrize("value", FIELDED, ids=[type(value).__name__ for value in FIELDED])
+def test_a_subclass_without_fields_keeps_its_parents(value):
+    cls = type(value)
+    sub = SUBCLASSES[cls]
+    fields = _fields(value)
+    built = sub(*fields.values())
+    assert sub.__match_args__ == cls.__match_args__
+    assert _fields(built) == fields
+    assert repr(built) == f"Sub{repr(value)}"
+    # equality stays type-exact; the hash reads the fields only
+    assert built == sub(**fields) and built != value and value != built
+    assert hash(built) == hash(value)
+    for again in (copy.copy(built), copy.deepcopy(built), pickle.loads(pickle.dumps(built))):
+        assert type(again) is sub and again == built and hash(again) == hash(built)
+    with pytest.raises(TypeError, match="already built"):
+        built.__init__(*fields.values())
+    assert repr(built) == f"Sub{repr(value)}"
 
 
 def test_rebinding_weight_is_refused():
