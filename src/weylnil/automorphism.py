@@ -10,6 +10,17 @@ Three primitive generator kinds act on the algebra:
 Constant terms of the stored polynomials act trivially and are dropped on
 construction, so every generator has one canonical representation.
 
+The generators fall into two families, each with one private base: the
+shifts under ``_Shift`` and the swaps under ``_Swap``.  The facts that
+other modules print or encode sit on the classes here, as class
+attributes: ``kind``, the word document's entry kind; ``letter``, the
+variable a shift polynomial is written in (``D`` for ``ShiftX``, ``x`` for
+``ShiftD``); and ``turns``, the number of Fourier swaps a swap is (1, or 3
+for the inverse).  A shift inverts to the same class with the negated
+polynomial, a swap to the other swap.  Code outside this module tests a
+generator's family against the two bases and reads these attributes, not
+the four class names.
+
 Both shifts go through one substitution routine, ``_substitute``: it
 applies ``D -> D - p(x)`` to the normal-ordered element ``sum_j B_j(x) D^j``
 by Horner's rule from the right, right-multiplying one accumulator by ``D -
@@ -54,24 +65,35 @@ class ShiftX(_Shift):
     """x -> x + poly'(D); the exponential of bracketing with poly(D)."""
 
     __slots__ = ()
+    kind, letter = "shiftX", "D"
 
 
 class ShiftD(_Shift):
     """D -> D - poly'(x); the exponential of bracketing with poly(x)."""
 
     __slots__ = ()
+    kind, letter = "shiftD", "x"
 
 
-class Fourier(Value):
+class _Swap(Value):
+    """A power of the Fourier swap: ``turns`` swaps in a row, one unless a
+    subclass says otherwise."""
+
+    __slots__ = ()
+    kind, turns = "fourier", 1
+
+
+class Fourier(_Swap):
     """x -> D, D -> -x."""
 
     __slots__ = ()
 
 
-class FourierInverse(Value):
+class FourierInverse(_Swap):
     """x -> -D, D -> x."""
 
     __slots__ = ()
+    turns = 3
 
 
 Generator = Union[ShiftX, ShiftD, Fourier, FourierInverse]
@@ -130,7 +152,7 @@ def _substitute(e: WeylElement, gen: _Shift) -> WeylElement:
     * ||e||_1 < 2^(W-1)`` in absolute value, for ``W = J*bitlen(c) +
     bitlen(||e||_1) + 1``.  No power of ``D - p`` is stored.
     """
-    swap = isinstance(gen, ShiftX)
+    swap = gen.letter == "D"
     # p = r', or -s' for ShiftX, on the generator's integer pair: the
     # numerators of r' over r's denominator, reduced by one gcd
     r = gen.poly
@@ -194,12 +216,13 @@ def apply_generator(gen: Generator, e: WeylElement) -> WeylElement:
     if isinstance(gen, _Shift):
         # constants are dropped on construction, so degree 1 or more means a
         # nonzero derivative; an element without the shifted generator (the
-        # zero element's order and x-degree are -1) is fixed
-        if gen.poly.degree < 1 or (e.x_degree if isinstance(gen, ShiftX) else e.order) < 1:
+        # zero element's order and x-degree are -1) is fixed: a polynomial in
+        # D shifts x, one in x shifts D
+        if gen.poly.degree < 1 or (e.x_degree if gen.letter == "D" else e.order) < 1:
             return e
         return _substitute(e, gen)
-    if isinstance(gen, (Fourier, FourierInverse)):
-        return _apply_fourier(e, isinstance(gen, FourierInverse))
+    if isinstance(gen, _Swap):
+        return _apply_fourier(e, gen.turns == 3)
     raise TypeError(f"unknown generator {gen!r}")
 
 
@@ -223,11 +246,11 @@ def shape_bound(word: Sequence[Generator], x_deg: int, order: int) -> Tuple[int,
     """
     x_deg, order = max(x_deg, 0), max(order, 0)
     for gen in reversed(word):
-        if isinstance(gen, (Fourier, FourierInverse)):
+        if isinstance(gen, _Swap):
             x_deg, order = order, x_deg
-        elif isinstance(gen, ShiftD):
+        elif isinstance(gen, _Shift) and gen.letter == "x":
             x_deg += order * max(gen.poly.degree - 1, 0)
-        elif isinstance(gen, ShiftX):
+        elif isinstance(gen, _Shift):
             order += x_deg * max(gen.poly.degree - 1, 0)
     return x_deg, order
 
@@ -235,8 +258,8 @@ def shape_bound(word: Sequence[Generator], x_deg: int, order: int) -> Tuple[int,
 def invert_generator(gen: Generator) -> Generator:
     if isinstance(gen, _Shift):
         return type(gen)(-gen.poly)
-    if isinstance(gen, (Fourier, FourierInverse)):
-        return Fourier() if isinstance(gen, FourierInverse) else FourierInverse()
+    if isinstance(gen, _Swap):
+        return FourierInverse() if gen.turns == 1 else Fourier()
     raise TypeError(f"unknown generator {gen!r}")
 
 

@@ -32,13 +32,12 @@ from .errors import InvariantViolation, NotStrictlyNilpotentError, WireFormatErr
 from .exprs import parse_expression
 from .filtration import FormDiagnostic, associated_poly, choose_weights, factor_form, format_bivariate
 from .wire import (
-    _poly_to_strings,
     certificate_from_doc,
     certificate_to_doc,
     element_to_doc,
     verdict_to_doc,
+    witness_to_doc,
     word_from_doc,
-    word_to_doc,
 )
 
 
@@ -118,13 +117,7 @@ def _cmd_ccr(ns) -> str:
             f"{text}\ncounterexample candidate: first member rejected by the decision procedure\n"
             + _JSON.encode(verdict_to_doc(outcome.verdict))
         )
-    doc = {
-        "word": word_to_doc(outcome.word),
-        "a": str(outcome.a),
-        "b": str(outcome.b),
-        "r": _poly_to_strings(outcome.tail),
-    }
-    return f"{text}\n{_JSON.encode(doc)}"
+    return f"{text}\n{_JSON.encode(witness_to_doc(outcome))}"
 
 
 def _cmd_polygon(ns) -> str:

@@ -18,6 +18,15 @@ three consecutive fourier entries.  Certificate document::
 
     {"word": [...], "q": ["c0", ...], "side": "x"|"d"}
 
+Generation-witness document, the output of ``ccr --generators``::
+
+    {"word": [...], "a": "p/q", "b": "p/q", "r": ["c0", ...]}
+
+The entry kinds, the number of fourier entries per swap and the variable a
+shift polynomial is printed in are read from the generator classes in
+``automorphism``, which own them; this module tests only a generator's
+family (shift or swap) and raises on anything else.
+
 Serializing then parsing gives back elements, words and certificates, save
 that each ``FourierInverse`` returns as three ``Fourier`` entries, which act
 the same; parsing then serializing gives back what serializing wrote.
@@ -29,7 +38,7 @@ import re
 from fractions import Fraction
 from typing import List
 
-from .automorphism import Fourier, FourierInverse, Generator, ShiftD, ShiftX
+from .automorphism import Fourier, Generator, ShiftD, ShiftX, _Shift, _Swap
 from .descent import (
     Certificate,
     NotStrictlyNilpotent,
@@ -45,6 +54,7 @@ from .filtration import format_bivariate
 from .poly import UniPoly
 
 _RATIONAL = re.compile(r"-?\d+(/0*[1-9]\d*)?\Z")
+_SHIFTS = {cls.kind: cls for cls in (ShiftX, ShiftD)}
 
 
 def _coeff_from_str(s) -> Fraction:
@@ -104,15 +114,11 @@ def _poly_from_strings(items, *, zero_constant: bool) -> UniPoly:
 def word_to_doc(word) -> list:
     out = []
     for gen in word:
-        if isinstance(gen, ShiftX):
-            out.append({"kind": "shiftX", "poly": _poly_to_strings(gen.poly)})
-        elif isinstance(gen, ShiftD):
-            out.append({"kind": "shiftD", "poly": _poly_to_strings(gen.poly)})
-        elif isinstance(gen, Fourier):
-            out.append({"kind": "fourier"})
-        elif isinstance(gen, FourierInverse):
-            # inverse swap is the threefold swap
-            out.extend({"kind": "fourier"} for _ in range(3))
+        if isinstance(gen, _Shift):
+            out.append({"kind": gen.kind, "poly": _poly_to_strings(gen.poly)})
+        elif isinstance(gen, _Swap):
+            # the inverse swap is the threefold swap
+            out.extend({"kind": gen.kind} for _ in range(gen.turns))
         else:
             raise WireFormatError(f"unknown generator {gen!r}")
     return out
@@ -126,15 +132,14 @@ def word_from_doc(doc) -> tuple:
         if not isinstance(entry, dict) or "kind" not in entry:
             raise WireFormatError("word entry must be an object with a 'kind'")
         kind = entry["kind"]
-        if kind == "fourier":
+        if kind == Fourier.kind:
             if set(entry) - {"kind"}:
                 raise WireFormatError("fourier entry carries no other fields")
             word.append(Fourier())
-        elif kind in ("shiftX", "shiftD"):
+        elif isinstance(kind, str) and kind in _SHIFTS:
             if set(entry) != {"kind", "poly"}:
                 raise WireFormatError("shift entry must have exactly 'kind' and 'poly'")
-            poly = _poly_from_strings(entry["poly"], zero_constant=True)
-            word.append(ShiftX(poly) if kind == "shiftX" else ShiftD(poly))
+            word.append(_SHIFTS[kind](_poly_from_strings(entry["poly"], zero_constant=True)))
         else:
             raise WireFormatError(f"unknown generator kind {kind!r}")
     return tuple(word)
@@ -145,6 +150,15 @@ def certificate_to_doc(cert: Certificate) -> dict:
         "word": word_to_doc(cert.word),
         "q": _poly_to_strings(cert.gen_poly),
         "side": cert.side,
+    }
+
+
+def witness_to_doc(witness) -> dict:
+    return {
+        "word": word_to_doc(witness.word),
+        "a": str(witness.a),
+        "b": str(witness.b),
+        "r": _poly_to_strings(witness.tail),
     }
 
 
@@ -161,13 +175,11 @@ def certificate_from_doc(doc) -> Certificate:
 
 
 def _describe_generator(gen: Generator) -> str:
-    if isinstance(gen, ShiftX):
-        return f"shiftX({gen.poly.format('D')})"
-    if isinstance(gen, ShiftD):
-        return f"shiftD({gen.poly.format('x')})"
-    if isinstance(gen, Fourier):
-        return "fourier"
-    return "fourier^-1"
+    if isinstance(gen, _Shift):
+        return f"{gen.kind}({gen.poly.format(gen.letter)})"
+    if isinstance(gen, _Swap):
+        return gen.kind if gen.turns == 1 else f"{gen.kind}^-1"
+    raise TypeError(f"unknown generator {gen!r}")
 
 
 def _stage_to_doc(stage: int, rec: StageRecord) -> dict:
@@ -203,11 +215,12 @@ def _prologue_to_doc(verdict) -> List[str]:
     if isinstance(verdict, NotStrictlyNilpotent) and verdict.stage == 0:
         return []
     notes = []
-    if FourierInverse() in verdict.prologue:
+    # the prologue is the swap, if one was taken, then the clearing shift
+    if any(isinstance(g, _Swap) for g in verdict.prologue):
         notes.append("top coefficient depends on the coordinate; representation swapped")
     if verdict.lead != 1:
         notes.append(f"scaled monic by {1 / verdict.lead}")
-    shifts = [g for g in verdict.prologue if isinstance(g, ShiftD)]
+    shifts = [g for g in verdict.prologue if isinstance(g, _Shift)]
     notes += [f"next-to-top coefficient cleared by {_describe_generator(g)}" for g in shifts]
     return notes + ["stagewise soundness uses invariance of the nilpotency class under the generator maps"]
 

@@ -12,7 +12,11 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from weylnil import Fourier, ShiftD, ShiftX, UniPoly, WeylElement, shape_bound
+from weylnil import Fourier, FourierInverse, ShiftD, ShiftX, UniPoly, WeylElement, shape_bound
+
+# every generator class, both swaps included; the words below build each
+# from one drawn polynomial per field: a shift has one, a swap none
+GENERATORS = (ShiftX, ShiftD, Fourier, FourierInverse)
 
 
 @st.composite
@@ -46,13 +50,8 @@ def auto_words(draw, max_len=3, max_deg=4, max_image=16, start=(3, 3), max_den=1
     n = draw(st.integers(0, max_len))
     word: list = []
     for _ in range(n):
-        kind = draw(st.sampled_from(["shiftX", "shiftD", "fourier"]))
-        if kind == "fourier":
-            candidate = Fourier()
-        elif kind == "shiftX":
-            candidate = ShiftX(draw(shift_polys(max_deg, max_den)))
-        else:
-            candidate = ShiftD(draw(shift_polys(max_deg, max_den)))
+        cls = draw(st.sampled_from(GENERATORS))
+        candidate = cls(*[draw(shift_polys(max_deg, max_den)) for _ in cls.__match_args__])
         if max(shape_bound([candidate] + word, *start)) > max_image:
             break
         word.insert(0, candidate)
@@ -81,12 +80,7 @@ def rand_word(rng: random.Random, max_len=4, max_deg=5, max_image=16):
     while True:
         word = []
         for _ in range(rng.randint(0, max_len)):
-            kind = rng.choice(("shiftX", "shiftD", "fourier"))
-            if kind == "fourier":
-                word.append(Fourier())
-            elif kind == "shiftX":
-                word.append(ShiftX(rand_shift_poly(rng, 1, max_deg)))
-            else:
-                word.append(ShiftD(rand_shift_poly(rng, 1, max_deg)))
+            cls = rng.choice(GENERATORS)
+            word.append(cls(*[rand_shift_poly(rng, 1, max_deg) for _ in cls.__match_args__]))
         if max(shape_bound(word, 3, 3)) <= max_image:
             return tuple(word)

@@ -14,6 +14,8 @@ import pytest
 from weylnil import (
     BoundExhausted,
     EigenObstruction,
+    Fourier,
+    FourierInverse,
     GenerationWitness,
     NilpotentAt,
     NotStrictlyNilpotent,
@@ -82,6 +84,15 @@ def test_criterion_1_round_trip_completeness(orbit_corpus, orbit_verdicts):
     assert all(verify_certificate(e, v.certificate) for (_, e, _), v in zip(orbit_corpus, verdicts))
     assert elapsed < 60, f"decide+verify took {elapsed:.1f}s"
     _report(1, f"round-trip completeness, 200 operators in {elapsed:.1f}s")
+
+
+def test_no_certified_orbit_operator_takes_the_prologue_swap(orbit_verdicts):
+    # decide swaps the representation only when the top coefficient in D is
+    # nonconstant, which no orbit image of a polynomial in D is expected to
+    # have (test_descent.py's constant-tops property test)
+    verdicts, _ = orbit_verdicts
+    swaps = (Fourier, FourierInverse)
+    assert [v.prologue for v in verdicts if any(isinstance(g, swaps) for g in v.prologue)] == []
 
 
 def test_criterion_2_rejection_soundness():

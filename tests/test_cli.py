@@ -210,20 +210,27 @@ RATIONAL_SHIFT_WITNESS = {
         pytest.param(("decide", "x*D"), EULER_TEXT, id="decide-euler"),
         pytest.param(("polygon", "D^3 + x*D"), POSITIVE_Y_POLYGON, id="polygon-positive-y"),
         pytest.param(("decide", "7/2"), "verdict: trivially-constant\nvalue: 7/2\n", id="decide-constant"),
-        (("polygon", "x*D"), "diagnostic: operator has no constant top coefficient of order >= 1\n"),
-        (("decide", "--json", "x^2*D + x^3"), json.dumps(SWAPPED_DOC, indent=2) + "\n"),
-        (("ad", "D", "0"), "nilpotent at 0\n"),
-        (("decide", "x^3 + 2*x"), COORDINATE_TEXT),
-        (("decide", "D^2 + D"), DERIVATIVE_TEXT),
-        (("decide", "D^2 + 2*x*D + x^2 + 1"), SHIFT_ONLY_TEXT),
-        (("decide", "3*D^2 - 3*x"), SCALED_AIRY_TEXT),
+        pytest.param(
+            ("polygon", "x*D"),
+            "diagnostic: operator has no constant top coefficient of order >= 1\n",
+            id="polygon-nonconstant-top",
+        ),
+        pytest.param(
+            ("decide", "--json", "x^2*D + x^3"), json.dumps(SWAPPED_DOC, indent=2) + "\n", id="decide-json-swapped"
+        ),
+        pytest.param(("ad", "D", "0"), "nilpotent at 0\n", id="ad-nilpotent-at-zero"),
+        pytest.param(("decide", "x^3 + 2*x"), COORDINATE_TEXT, id="decide-coordinate-alone"),
+        pytest.param(("decide", "D^2 + D"), DERIVATIVE_TEXT, id="decide-derivative-alone"),
+        pytest.param(("decide", "D^2 + 2*x*D + x^2 + 1"), SHIFT_ONLY_TEXT, id="decide-shift-only"),
+        pytest.param(("decide", "3*D^2 - 3*x"), SCALED_AIRY_TEXT, id="decide-scaled-airy"),
         # coefficients with denominators other than 1
-        (("polygon", "D^2 - 2/3*x"), RATIONAL_AIRY_POLYGON),
-        (("polygon", "D^4 + 1/3*x*D^2 + 1/36*x^2"), RATIONAL_SQUARE_POLYGON),
-        (("decide", "3/2*D^2 - x + 1/5*x^2"), SCALED_OSCILLATOR_TEXT),
-        (
+        pytest.param(("polygon", "D^2 - 2/3*x"), RATIONAL_AIRY_POLYGON, id="polygon-rational-airy"),
+        pytest.param(("polygon", "D^4 + 1/3*x*D^2 + 1/36*x^2"), RATIONAL_SQUARE_POLYGON, id="polygon-rational-square"),
+        pytest.param(("decide", "3/2*D^2 - x + 1/5*x^2"), SCALED_OSCILLATOR_TEXT, id="decide-scaled-oscillator"),
+        pytest.param(
             ("ccr", "--generators", "D - 1/2*x^2", "x"),
             "commutator equals 1: true\n" + json.dumps(RATIONAL_SHIFT_WITNESS, indent=2) + "\n",
+            id="ccr-generators-rational-shift",
         ),
     ],
 )

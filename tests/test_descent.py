@@ -5,6 +5,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from weylnil import (
     BoundExhausted,
@@ -50,12 +52,13 @@ from weylnil import (
     parse_expression,
     poly_at,
     random_orbit_element,
+    shape_bound,
     verify_certificate,
 )
 
 from weylnil.wire import verdict_to_doc
 
-from conftest import rand_element, rand_shift_poly
+from conftest import GENERATORS, rand_element, rand_shift_poly
 
 x, d = generators()
 airy = d**2 - x
@@ -207,6 +210,53 @@ def test_swapped_top_coefficient_is_the_signed_top_x_slice():
         sign = -1 if e.x_degree % 2 else 1
         assert swapped.order == e.x_degree
         assert swapped.d_slice(swapped.order) == e.x_slice(e.x_degree) * sign
+
+
+def _polys(low, high):
+    """Polynomials of degree ``low`` to ``high``: coefficients in -3..3, the
+    leading one nonzero."""
+    body = st.lists(st.integers(-3, 3), min_size=low, max_size=high)
+    return st.builds(lambda b, top: UniPoly(b + [top]), body, st.sampled_from((-3, -2, -1, 1, 2, 3)))
+
+
+@st.composite
+def orbit_images(draw, max_slots=400):
+    """``phi(q(D))`` for ``q`` of degree 2-4 and a word ``phi`` of 1-5
+    generators: shifts by polynomials of degree 2-4, and both swaps.  The
+    word is drawn innermost entry first, and a generator that would take the
+    image's ``shape_bound`` rectangle past ``max_slots`` slots ends it."""
+    q = draw(_polys(2, 4))
+    word = []
+    for _ in range(draw(st.integers(1, 5))):
+        cls = draw(st.sampled_from(GENERATORS))
+        candidate = cls(*[draw(_polys(2, 4)) for _ in cls.__match_args__])
+        x_deg, order = shape_bound([candidate] + word, 0, q.degree)
+        if (x_deg + 1) * (order + 1) > max_slots:
+            break
+        word.insert(0, candidate)
+    return apply_word(word, WeylElement.from_d_poly(q))
+
+
+@seed(15)
+@settings(max_examples=300, deadline=None)
+@given(e=orbit_images())
+def test_orbit_images_that_depend_on_both_variables_have_constant_tops(e):
+    """The statement under test is the Newton-polygon description of strictly
+    nilpotent elements attributed to J. Dixmier, "Sur les algebres de Weyl",
+    Bull. SMF 96 (1968), and A. Joseph, "The Weyl algebra - semisimple and
+    nilpotent elements", Amer. J. Math. 97 (1975): the Newton polygon of a
+    strictly nilpotent element that depends on both ``x`` and ``D`` is the
+    triangle with vertices (0, 0), (a, 0) and (0, b).  On that triangle the
+    only support point of order ``b`` is (0, b) and the only one of x-degree
+    ``a`` is (a, 0), so the coefficient of ``D^b`` and that of ``x^a`` are
+    both constants.  This statement is unverified here: it was not checked
+    against either paper and is not proved, and the test is evidence for
+    it.  ``decide`` swaps the representation only when the top coefficient
+    in ``D`` is nonconstant, so on the statement that swap never leads to a
+    certificate."""
+    if e.depends_on_x() and e.depends_on_d():
+        assert e.d_slice(e.order).is_constant(), e
+        assert e.x_slice(e.x_degree).is_constant(), e
 
 
 def test_decide_trivially_constant():

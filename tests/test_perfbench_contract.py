@@ -54,3 +54,19 @@ def test_tracer_wraps_and_restores_the_package():
     assert calls["element.mul"] >= 1
     assert calls["poly"] >= 1
     assert tracer.counts["descent.certified"] == calls["descent.verify"] == 1
+
+
+def test_tracer_records_every_generator_family():
+    # the tracer wraps automorphism.apply_generator by name and names its
+    # span after the generator's class, so a renamed generator class, or an
+    # application that goes around apply_generator, records no call here;
+    # the Airy operator's certificate holds a ShiftX and a swap, the second
+    # operator's prologue a ShiftD
+    tracer = _load_tracing().Tracer()
+    buf = io.StringIO()
+    with tracer.installed(), contextlib.redirect_stdout(buf):
+        codes = [weylnil.cli.run(["decide", "--json", text]) for text in ("D^2 - x", "D^2 + 2*x*D + x^2 + 1")]
+    assert codes == [0, 0]
+    calls = tracer.summary()["calls"]
+    for name in ("automorphism.shiftX", "automorphism.shiftD", "automorphism.fourier"):
+        assert calls[name] >= 1, name

@@ -14,6 +14,7 @@ from weylnil import (
     ShiftD,
     ShiftX,
     UniPoly,
+    Weight,
     WireFormatError,
     apply_word,
     decide,
@@ -21,6 +22,7 @@ from weylnil import (
     parse_expression,
 )
 from weylnil.wire import (
+    _describe_generator,
     certificate_from_doc,
     certificate_to_doc,
     element_from_doc,
@@ -124,6 +126,8 @@ def test_documents_reject_over_long_coefficients(decode, wrap, coeff):
         (word_from_doc, ["fourier"], "word entry must be an object with a 'kind'"),
         (word_from_doc, [{"poly": ["0", "1"]}], "word entry must be an object with a 'kind'"),
         (word_from_doc, [{"kind": "fourier", "poly": ["0"]}], "fourier entry carries no other fields"),
+        # a JSON list or object is unhashable, so it must not reach a dict lookup
+        (word_from_doc, [{"kind": ["shiftX"], "poly": ["0", "1"]}], r"unknown generator kind \['shiftX'\]"),
     ],
     ids=[
         "terms-not-list",
@@ -135,6 +139,7 @@ def test_documents_reject_over_long_coefficients(decode, wrap, coeff):
         "entry-not-object",
         "entry-without-kind",
         "fourier-extra-field",
+        "unhashable-kind",
     ],
 )
 def test_malformed_document_shapes(decode, doc, message):
@@ -179,6 +184,20 @@ def test_word_document_requires_zero_constant():
         word_from_doc([{"kind": "shiftX"}])
 
 
+@pytest.mark.parametrize(
+    "gen, text",
+    [
+        (ShiftX(UniPoly((0, 0, 0, Fraction(1, 3)))), "shiftX(1/3*D^3)"),
+        (ShiftD(UniPoly((0, -1, 0, 2))), "shiftD(2*x^3 - x)"),
+        (Fourier(), "fourier"),
+        (FourierInverse(), "fourier^-1"),
+    ],
+    ids=["shiftX", "shiftD", "fourier", "fourier-inverse"],
+)
+def test_describe_generator_per_family(gen, text):
+    assert _describe_generator(gen) == text
+
+
 def test_certificate_document_round_trip():
     cert = Certificate(
         (ShiftD(UniPoly((0, 0, 0, Fraction(1, 3)))), Fourier()),
@@ -216,8 +235,12 @@ def test_verdict_documents():
 
 @pytest.mark.parametrize(
     "encode, value, error",
-    [(word_to_doc, [object()], WireFormatError), (verdict_to_doc, object(), TypeError)],
-    ids=["word", "verdict"],
+    [
+        (word_to_doc, [object()], WireFormatError),
+        (verdict_to_doc, object(), TypeError),
+        (_describe_generator, Weight(2, 1), TypeError),
+    ],
+    ids=["word", "verdict", "describe"],
 )
 def test_encoders_reject_unknown_values(encode, value, error):
     with pytest.raises(error, match="unknown"):
