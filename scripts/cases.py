@@ -50,13 +50,21 @@ one sweep of the term pattern; ``grouped``, in parentheses; ``mixed``, with
 spaces around each ``*`` and ``^``, also for the factor loop.  All forms but
 ``mixed`` share an element's digest.
 
-``descent``: the best run of one ``decide`` per operator; the output is each
-verdict's ``verdict_to_doc`` JSON, keys sorted.  ``criterion1``: the 200
-certified, so re-verified, operators of acceptance criterion 1,
-``random_orbit_element(seed, word_len=seed % 4, max_deg=5, max_q_deg=4,
-max_order=16)`` for seeds 1 to 200.  ``rejected``: criterion 2's negative
-corpus times 1 and -3/2 under four fixed words, each call running the
-prologue, the normalizing shift and the descent up to a rejection.
+``descent``: the first (cold) and the best run of one ``decide`` per
+operator; the output is each verdict's ``verdict_to_doc`` JSON, keys sorted.
+``decide`` keeps its verdict on the element, so only the cold run descends:
+a later run returns the kept verdicts and re-verifies each certified one.
+``criterion1``: the 200 certified, so re-verified, operators of acceptance
+criterion 1, ``random_orbit_element(seed, word_len=seed % 4, max_deg=5,
+max_q_deg=4, max_order=16)`` for seeds 1 to 200.  ``rejected``: criterion
+2's negative corpus times 1 and -3/2 under four fixed words, each call
+running the prologue, the normalizing shift and the descent up to a
+rejection.  ``partner_centralizer``: ``bispectral_partner``, then
+``centralizer_generator``, on each criterion-1 operator that depends on the
+derivative, so is certified on the derivative side, built anew for this
+case; the cold run descends once per operator, within the partner, and
+every run re-verifies each certificate twice.  Its output is each partner's
+operator and polynomial and the centralizer generator, as JSON.
 
 ``product``: the best run and the outputs' term count of the product
 kernel, digested with the integers in hex.  ``laws_50``: 50 seeded triples
@@ -251,26 +259,46 @@ def descent_cases():
         (wn.Fourier(), wn.ShiftD(poly(0, "1/2", 0, "-2/3"))),
         (wn.ShiftD(poly(0, 0, 2)), wn.ShiftX(poly(0, 0, -1, "1/3")), wn.ShiftD(poly(0, 1, 0, "1/4"))),
     )
-    criterion1 = [
+    corpus = lambda: [
         wn.random_orbit_element(seed, word_len=seed % 4, max_deg=5, max_q_deg=4, max_order=16)[0]
         for seed in range(1, 201)
     ]
+    criterion1 = corpus()
     rejected = [
         wn.apply_word(word, c * wn.parse_expression(text))
         for text in ("x*D", "D^2 + x^2", "D^2 + 5*x^2", "D^3 + x*D", "x^2*D^2")
         for c in (Fraction(1), Fraction(-3, 2))
         for word in words
     ]
+    # copies of their own, which no earlier case has decided
+    derivative_side = [e for e in corpus() if e.depends_on_d()]
+    facts = lambda ops: {"operators": len(ops), "terms": sum(len(e.nums) for e in ops)}
     return [
-        (name, lambda ops=ops: [wn.decide(e) for e in ops], {"operators": len(ops), "terms": sum(len(e.nums) for e in ops)})
-        for name, ops in (("criterion1", criterion1), ("rejected", rejected))
+        ("criterion1", lambda: [wn.decide(e) for e in criterion1], facts(criterion1)),
+        ("rejected", lambda: [wn.decide(e) for e in rejected], facts(rejected)),
+        (
+            "partner_centralizer",
+            lambda: [(wn.bispectral_partner(e), wn.centralizer_generator(e)) for e in derivative_side],
+            facts(derivative_side),
+        ),
     ]
 
 
-def descent_outputs(verdicts):
-    from weylnil.wire import verdict_to_doc  # of the set's fresh import, as the verdicts are
+def descent_outputs(outs):
+    # of the set's fresh import, as the outputs are
+    from weylnil.wire import element_to_doc, verdict_to_doc
 
-    return {"digest": digest("".join(json.dumps(verdict_to_doc(v), sort_keys=True) + "\n" for v in verdicts))}
+    def doc(out):
+        if not isinstance(out, tuple):
+            return verdict_to_doc(out)
+        partner, generator = out
+        return {
+            "lambda": element_to_doc(partner.lambda_op),
+            "f": partner.f_poly.format("z"),
+            "centralizer": element_to_doc(generator),
+        }
+
+    return {"digest": digest("".join(json.dumps(doc(out), sort_keys=True) + "\n" for out in outs))}
 
 
 def _law_triples(wn, seed, count):
@@ -373,8 +401,9 @@ SETS = {  # set name: (default repeat, run(repeat) -> table)
         f"{name:20s} cold {r['cold_s']:9.4f} s  best {r['best_s']:9.4f} s  {r['digest']}"))),
     "parse": (5, partial(time_cases, parse_cases, best, lambda e: {"digest": element_digest([e])}, lambda name, r: (
         f"{name:18s} {r['best_s'] * 1e3:9.3f} ms  {r['chars']:6d} chars  {r['digest']}"))),
-    "descent": (5, partial(time_cases, descent_cases, best, descent_outputs, lambda name, r: (
-        f"{name:12s} {r['best_s'] * 1e3:9.3f} ms  {r['operators']:4d} operators  {r['terms']:6d} terms  {r['digest']}"))),
+    "descent": (5, partial(time_cases, descent_cases, cold_and_best, descent_outputs, lambda name, r: (
+        f"{name:20s} cold {r['cold_s'] * 1e3:9.3f} ms  best {r['best_s'] * 1e3:9.3f} ms  "
+        f"{r['operators']:4d} operators  {r['terms']:6d} terms  {r['digest']}"))),
     "product": (3, partial(time_cases, product_cases, best, product_outputs, lambda name, r: (
         f"{name:14s} {r['best_s']:10.4f} s  {r['terms_out']:8d} terms  {r['digest']}"))),
     "cli": (5, partial(time_cases, cli_cases, best, cli_outputs, lambda name, r: (

@@ -248,9 +248,11 @@ def shape_bound(word: Sequence[Generator], x_deg: int, order: int) -> Tuple[int,
     for gen in reversed(word):
         if isinstance(gen, _Swap):
             x_deg, order = order, x_deg
-        elif isinstance(gen, _Shift) and gen.letter == "x":
+        elif not isinstance(gen, _Shift):
+            raise TypeError(f"unknown generator {gen!r}")
+        elif gen.letter == "x":
             x_deg += order * max(gen.poly.degree - 1, 0)
-        elif isinstance(gen, _Shift):
+        else:
             order += x_deg * max(gen.poly.degree - 1, 0)
     return x_deg, order
 

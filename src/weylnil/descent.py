@@ -15,8 +15,11 @@ reproduces the input exactly.  Failure of the shape test at any stage is a
 sound rejection, because a nilpotently acting operator admits the
 binomial-power presentation at every stage.
 
-Everything is exact rational arithmetic; every certificate is re-verified by
-recomputation before it is returned.  The checks between the phases, the
+Everything is exact rational arithmetic.  ``decide`` keeps its verdict on
+the element, so ``bispectral_partner``, ``centralizer_generator`` and
+``ccr_to_generators`` on an element already decided reuse its descent; every
+certificate the descent built is still re-verified by recomputation on every
+call, before it is returned.  The checks between the phases, the
 scalars and the stage generators read the integer pairs ``(den, nums)``
 and compare scalars by cross-multiplication; a slice polynomial is built
 only where its value is kept.  A verdict holds values only: the
@@ -287,8 +290,25 @@ def decide(e: WeylElement) -> Verdict:
     the iterate is free of the coordinate.  The certificate word is the
     inverse of the prologue followed by each stage's generators, and the
     certificate polynomial absorbs ``lead`` and every stage's scale, so the
-    reconstruction is exact; it is re-verified before being returned.
+    reconstruction is exact.
+
+    The verdict is kept on the element, so the descent runs once per element
+    object and a later call, such as a construction's, returns the same
+    verdict.  A certificate that came through the descent, the only kind
+    with a nonempty word, is re-verified on every call before it is
+    returned; a rejection or a trivial certificate is returned as kept.
     """
+    verdict = e._verdict
+    if verdict is None:
+        verdict = e._verdict = _descend(e)
+    if isinstance(verdict, StrictlyNilpotent) and verdict.certificate.word:
+        if not verify_certificate(e, verdict.certificate):
+            raise InvariantViolation("assembled certificate failed re-verification")
+    return verdict
+
+
+def _descend(e: WeylElement) -> Verdict:
+    """The verdict of ``decide``, with its certificate not yet verified."""
     if e.is_constant():
         return TriviallyConstant(e.constant_value())
     if not e.depends_on_d():
@@ -327,10 +347,10 @@ def decide(e: WeylElement) -> Verdict:
         cur = out.element
         stages.append(out)
 
+    # the input depends on both variables, so the prologue or a stage adds a
+    # generator and the word is nonempty
     word = tuple(invert_generator(g) for g in prologue + [g for rec in stages for g in rec.generators])
     cert = Certificate(word, cur.x_slice(0) * Fraction(num, den), "d")
-    if not verify_certificate(e, cert):
-        raise InvariantViolation("assembled certificate failed re-verification")
     return StrictlyNilpotent(cert, tuple(prologue), tuple(stages), lead)
 
 

@@ -47,14 +47,17 @@ and the shift substitution take their bounds from it.
 
 ``str`` and the wire format print from the pair.  ``terms`` is a read-only
 map of ``Fraction`` coefficients for readers outside the package, built from
-the pair on first read and cached.
+the pair on first read and cached.  The third record filled on first use is
+the element's ``decide`` verdict, which only ``decide`` writes; a kept
+element keeps its verdict, stage elements included, in memory.
 
 Two independent copies of the algebra are supported, labelled by ``side``:
 the ``"x"`` side (printed with ``x``/``D``) and the ``"z"`` side (printed
 with ``z``/``Dz``); mixing sides in one operation is an error.
 
-All values are immutable after construction and all operations are pure, so
-concurrent use is safe.
+All values are immutable after construction and all operations are pure.
+Each record filled on first use is computed from the pair alone, so a race
+fills a record twice with equal values, and concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -89,6 +92,7 @@ def _new(side: str, den: int, nums: dict) -> "WeylElement":
     el.nums = nums
     el._terms = None
     el._shape = None
+    el._verdict = None
     return el
 
 
@@ -204,7 +208,7 @@ class WeylElement:
     two elements are equal exactly when their sides and pairs agree.
     """
 
-    __slots__ = ("side", "den", "nums", "_terms", "_shape")
+    __slots__ = ("side", "den", "nums", "_terms", "_shape", "_verdict")
 
     def __init__(self, terms: Union[Mapping[Key, Scalar], Iterable] = (), side: str = "x"):
         _check_side_name(side)
@@ -222,6 +226,7 @@ class WeylElement:
         self.den, self.nums = built.den, built.nums
         self._terms = None
         self._shape = None
+        self._verdict = None
 
     @classmethod
     def zero(cls, side: str = "x") -> "WeylElement":

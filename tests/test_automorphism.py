@@ -13,6 +13,7 @@ from weylnil import (
     ShiftD,
     ShiftX,
     UniPoly,
+    Weight,
     WeylElement,
     anti_involution,
     apply_generator,
@@ -307,8 +308,12 @@ def test_shift_x_is_conjugate_shift_d(r, e):
 
 @pytest.mark.parametrize(
     "call",
-    [lambda: apply_generator(object(), x), lambda: invert_generator(object())],
-    ids=["apply", "invert"],
+    [
+        lambda: apply_generator(object(), x),
+        lambda: invert_generator(object()),
+        lambda: shape_bound([Weight(2, 1)], 1, 1),
+    ],
+    ids=["apply", "invert", "shape-bound"],
 )
 def test_non_generator_is_rejected(call):
     with pytest.raises(TypeError, match="unknown generator"):

@@ -1,6 +1,8 @@
 """Decision procedure, certificates, partners, and CCR reductions."""
 
 import random
+import sys
+import threading
 import time
 from fractions import Fraction
 
@@ -318,6 +320,82 @@ def test_decide_rejections_carry_stage_and_trace():
     assert v.reason is Reason.POSITIVE_Y_MULTIPLICITY
     assert v.stage == 1
     assert verdict_to_doc(v)["prologue"]  # the stagewise-soundness note is always logged
+
+
+# ----------------------------------------------------------------------
+# the verdict kept on the element
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture
+def descent_calls(monkeypatch):
+    """Calls of the descent's phases, by name, counted through wrappers."""
+    import weylnil.descent
+
+    calls = {}
+    for name in ("normalize_subleading", "descent_step", "verify_certificate"):
+        real = getattr(weylnil.descent, name)
+        calls[name] = 0
+
+        def counted(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(weylnil.descent, name, counted)
+    return calls
+
+
+def test_decide_returns_the_kept_verdict():
+    e = d**2 - x
+    assert decide(e) is decide(e)
+
+
+def test_constructions_reuse_the_verdict_and_reverify_it(descent_calls):
+    e = d**2 - x  # one stage
+    decide(e)
+    bispectral_partner(e)
+    centralizer_generator(e)
+    assert descent_calls == {"normalize_subleading": 1, "descent_step": 1, "verify_certificate": 3}
+
+
+@pytest.mark.parametrize(
+    "e",
+    [d**3 + x * d, x * d, x * d + x**2, d**2, x**3, WeylElement.scalar(5)],
+    ids=["stage-1-rejection", "stage-0-rejection", "swapped-rejection", "derivative-only", "coordinate-only", "constant"],
+)
+def test_rejections_and_trivial_verdicts_are_kept_unverified(descent_calls, e):
+    first = decide(e)
+    assert not isinstance(first, StrictlyNilpotent) or first.certificate.word == ()
+    before = dict(descent_calls)
+    assert decide(e) is first
+    assert descent_calls == before
+    assert descent_calls["verify_certificate"] == 0
+
+
+def test_equal_elements_each_run_the_descent(descent_calls):
+    a, b = d**2 - x, d**2 - x
+    assert a == b and a is not b
+    assert decide(a) == decide(b)
+    assert descent_calls == {"normalize_subleading": 2, "descent_step": 2, "verify_certificate": 2}
+
+
+def test_threads_deciding_one_element_get_equal_verdicts():
+    # a race may fill the kept verdict twice, with equal values
+    e, _ = random_orbit_element(5, word_len=3, max_deg=5, max_q_deg=4, max_order=16)
+    verdicts = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=lambda: verdicts.append(decide(e))) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(verdicts) == 6 and isinstance(verdicts[0], StrictlyNilpotent)
+    assert all(v == verdicts[0] for v in verdicts) and decide(e) == verdicts[0]
 
 
 def _replay(v, e):
