@@ -56,10 +56,11 @@ operator; the output is each verdict's ``verdict_to_doc`` JSON, keys sorted.
 a later run returns the kept verdicts and re-verifies each certified one.
 ``criterion1``: the 200 certified, so re-verified, operators of acceptance
 criterion 1, ``random_orbit_element(seed, word_len=seed % 4, max_deg=5,
-max_q_deg=4, max_order=16)`` for seeds 1 to 200.  ``rejected``: criterion
-2's negative corpus times 1 and -3/2 under four fixed words, each call
-running the prologue, the normalizing shift and the descent up to a
-rejection.  ``partner_centralizer``: ``bispectral_partner``, then
+max_q_deg=4, max_order=16)`` for seeds 1 to 200.  ``rejected``: the 40
+operators of ``rejected_corpus``, criterion 2's negative corpus times 1 and
+-3/2 under four fixed words, each call running the prologue, the
+normalizing shift and the descent up to a rejection.
+``partner_centralizer``: ``bispectral_partner``, then
 ``centralizer_generator``, on each criterion-1 operator that depends on the
 derivative, so is certified on the derivative side, built anew for this
 case; the cold run descends once per operator, within the partner, and
@@ -80,10 +81,13 @@ bracket; and ``D^4096 * x^4096`` (``D4096_x4096``), a sparse product over a
 the exit codes and standard output of its calls.  ``decide_airy_json``:
 ``decide --json "D^2 - x"``; ``decide_orbit_96``: ``decide --json --`` on
 the printed criterion-1 operators of seeds 1 to 96, one call each, as the
-``decide_orbit`` benchmark calls it; ``ccr_generators``: ``ccr "D - x^2"
-"x" --generators``; ``random_seed7``: ``random --seed 7``.  Each call
-parses its arguments and writes its JSON or text, so the set follows the
-command line's own share of a decide.
+``decide_orbit`` benchmark calls it; ``decide_rejected_json``: ``decide
+--json --`` on the printed texts of the ``descent`` set's 40 ``rejected``
+operators, one call each, so rejection documents (stage texts and a
+diagnostic, no certificate) are written too; ``ccr_generators``: ``ccr
+"D - x^2" "x" --generators``; ``random_seed7``: ``random --seed 7``.  Each
+call parses its arguments and writes its JSON or text, so the set follows
+the command line's own share of a decide.
 
 ``import``: medians, no digest.  ``reimport`` drops weylnil from
 ``sys.modules`` and imports ``weylnil.cli`` again, as ``perfbench/run.py``
@@ -249,8 +253,10 @@ def parse_cases():
     return cases
 
 
-def descent_cases():
-    wn = fresh_weylnil()
+def rejected_corpus(wn):
+    """Criterion 2's negative corpus times 1 and -3/2 under four fixed
+    words: 40 operators, each rejected after the prologue, the normalizing
+    shift and the descent up to a rejection."""
     poly = lambda *coeffs: wn.UniPoly([Fraction(c) for c in coeffs])
     # last entry applied first, as in apply_word
     words = (
@@ -259,17 +265,22 @@ def descent_cases():
         (wn.Fourier(), wn.ShiftD(poly(0, "1/2", 0, "-2/3"))),
         (wn.ShiftD(poly(0, 0, 2)), wn.ShiftX(poly(0, 0, -1, "1/3")), wn.ShiftD(poly(0, 1, 0, "1/4"))),
     )
-    corpus = lambda: [
-        wn.random_orbit_element(seed, word_len=seed % 4, max_deg=5, max_q_deg=4, max_order=16)[0]
-        for seed in range(1, 201)
-    ]
-    criterion1 = corpus()
-    rejected = [
+    return [
         wn.apply_word(word, c * wn.parse_expression(text))
         for text in ("x*D", "D^2 + x^2", "D^2 + 5*x^2", "D^3 + x*D", "x^2*D^2")
         for c in (Fraction(1), Fraction(-3, 2))
         for word in words
     ]
+
+
+def descent_cases():
+    wn = fresh_weylnil()
+    corpus = lambda: [
+        wn.random_orbit_element(seed, word_len=seed % 4, max_deg=5, max_q_deg=4, max_order=16)[0]
+        for seed in range(1, 201)
+    ]
+    criterion1 = corpus()
+    rejected = rejected_corpus(wn)
     # copies of their own, which no earlier case has decided
     derivative_side = [e for e in corpus() if e.depends_on_d()]
     facts = lambda ops: {"operators": len(ops), "terms": sum(len(e.nums) for e in ops)}
@@ -361,11 +372,13 @@ def cli_cases():
         str(wn.random_orbit_element(seed, word_len=seed % 4, max_deg=5, max_q_deg=4, max_order=16)[0])
         for seed in range(1, 97)
     ]
+    rejected = [str(e) for e in rejected_corpus(wn)]
     return [
         (name, partial(_cli_calls, wn, calls), {"calls": len(calls)})
         for name, calls in (
             ("decide_airy_json", [["decide", "--json", "D^2 - x"]]),
             ("decide_orbit_96", [["decide", "--json", "--", text] for text in orbit]),
+            ("decide_rejected_json", [["decide", "--json", "--", text] for text in rejected]),
             ("ccr_generators", [["ccr", "D - x^2", "x", "--generators"]]),
             ("random_seed7", [["random", "--seed", "7"]]),
         )
@@ -407,7 +420,7 @@ SETS = {  # set name: (default repeat, run(repeat) -> table)
     "product": (3, partial(time_cases, product_cases, best, product_outputs, lambda name, r: (
         f"{name:14s} {r['best_s']:10.4f} s  {r['terms_out']:8d} terms  {r['digest']}"))),
     "cli": (5, partial(time_cases, cli_cases, best, cli_outputs, lambda name, r: (
-        f"{name:18s} {r['best_s'] * 1e3:9.3f} ms  {r['calls']:4d} calls  {r['digest']}"))),
+        f"{name:20s} {r['best_s'] * 1e3:9.3f} ms  {r['calls']:4d} calls  {r['digest']}"))),
     "import": (15, import_set),
 }
 

@@ -34,16 +34,12 @@ from .filtration import FormDiagnostic, associated_poly, choose_weights, factor_
 from .wire import (
     certificate_from_doc,
     certificate_to_doc,
+    dumps,
     element_to_doc,
     verdict_to_doc,
     witness_to_doc,
     word_from_doc,
 )
-
-
-# every indented JSON output: the documents are trees, so the circular check
-# finds nothing, and an encoder keeps no state between calls
-_JSON = json.JSONEncoder(indent=2, check_circular=False)
 
 
 class _UsageError(Exception):
@@ -81,7 +77,7 @@ def _verdict_text(verdict) -> str:
 
 def _cmd_decide(ns) -> str:
     verdict = decide(parse_expression(ns.expr))
-    return _JSON.encode(verdict_to_doc(verdict)) if ns.json else _verdict_text(verdict)
+    return dumps(verdict_to_doc(verdict)) if ns.json else _verdict_text(verdict)
 
 
 def _cmd_ad(ns) -> str:
@@ -115,9 +111,9 @@ def _cmd_ccr(ns) -> str:
     if isinstance(outcome, CounterexampleCandidate):
         return (
             f"{text}\ncounterexample candidate: first member rejected by the decision procedure\n"
-            + _JSON.encode(verdict_to_doc(outcome.verdict))
+            + dumps(verdict_to_doc(outcome.verdict))
         )
-    return f"{text}\n{_JSON.encode(witness_to_doc(outcome))}"
+    return f"{text}\n{dumps(witness_to_doc(outcome))}"
 
 
 def _cmd_polygon(ns) -> str:
@@ -167,7 +163,7 @@ def _cmd_random(ns) -> str:
         "printed": str(element),
         "certificate": certificate_to_doc(cert),
     }
-    return _JSON.encode(doc)
+    return dumps(doc)
 
 
 def _cmd_verify(ns) -> str:

@@ -74,6 +74,7 @@ from .poly import Scalar, UniPoly, _coefficient, _format_terms
 from .poly import _settle as _settle_poly
 
 SIDES = ("x", "z")
+_SIDE_ELEMENT = {"x": "an x-side element", "z": "a z-side element"}
 
 Key = Tuple[int, int]
 # (key, numerator, denominator) of one term
@@ -323,7 +324,7 @@ class WeylElement:
     def _check_side(self, other: "WeylElement"):
         if self.side != other.side:
             raise SideMismatchError(
-                f"cannot combine a {self.side}-side element with a {other.side}-side element"
+                f"cannot combine {_SIDE_ELEMENT[self.side]} with {_SIDE_ELEMENT[other.side]}"
             )
 
     def __add__(self, other):

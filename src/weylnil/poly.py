@@ -12,7 +12,9 @@ no numerators.  Every operation computes on Python integers and settles its
 result once with ``_settle``, which drops the trailing zeros and divides
 out one ``gcd``; results that are canonical as built, such as a negation,
 go to ``_new``.  ``coeff`` reads one coefficient as a ``Fraction``, and
-``_format_terms`` reduces each printed term, so no ``Fraction`` copy is kept.
+``_format_ratio`` prints a numerator over a denominator reduced by one
+``gcd``, for ``_format_terms`` and the wire formats, so no ``Fraction`` copy
+is kept.
 """
 
 from __future__ import annotations
@@ -22,6 +24,15 @@ from math import gcd, lcm
 from typing import Iterable, Optional, Sequence, Tuple, Union
 
 Scalar = Union[int, Fraction]
+
+
+def _format_ratio(n: int, q: int) -> str:
+    """``str(Fraction(n, q))`` for ``q >= 1``, reduced by one ``gcd``."""
+    g = gcd(n, q)
+    if g != 1:
+        n //= g
+        q //= g
+    return f"{n}/{q}" if q != 1 else str(n)
 
 
 def _format_terms(terms: Iterable[Tuple[int, int, Sequence[Tuple[str, int]]]]) -> str:
@@ -38,13 +49,10 @@ def _format_terms(terms: Iterable[Tuple[int, int, Sequence[Tuple[str, int]]]]) -
     """
     parts = []
     for n, q, factors in terms:
-        g = gcd(n, q)
-        if g != 1:
-            n //= g
-            q //= g
         body = [s if e == 1 else f"{s}^{e}" for s, e in factors if e]
-        if q != 1 or not body or (n != 1 and n != -1):
-            body.insert(0, f"{abs(n)}/{q}" if q != 1 else str(abs(n)))
+        magnitude = _format_ratio(abs(n), q)
+        if magnitude != "1" or not body:
+            body.insert(0, magnitude)
         parts.append(" - " if n < 0 else " + ")
         parts.append("*".join(body))
     if not parts:

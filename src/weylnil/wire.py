@@ -30,12 +30,22 @@ family (shift or swap) and raises on anything else.
 Serializing then parsing gives back elements, words and certificates, save
 that each ``FourierInverse`` returns as three ``Fourier`` entries, which act
 the same; parsing then serializing gives back what serializing wrote.
+
+Every coefficient string is printed from its integer pair, a numerator over
+a positive denominator, by ``poly._format_ratio``: reduced by one ``gcd`` to
+``p/q``, or ``p`` when the denominator reduces to 1, as ``str`` of a
+``Fraction`` prints it, with no ``Fraction`` built.  ``dumps`` writes a
+document as text for the command line, byte for byte as
+``json.dumps(doc, indent=2)`` does, in one recursive pass that appends to
+one list; the standard library's indented encoder runs through nested
+generators in pure Python.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import List
 
 from .automorphism import Fourier, Generator, ShiftD, ShiftX, _Shift, _Swap
@@ -51,7 +61,7 @@ from .element import WeylElement
 from .errors import WireFormatError
 from .exprs import MAX_EXPONENT
 from .filtration import format_bivariate
-from .poly import UniPoly
+from .poly import UniPoly, _format_ratio
 
 _RATIONAL = re.compile(r"-?\d+(/0*[1-9]\d*)?\Z")
 _SHIFTS = {cls.kind: cls for cls in (ShiftX, ShiftD)}
@@ -68,7 +78,7 @@ def _coeff_from_str(s) -> Fraction:
 
 def element_to_doc(e: WeylElement) -> dict:
     nums, den = e.nums, e.den
-    terms = [{"xexp": i, "dexp": j, "coeff": str(Fraction(nums[(i, j)], den))} for i, j in sorted(nums)]
+    terms = [{"xexp": i, "dexp": j, "coeff": _format_ratio(nums[(i, j)], den)} for i, j in sorted(nums)]
     return {"side": e.side, "terms": terms}
 
 
@@ -99,7 +109,8 @@ def element_from_doc(doc) -> WeylElement:
 def _poly_to_strings(p: UniPoly) -> List[str]:
     if p.is_zero():
         return ["0"]
-    return [str(Fraction(n, p.den)) for n in p.nums]
+    den = p.den
+    return [_format_ratio(n, den) for n in p.nums]
 
 
 def _poly_from_strings(items, *, zero_constant: bool) -> UniPoly:
@@ -202,7 +213,7 @@ def _stage_to_doc(stage: int, rec: StageRecord) -> dict:
         },
         "shift_image": str(rec.shift_image),
         "generators": [_describe_generator(g) for g in rec.generators],
-        "scale": str(form.scale**k),
+        "scale": _format_ratio(form.scale.numerator**k, form.scale.denominator**k),
         "order_after": k,
     }
 
@@ -218,8 +229,11 @@ def _prologue_to_doc(verdict) -> List[str]:
     # the prologue is the swap, if one was taken, then the clearing shift
     if any(isinstance(g, _Swap) for g in verdict.prologue):
         notes.append("top coefficient depends on the coordinate; representation swapped")
-    if verdict.lead != 1:
-        notes.append(f"scaled monic by {1 / verdict.lead}")
+    lead = verdict.lead
+    if lead != 1:
+        # 1/lead, over a positive denominator
+        sign = -1 if lead < 0 else 1
+        notes.append(f"scaled monic by {_format_ratio(sign * lead.denominator, abs(lead.numerator))}")
     shifts = [g for g in verdict.prologue if isinstance(g, _Shift)]
     notes += [f"next-to-top coefficient cleared by {_describe_generator(g)}" for g in shifts]
     return notes + ["stagewise soundness uses invariance of the nilpotency class under the generator maps"]
@@ -242,3 +256,57 @@ def verdict_to_doc(verdict: Verdict) -> dict:
         raise TypeError(f"unknown verdict {verdict!r}")
     stages = [_stage_to_doc(i, r) for i, r in enumerate(verdict.stages, 1)]
     return {**doc, "prologue": _prologue_to_doc(verdict), "stages": stages}
+
+
+def dumps(doc) -> str:
+    """``doc`` as ``json.dumps(doc, indent=2)`` writes it.
+
+    ``doc`` is a tree of dicts with string keys, lists, strings, ints,
+    bools and ``None``; anything else raises ``TypeError``, a key through
+    ``encode_basestring_ascii``.  An int past the interpreter's digit limit
+    raises the ``ValueError`` of ``int.__repr__``, as ``json.dumps`` does.
+    """
+    out: List[str] = []
+    _write(doc, "\n", out)
+    return "".join(out)
+
+
+def _write(o, newline: str, out: List[str]) -> None:
+    """Append ``o``'s text to ``out``; ``newline`` is the line break and
+    indentation that ``o`` itself starts on."""
+    if isinstance(o, str):
+        out.append(encode_basestring_ascii(o))
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in o.items():
+            out.append(sep)
+            out.append(encode_basestring_ascii(key))
+            out.append(": ")
+            _write(value, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(o, list):
+        if not o:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in o:
+            out.append(sep)
+            _write(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")

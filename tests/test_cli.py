@@ -11,7 +11,7 @@ import pytest
 import weylnil
 from weylnil import cli
 from weylnil.cli import main, run
-from weylnil.wire import certificate_from_doc, verdict_to_doc
+from weylnil.wire import certificate_from_doc, dumps, verdict_to_doc
 
 
 def _run(capsys, *argv):
@@ -671,4 +671,4 @@ def test_shared_encoder_writes_what_json_dumps_writes(capsys):
         assert code == 0
         docs.append(json.loads(out))
     for doc in docs:
-        assert cli._JSON.encode(doc) == json.dumps(doc, indent=2)
+        assert dumps(doc) == json.dumps(doc, indent=2)

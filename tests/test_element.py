@@ -44,7 +44,7 @@ def test_product_commuting_generators():
 
 
 def test_product_side_mismatch():
-    with pytest.raises(SideMismatchError):
+    with pytest.raises(SideMismatchError, match="^cannot combine an x-side element with a z-side element$"):
         x * coordinate("z")
 
 

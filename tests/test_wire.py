@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -21,10 +22,12 @@ from weylnil import (
     generators,
     parse_expression,
 )
+from weylnil.poly import _format_ratio
 from weylnil.wire import (
     _describe_generator,
     certificate_from_doc,
     certificate_to_doc,
+    dumps,
     element_from_doc,
     element_to_doc,
     verdict_to_doc,
@@ -245,3 +248,93 @@ def test_verdict_documents():
 def test_encoders_reject_unknown_values(encode, value, error):
     with pytest.raises(error, match="unknown"):
         encode(value)
+
+
+def test_coefficients_print_as_fraction_strings():
+    pairs = [(n, q) for n in (0, 1, -1, 2, -6, 9, 10**30 + 2) for q in (1, 2, 3, 6, 4 * 10**30)]
+    for n, q in pairs:
+        assert _format_ratio(n, q) == str(Fraction(n, q)), (n, q)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["-3/2*D^2 + x", "(D^2 - 2/3*x)^2", "-2/5*(D^3 - 7/3*x)^2", "(D^2 + 2/3*x)^3 + x", "-4*(D^2 - 5*x)^2 + 2/7*x*D"],
+)
+def test_verdict_scales_print_as_fraction_strings(text):
+    # the monic scaling note and each stage's scale^k, against the Fraction
+    # arithmetic they are printed without
+    verdict = decide(parse_expression(text))
+    doc = verdict_to_doc(verdict)
+    notes = [note for note in doc["prologue"] if note.startswith("scaled monic by ")]
+    assert notes == ([] if verdict.lead == 1 else [f"scaled monic by {1 / verdict.lead}"])
+    for rec, stage in zip(verdict.stages, doc["stages"], strict=True):
+        assert stage["scale"] == str(rec.form.scale**rec.form.multiplicity)
+
+
+EDGE_STRING = "quote \" backslash \\ newline \n tab \t control \x01 accent é partial ∂"
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {},
+        [],
+        {"empty": {}, "none": [], "nested": [{}, [], [[]], {"a": {}}]},
+        [[], {}, [[]]],
+        EDGE_STRING,
+        {EDGE_STRING: [EDGE_STRING, ""]},
+        [0, -7, 10**100],
+        {"int": 0, "negative": -7, "big": 10**100},
+        [True, False, None],
+        {"true": True, "false": False, "null": None},
+        0,
+        True,
+        None,
+    ],
+    ids=[
+        "empty-dict",
+        "empty-list",
+        "nested-empty-dicts",
+        "nested-empty-lists",
+        "escaped-string",
+        "escaped-key",
+        "list-ints",
+        "dict-ints",
+        "list-constants",
+        "dict-constants",
+        "int",
+        "bool",
+        "none",
+    ],
+)
+def test_dumps_writes_what_json_dumps_writes(doc):
+    assert dumps(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [Fraction(1, 2), [0.5], {"a": {"b": Fraction(1, 3)}}, {1: "a"}, {None: "a"}, ("a",)],
+    ids=["fraction", "float", "nested-fraction", "int-key", "none-key", "tuple"],
+)
+def test_dumps_rejects_other_values(doc):
+    with pytest.raises(TypeError):
+        dumps(doc)
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="the int-to-str digit limit needs Python 3.10.7+"
+)
+def test_dumps_fails_on_a_long_int_exactly_as_json_dumps():
+    doc = {"n": [-(10**4300)]}  # 4301 digits
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        with pytest.raises(ValueError) as ours:
+            dumps(doc)
+        with pytest.raises(ValueError) as theirs:
+            json.dumps(doc, indent=2)
+        assert str(ours.value) == str(theirs.value)
+        sys.set_int_max_str_digits(4301)
+        assert dumps(doc) == json.dumps(doc, indent=2)
+    finally:
+        sys.set_int_max_str_digits(limit)
