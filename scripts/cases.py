@@ -38,7 +38,12 @@ the descent's ``Y (Y^2 + 7/3 X)^2048`` (``expand_k2048``);
 ``D^4096 * x^4096`` (``product_D4096x4096``), both of 4097 terms;
 ``decide`` through ``cli.run`` on ``D^512*x^512+x^1024``,
 ``D^1024*x^1024+x^2048`` and ``D^4096*x^4096`` (``decide_D512x512``,
-``decide_D1024x1024``, ``decide_D4096x4096``).
+``decide_D1024x1024``, ``decide_D4096x4096``).  Each of the three has a
+nonconstant top coefficient in ``D``, so each is a stage-0 rejection that
+reads only the top row and prints the same text.  The first two have a
+constant top coefficient in ``x``; ``decide`` once took them through the
+Fourier swap of the whole input, whose reordered terms cancel to two, and
+these cases timed that swap.
 
 ``parse``: the best ``parse_expression`` call on the prints of ``q(D)``
 under ``(ShiftD(t/2 - t^3/3), ShiftX(t - t^2/2 + 2t^3/3), ShiftD(t^2 -
@@ -58,8 +63,9 @@ a later run returns the kept verdicts and re-verifies each certified one.
 criterion 1, ``random_orbit_element(seed, word_len=seed % 4, max_deg=5,
 max_q_deg=4, max_order=16)`` for seeds 1 to 200.  ``rejected``: the 40
 operators of ``rejected_corpus``, criterion 2's negative corpus times 1 and
--3/2 under four fixed words, each call running the prologue, the
-normalizing shift and the descent up to a rejection.
+-3/2 under four fixed words: 36 run the normalizing shift and the descent
+up to a rejection, and 4, with a nonconstant top coefficient in ``D``, are
+rejected at stage 0.
 ``partner_centralizer``: ``bispectral_partner``, then
 ``centralizer_generator``, on each criterion-1 operator that depends on the
 derivative, so is certified on the derivative side, built anew for this
@@ -255,8 +261,9 @@ def parse_cases():
 
 def rejected_corpus(wn):
     """Criterion 2's negative corpus times 1 and -3/2 under four fixed
-    words: 40 operators, each rejected after the prologue, the normalizing
-    shift and the descent up to a rejection."""
+    words: 40 operators.  36 are rejected after the normalizing shift and
+    the descent up to a rejection, and 4, whose top coefficient in ``D`` is
+    nonconstant, at stage 0."""
     poly = lambda *coeffs: wn.UniPoly([Fraction(c) for c in coeffs])
     # last entry applied first, as in apply_word
     words = (

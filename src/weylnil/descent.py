@@ -1,19 +1,20 @@
 """Strict-nilpotency decision procedure and the constructions built on it.
 
-``decide`` classifies an operator by infinite descent on its order.  It
-normalizes, then scales monic: one shift kills the next-to-top coefficient
-of the unscaled operator, and the smaller image is divided by its top
-coefficient.  Then each stage reads the Newton-edge weights, demands that
-the top-weight polynomial is a pure binomial power ``(Y^r - c*X)^k``, and
-applies a shift along the derivative that collapses the operator onto
-coordinate degree ``k``.  A second shift clears the ``x^(k-1)`` slice, an
-inverse Fourier swap returns to a monic derivative-side operator of order
-``k = N/r <= N/2``, and the stage repeats until the iterate is free of the
-coordinate.  Inverting the accumulated generators yields a certificate: an
-automorphism word and a polynomial whose evaluation at the derivative
-reproduces the input exactly.  Failure of the shape test at any stage is a
-sound rejection, because a nilpotently acting operator admits the
-binomial-power presentation at every stage.
+``decide`` classifies an operator by infinite descent on its order.  An
+operator whose top coefficient in ``D`` is nonconstant is rejected at once,
+at stage 0.  Any other is normalized, then scaled monic: one shift kills the
+next-to-top coefficient of the unscaled operator, and the smaller image is
+divided by its top coefficient.  Then each stage reads the Newton-edge
+weights, demands that the top-weight polynomial is a pure binomial power
+``(Y^r - c*X)^k``, and applies a shift along the derivative that collapses
+the operator onto coordinate degree ``k``.  A second shift clears the
+``x^(k-1)`` slice, an inverse Fourier swap returns to a monic
+derivative-side operator of order ``k = N/r <= N/2``, and the stage repeats
+until the iterate is free of the coordinate.  Inverting the accumulated
+generators yields a certificate: an automorphism word and a polynomial whose
+evaluation at the derivative reproduces the input exactly.  Failure of the
+shape test at any stage is a sound rejection, because a nilpotently acting
+operator admits the binomial-power presentation at every stage.
 
 Everything is exact rational arithmetic.  ``decide`` keeps its verdict on
 the element, so ``bispectral_partner``, ``centralizer_generator`` and
@@ -124,11 +125,10 @@ class StageRecord(Value):
 
 class StrictlyNilpotent(Value):
     """A certified operator with its re-verified ``certificate``.
-    ``prologue`` holds the generators applied to the input before stage 1,
-    first entry first: the ``FourierInverse`` swap if one was taken, then
-    the normalizing ``ShiftD`` if it is nonzero; ``lead`` is the top
-    coefficient after the swap, divided out of the normalized operator, and
-    ``stages`` holds one ``StageRecord`` per descent stage."""
+    ``prologue`` holds the generators applied to the input before stage 1:
+    the normalizing ``ShiftD`` if it is nonzero, else nothing; ``lead`` is
+    the top coefficient in ``D``, divided out of the normalized operator,
+    and ``stages`` holds one ``StageRecord`` per descent stage."""
 
     __slots__ = ("certificate", "prologue", "stages", "lead")
     _defaults = {"prologue": (), "stages": (), "lead": Fraction(1)}
@@ -136,10 +136,11 @@ class StrictlyNilpotent(Value):
 
 class NotStrictlyNilpotent(Value):
     """A rejection.  ``diagnostic`` is the failed shape test of the rejected
-    iterate, or ``None`` when no representation has a constant top
-    coefficient; ``prologue``, ``lead`` and ``stages`` lead up to the
-    rejected iterate as in ``StrictlyNilpotent``.  The ``reason`` and the
-    ``stage`` are read from these, so they cannot disagree with them."""
+    iterate, or ``None`` at stage 0, when the top coefficient in ``D`` is
+    nonconstant; ``prologue``, ``lead`` and ``stages`` lead up to the
+    rejected iterate as in ``StrictlyNilpotent``, and are empty at stage 0.
+    The ``reason`` and the ``stage`` are read from these, so they cannot
+    disagree with them."""
 
     __slots__ = ("diagnostic", "prologue", "stages", "lead")
     _defaults = {"diagnostic": None, "prologue": (), "stages": (), "lead": Fraction(1)}
@@ -279,18 +280,21 @@ def decide(e: WeylElement) -> Verdict:
     """Classify an operator, producing a verified certificate or a reason.
 
     Constants are reported separately; pure coordinate or pure derivative
-    polynomials certify immediately with an empty word.  Otherwise the input
-    is brought to a constant top coefficient (switching representation
-    through an inverse Fourier swap if only the coordinate-leading side is
-    constant), normalized, then scaled monic, and descended stage by stage.
-    Normalizing first shifts the unscaled operator, whose image is smaller
-    than the input; the shift is linear and its generator divides by the top
-    coefficient, so both equal those of the monic operator.  Every iterate
-    has order at least one, so the loop ends on the derivative side, once
-    the iterate is free of the coordinate.  The certificate word is the
-    inverse of the prologue followed by each stage's generators, and the
-    certificate polynomial absorbs ``lead`` and every stage's scale, so the
-    reconstruction is exact.
+    polynomials certify immediately with an empty word.  An operator in both
+    variables whose top coefficient in ``D`` is nonconstant is rejected at
+    stage 0, with an empty prologue: weighting ``x^i D^j`` by ``i + K*j``
+    with ``K`` above its x-degree, the top-weight part of ``ad_L^k(x)`` or
+    of ``ad_L^k(D)`` is one nonzero monomial for every ``k``, so ``ad_L`` is
+    not locally nilpotent (``tests/test_descent.py`` proves it in full).
+    Otherwise the input is normalized, then scaled monic, and descended
+    stage by stage.  Normalizing first shifts the unscaled operator, whose
+    image is smaller than the input; the shift is linear and its generator
+    divides by the top coefficient, so both equal those of the monic
+    operator.  Every iterate has order at least one, so the loop ends on the
+    derivative side, once the iterate is free of the coordinate.  The
+    certificate word is the inverse of the prologue followed by each stage's
+    generators, and the certificate polynomial absorbs ``lead`` and every
+    stage's scale, so the reconstruction is exact.
 
     The verdict is kept on the element, so the descent runs once per element
     object and a later call, such as a construction's, returns the same
@@ -316,21 +320,12 @@ def _descend(e: WeylElement) -> Verdict:
     if not e.depends_on_x():
         return StrictlyNilpotent(Certificate((), e.x_slice(0), "d"))
 
-    prologue: List[Generator] = []
-    cur = e
-    if not _row_empty(cur, cur.order, 1):
-        # the swap sends x^i D^j to (-1)^i x^j D^i plus terms of lower order,
-        # so its top coefficient is +-x_slice(x_degree) read with D -> x: test
-        # that first and swap only when it is constant
-        if not _column_empty(cur, cur.x_degree, 1):
-            return NotStrictlyNilpotent()
-        prologue.append(FourierInverse())
-        cur = apply_generator(FourierInverse(), cur)
+    if not _row_empty(e, e.order, 1):
+        return NotStrictlyNilpotent()
 
-    lead = Fraction(cur.nums[(0, cur.order)], cur.den)
-    cur, g_norm = normalize_subleading(cur)
-    if not g_norm.poly.is_zero():
-        prologue.append(g_norm)
+    lead = Fraction(e.nums[(0, e.order)], e.den)
+    cur, g_norm = normalize_subleading(e)
+    prologue = [] if g_norm.poly.is_zero() else [g_norm]
     if lead != 1:
         cur = cur._scaled(lead.denominator, lead.numerator)
 
@@ -510,8 +505,12 @@ def ccr_to_generators(
     returned as a counterexample candidate instead.  That the word sends
     ``a*D + b`` to ``op`` rests on ``decide``, whose certificates send
     ``q(D) = a*D + b`` to ``op`` exactly: it re-verifies that image, or reads
-    ``q`` off an operator free of ``x`` or of ``D``.  Only the mate's image
-    is recomputed here.
+    ``q`` off an operator free of ``x`` or of ``D``.  The mate's image is
+    recomputed here and compared with ``mate``, which re-verifies the
+    witness's second member.  Since ``[a*D + b, x/a + tail(D)] = 1`` and the
+    word is an automorphism, the re-verified certificate, the checked form
+    of the preimage and that comparison prove ``[op, mate] = 1`` by
+    recomputation.
     """
     if not ccr_check(op, mate):
         raise ValueError("inputs do not satisfy the commutation identity [a, b] == 1")
@@ -530,15 +529,10 @@ def ccr_to_generators(
     if m.x_degree != 1 or m.x_slice(1) != 1 / a:
         raise InvariantViolation("commutation mate does not reduce to the standard form")
     tail = m.x_slice(0)
-    witness = GenerationWitness(word, a, b, tail)
-    side = op.side
-    first = a * derivative(side) + WeylElement.scalar(b, side)
-    second = apply_word(
-        word, coordinate(side) / a + WeylElement.from_d_poly(tail, side)
-    )
-    if first != WeylElement.from_d_poly(q, side) or second != mate:
+    second = apply_word(word, coordinate(op.side) / a + WeylElement.from_d_poly(tail, op.side))
+    if second != mate:
         raise InvariantViolation("generation witness failed to reproduce the pair")
-    return witness
+    return GenerationWitness(word, a, b, tail)
 
 
 # ----------------------------------------------------------------------

@@ -226,16 +226,13 @@ def _prologue_to_doc(verdict) -> List[str]:
     if isinstance(verdict, NotStrictlyNilpotent) and verdict.stage == 0:
         return []
     notes = []
-    # the prologue is the swap, if one was taken, then the clearing shift
-    if any(isinstance(g, _Swap) for g in verdict.prologue):
-        notes.append("top coefficient depends on the coordinate; representation swapped")
     lead = verdict.lead
     if lead != 1:
         # 1/lead, over a positive denominator
         sign = -1 if lead < 0 else 1
         notes.append(f"scaled monic by {_format_ratio(sign * lead.denominator, abs(lead.numerator))}")
-    shifts = [g for g in verdict.prologue if isinstance(g, _Shift)]
-    notes += [f"next-to-top coefficient cleared by {_describe_generator(g)}" for g in shifts]
+    # the prologue is the normalizing shift, if one was needed
+    notes += [f"next-to-top coefficient cleared by {_describe_generator(g)}" for g in verdict.prologue]
     return notes + ["stagewise soundness uses invariance of the nilpotency class under the generator maps"]
 
 
@@ -250,7 +247,7 @@ def verdict_to_doc(verdict: Verdict) -> dict:
             "verdict": "not-strictly-nilpotent",
             "reason": verdict.reason.value,
             "stage": verdict.stage,
-            "detail": diag.message if diag else "top coefficient is nonconstant in both representations",
+            "detail": diag.message if diag else "top coefficient in D is nonconstant",
         }
     else:
         raise TypeError(f"unknown verdict {verdict!r}")

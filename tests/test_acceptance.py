@@ -87,9 +87,8 @@ def test_criterion_1_round_trip_completeness(orbit_corpus, orbit_verdicts):
 
 
 def test_no_certified_orbit_operator_takes_the_prologue_swap(orbit_verdicts):
-    # decide swaps the representation only when the top coefficient in D is
-    # nonconstant, which no orbit image of a polynomial in D is expected to
-    # have (test_descent.py's constant-tops property test)
+    # decide rejects a nonconstant top coefficient in D at stage 0 and never
+    # swaps before stage 1: a prologue holds at most the normalizing shift
     verdicts, _ = orbit_verdicts
     swaps = (Fourier, FourierInverse)
     assert [v.prologue for v in verdicts if any(isinstance(g, swaps) for g in v.prologue)] == []

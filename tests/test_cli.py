@@ -94,7 +94,7 @@ EULER_TEXT = """\
 verdict: not-strictly-nilpotent
 reason: nonconstant-leading
 stage: 0
-detail: top coefficient is nonconstant in both representations
+detail: top coefficient in D is nonconstant
 """
 
 POSITIVE_Y_POLYGON = """\
@@ -106,17 +106,13 @@ diagnostic: positive-y-power: positive Y power: factors as Y*(Y^2 + X)
 """
 
 
-SWAPPED_DOC = {
+# the top coefficient in x is constant, in D it is not: no swap is taken
+STAGE_ZERO_DOC = {
     "verdict": "not-strictly-nilpotent",
-    "reason": "assoc-not-factored",
-    "stage": 1,
-    "detail": "cross term at X*Y^2 absent",
-    "prologue": [
-        "top coefficient depends on the coordinate; representation swapped",
-        "scaled monic by -1",
-        "next-to-top coefficient cleared by shiftD(-1/6*x^2)",
-        SOUNDNESS_NOTE,
-    ],
+    "reason": "nonconstant-leading",
+    "stage": 0,
+    "detail": "top coefficient in D is nonconstant",
+    "prologue": [],
     "stages": [],
 }
 
@@ -216,7 +212,7 @@ RATIONAL_SHIFT_WITNESS = {
             id="polygon-nonconstant-top",
         ),
         pytest.param(
-            ("decide", "--json", "x^2*D + x^3"), json.dumps(SWAPPED_DOC, indent=2) + "\n", id="decide-json-swapped"
+            ("decide", "--json", "x^2*D + x^3"), json.dumps(STAGE_ZERO_DOC, indent=2) + "\n", id="decide-json-stage-zero"
         ),
         pytest.param(("ad", "D", "0"), "nilpotent at 0\n", id="ad-nilpotent-at-zero"),
         pytest.param(("decide", "x^3 + 2*x"), COORDINATE_TEXT, id="decide-coordinate-alone"),
@@ -662,7 +658,7 @@ def test_usage_paths_match_the_top_level_parser(capsys, monkeypatch, argv, code)
 
 
 def test_shared_encoder_writes_what_json_dumps_writes(capsys):
-    docs = [AIRY_DOC, POSITIVE_Y_DOC, SWAPPED_DOC, RATIONAL_SHIFT_WITNESS]
+    docs = [AIRY_DOC, POSITIVE_Y_DOC, STAGE_ZERO_DOC, RATIONAL_SHIFT_WITNESS]
     for seed in range(1, 21):
         element, _ = weylnil.random_orbit_element(seed, word_len=seed % 4, max_deg=5, max_q_deg=4, max_order=16)
         docs.append(verdict_to_doc(weylnil.decide(element)))

@@ -1,15 +1,18 @@
 """Decision procedure, certificates, partners, and CCR reductions."""
 
+import importlib.util
 import random
 import sys
 import threading
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+import weylnil
 from weylnil import (
     BoundExhausted,
     Certificate,
@@ -35,6 +38,7 @@ from weylnil import (
     UnsupportedSideError,
     WeylElement,
     ad_nilpotency_test,
+    anti_involution,
     apply_generator,
     apply_word,
     associated_poly,
@@ -189,20 +193,25 @@ def test_decide_euler_operator():
 
 
 def test_stage_zero_rejection_skips_the_swap_of_large_inputs():
-    # the swap of x^4096 D^4096 builds 4097 terms with factorial coefficients
-    e = parse_expression("x^4096*D^4096")
-    started = time.perf_counter()
-    v = decide(e)
-    assert time.perf_counter() - started < 1
-    assert isinstance(v, NotStrictlyNilpotent)
-    assert (v.reason, v.stage) == (Reason.NONCONSTANT_LEADING, 0)
-    assert v.diagnostic is None
-    assert verdict_to_doc(v)["detail"] == "top coefficient is nonconstant in both representations"
+    # the swap of x^4096 D^4096 builds 4097 terms with factorial coefficients;
+    # the second input's top coefficient in x is constant, so decide once
+    # swapped it, reordering about two million big-integer terms that cancel
+    # to two
+    for text in ("x^4096*D^4096", "D^2048*x^2048+x^4096"):
+        e = parse_expression(text)
+        started = time.perf_counter()
+        v = decide(e)
+        assert time.perf_counter() - started < 1, text
+        assert isinstance(v, NotStrictlyNilpotent), text
+        assert (v.reason, v.stage, v.prologue) == (Reason.NONCONSTANT_LEADING, 0, ()), text
+        assert v.diagnostic is None
+        assert verdict_to_doc(v)["detail"] == "top coefficient in D is nonconstant"
 
 
 def test_swapped_top_coefficient_is_the_signed_top_x_slice():
-    # the premise of the stage-0 test: the inverse swap has order x_degree
-    # and top coefficient (-1)^x_degree * x_slice(x_degree) read with D -> x
+    # the inverse swap has order x_degree and top coefficient
+    # (-1)^x_degree * x_slice(x_degree) read with D -> x; so an operator whose
+    # top coefficient in x is nonconstant is the swap of one rejected at stage 0
     rng = random.Random(41)
     for _ in range(200):
         e = rand_element(rng, max_terms=6, max_exp=6)
@@ -243,22 +252,95 @@ def orbit_images(draw, max_slots=400):
 @settings(max_examples=300, deadline=None)
 @given(e=orbit_images())
 def test_orbit_images_that_depend_on_both_variables_have_constant_tops(e):
-    """The statement under test is the Newton-polygon description of strictly
-    nilpotent elements attributed to J. Dixmier, "Sur les algebres de Weyl",
-    Bull. SMF 96 (1968), and A. Joseph, "The Weyl algebra - semisimple and
-    nilpotent elements", Amer. J. Math. 97 (1975): the Newton polygon of a
-    strictly nilpotent element that depends on both ``x`` and ``D`` is the
-    triangle with vertices (0, 0), (a, 0) and (0, b).  On that triangle the
-    only support point of order ``b`` is (0, b) and the only one of x-degree
-    ``a`` is (a, 0), so the coefficient of ``D^b`` and that of ``x^a`` are
-    both constants.  This statement is unverified here: it was not checked
-    against either paper and is not proved, and the test is evidence for
-    it.  ``decide`` swaps the representation only when the top coefficient
-    in ``D`` is nonconstant, so on the statement that swap never leads to a
-    certificate."""
+    """The Newton-polygon description of strictly nilpotent elements
+    (J. Dixmier, "Sur les algebres de Weyl", Bull. SMF 96 (1968); A. Joseph,
+    "The Weyl algebra - semisimple and nilpotent elements", Amer. J. Math. 97
+    (1975)) predicts that an orbit image of a polynomial that depends on
+    both ``x`` and ``D`` has a constant coefficient of ``D^order`` and of
+    ``x^x_degree``.  The first half is proved in the docstring of
+    ``test_nonconstant_derivative_top_is_rejected_at_stage_zero``; the
+    second follows from it through the swap, whose top coefficient in ``D``
+    is the top coefficient in ``x`` up to sign.  This test is a check of the
+    program's images against that statement."""
     if e.depends_on_x() and e.depends_on_d():
         assert e.d_slice(e.order).is_constant(), e
         assert e.x_slice(e.x_degree).is_constant(), e
+
+
+def _top_weight_part(e, big_k):
+    """The terms of ``e`` of largest weight ``i + K*j``, as ``{(i, j): coefficient}``."""
+    top = max(i + big_k * j for i, j in e.nums)
+    return {(i, j): Fraction(n, e.den) for (i, j), n in e.nums.items() if i + big_k * j == top}
+
+
+def _nonconstant_derivative_top(rng):
+    """An operator of order ``N`` in 1..4 whose ``D^N`` coefficient has degree
+    ``d`` in 1..4, with sparse lower rows; in about half the draws the top
+    coefficient in ``x`` is a constant in the row free of ``D``."""
+    n, deg = rng.randint(1, 4), rng.randint(1, 4)
+    terms = {(i, n): rng.randint(-3, 3) for i in range(deg)}
+    terms[(deg, n)] = rng.choice((-3, -2, -1, 1, 2, 3))
+    top_x = rng.randint(deg + 1, deg + 3) if rng.random() < 0.5 else deg
+    terms.update({(i, j): rng.randint(-3, 3) for j in range(n) for i in range(top_x + 1) if rng.random() < 0.3})
+    if top_x > deg:
+        terms[(top_x, 0)] = rng.choice((-3, -2, -1, 1, 2, 3))
+    return WeylElement(terms), n, deg
+
+
+def test_nonconstant_derivative_top_is_rejected_at_stage_zero():
+    """An operator in both variables whose top coefficient in ``D`` is
+    nonconstant is not strictly nilpotent, so ``decide`` rejects it at stage
+    0 with an empty prologue, without swapping the representation.
+
+    Proof.
+    1. Let ``L`` have order ``N >= 1`` and ``D^N`` coefficient ``c(x)`` of
+       degree ``d >= 1``, with leading coefficient ``c_d``.
+    2. Weight ``x^i D^j`` by ``i + K*j`` with ``K = x_degree(L) + 1``.  Then
+       ``L``'s top-weight part is the one monomial ``c_d X^d Y^N``: every
+       other term has ``j = N`` and ``i < d``, or ``j < N`` and ``i < K``.
+    3. ``x^a D^b x^p D^q`` is the sum over ``t`` of ``t! C(b,t) C(p,t)
+       x^(a+p-t) D^(b+q-t)``, whose ``t``-th term weighs ``a + p + K(b + q)
+       - t(1 + K)``.  In ``[L, M]`` the ``t = 0`` terms cancel, so every term
+       weighs at most ``wt(L) + wt(M) - (1 + K)``, and the part at that
+       weight comes from ``t = 1`` on the two top parts alone: their Poisson
+       bracket ``{X^a Y^b, X^p Y^q} = (b*p - a*q) X^(a+p-1) Y^(b+q-1)``.  So
+       when that bracket is nonzero, it is ``[L, M]``'s top part.
+    4. From ``x``, the ``k``-th top part of ``ad_L^k(x)`` is ``alpha_k
+       X^(1+k(d-1)) Y^(k(N-1))``, with ``alpha_0 = 1`` and ``alpha_(k+1) =
+       c_d * alpha_k * (N + k(d - N))``.  The factor is at least ``N`` when
+       ``d >= N``, so never zero.
+    5. From ``D``, the top part of ``ad_L^k(D)`` is ``alpha_k X^(k(d-1))
+       Y^(1+k(N-1))``, with factor ``-d - k(N - d)``, at most ``-d`` when
+       ``d <= N``, so never zero.
+    6. So for every ``k`` one of ``ad_L^k(x)`` and ``ad_L^k(D)`` is nonzero:
+       ``ad_L`` is not locally nilpotent, and ``L`` is not strictly
+       nilpotent.
+
+    The test checks the verdict, and steps 4 and 5 for ``k = 0..4``
+    against ``commutator``: each top part is the one predicted monomial,
+    with the predicted coefficient."""
+    rng = random.Random(34)
+    constant_x_top = 0
+    for _ in range(200):
+        op, n, deg = _nonconstant_derivative_top(rng)
+        v = decide(op)
+        assert isinstance(v, NotStrictlyNilpotent), op
+        assert (v.reason, v.stage, v.prologue, v.stages) == (Reason.NONCONSTANT_LEADING, 0, (), ()), op
+        constant_x_top += op.x_slice(op.x_degree).is_constant()
+        big_k, c_d = op.x_degree + 1, Fraction(op.nums[(deg, n)], op.den)
+        chains = []
+        if deg >= n:
+            chains.append((x, lambda k: (1 + k * (deg - 1), k * (n - 1)), lambda k: n + k * (deg - n)))
+        if deg <= n:
+            chains.append((d, lambda k: (k * (deg - 1), 1 + k * (n - 1)), lambda k: -deg - k * (n - deg)))
+        for cur, monomial, factor in chains:
+            alpha = Fraction(1)
+            for k in range(5):
+                assert _top_weight_part(cur, big_k) == {monomial(k): alpha}, (op, k)
+                cur = commutator(op, cur)
+                alpha *= c_d * factor(k)
+    # the class that decide once swapped, and rejected at stage 1 or later
+    assert constant_x_top >= 50
 
 
 def test_decide_trivially_constant():
@@ -287,23 +369,19 @@ def test_decide_quartic_square_goes_derivative_side():
     assert len(v.stages) == 1
 
 
-def test_decide_swaps_representation_when_needed():
-    # coordinate-heavy operator whose swapped form is constant-leading
+def test_decide_rejects_a_nonconstant_derivative_top_without_swapping():
+    # coordinate-heavy operator whose swapped form would be constant-leading
     e = x**3 + x * d
     v = decide(e)
     assert isinstance(v, NotStrictlyNilpotent)
-    assert v.reason is Reason.POSITIVE_Y_MULTIPLICITY
-    assert v.stage == 1
-    assert v.prologue == (FourierInverse(),)
-    assert v.lead == -1
+    assert v.reason is Reason.NONCONSTANT_LEADING
+    assert v.stage == 0
+    assert v.prologue == ()
+    assert v.lead == 1
     assert v.stages == ()
     doc = verdict_to_doc(v)
-    assert doc["detail"] == "positive Y power: factors as Y*(Y^2 + X)"
-    assert doc["prologue"] == [
-        "top coefficient depends on the coordinate; representation swapped",
-        "scaled monic by -1",
-        "stagewise soundness uses invariance of the nilpotency class under the generator maps",
-    ]
+    assert doc["detail"] == "top coefficient in D is nonconstant"
+    assert doc["prologue"] == []
 
 
 def test_decide_monic_scaling_absorbed_into_polynomial():
@@ -862,7 +940,8 @@ def test_scaling_keeps_the_verdict_kind():
             assert type(decide(c * e)) is kind, (e, c)
 
 
-# inputs whose top coefficient is nonconstant until the prologue swap
+# inputs whose top coefficient in D is nonconstant and whose top coefficient
+# in x is constant: decide once swapped these, and now rejects them at stage 0
 SWAP_CORPUS = ("x*D^2 + x^3", "D*x^2 + x^3 + D")
 
 
@@ -875,8 +954,6 @@ def test_scaling_multiplies_lead_and_certificate_polynomial():
         for seed in range(10)
     ]
     operators += [parse_expression(text) for text in NEGATIVE_CORPUS + SWAP_CORPUS]
-    for text in SWAP_CORPUS:
-        assert decide(parse_expression(text)).prologue[0] == FourierInverse()
     for e in operators:
         ref = decide(e)
         for c in (Fraction(-1), Fraction(2), Fraction(-3, 7), Fraction(5, 2)):
@@ -891,6 +968,35 @@ def test_scaling_multiplies_lead_and_certificate_polynomial():
                 assert out.diagnostic == ref.diagnostic, (e, c)
             if ref.prologue or ref.stages:
                 assert out.lead == ref.lead * c, (e, c)
+
+
+def _rejected_corpus():
+    """``scripts/cases.py``'s ``rejected_corpus``: 40 images of criterion 2's
+    negative corpus.  The script is loaded from its path and not changed."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "cases.py"
+    spec = importlib.util.spec_from_file_location("evidence_cases", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.rejected_corpus(weylnil)
+
+
+def test_anti_involution_keeps_the_verdict_kind():
+    # psi = anti_involution reverses products, so psi[L, y] = -[psi L, psi y]
+    # and ad_L is locally nilpotent exactly when ad_(psi L) is.  Reasons may
+    # differ: x^3 + x*D is rejected at stage 0, its image D^3 + x*D at stage 1
+    operators = [
+        random_orbit_element(seed, word_len=seed % 4, max_deg=5, max_q_deg=4, max_order=16)[0]
+        for seed in range(1, 201)
+    ]
+    operators += _rejected_corpus()
+    texts = NEGATIVE_CORPUS + SWAP_CORPUS + ("D^2048*x^2048+x^4096",)
+    operators += [parse_expression(text) for text in texts]
+    kinds = {}
+    for e in operators:
+        kind = type(decide(e))
+        assert type(decide(anti_involution(e))) is kind, e
+        kinds[kind] = kinds.get(kind, 0) + 1
+    assert kinds == {StrictlyNilpotent: 200, NotStrictlyNilpotent: 48}
 
 
 @pytest.mark.parametrize(
