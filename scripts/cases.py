@@ -5,11 +5,11 @@ path:
 
     PYTHONPATH=src python3 scripts/cases.py SET [--repeat N] [--json]
 
-``SET`` is ``shift``, ``exchange``, ``parse``, ``descent``, ``product``,
-``cli``, ``import`` or ``all`` (each in turn).  A set starts from a fresh
-import of weylnil and builds its inputs before the clock starts; garbage is
-collected before each case, which runs ``--repeat`` times (by default 3, 3,
-5, 5, 3, 5 and 15 in the order above).  A case reports a sha256 prefix of its output,
+``SET`` is ``shift``, ``parse``, ``descent``, ``product``, ``cli``,
+``import`` or ``all`` (each in turn).  A set starts from a fresh import of
+weylnil and builds its inputs before the clock starts; garbage is collected
+before each case, which runs ``--repeat`` times (by default 3, 5, 5, 3, 5
+and 15 in the order above).  A case reports a sha256 prefix of its output,
 so two trees compare on the same table: equal digests mean equal outputs.
 ``scripts/case_digests.json`` holds the digests of this tree by set and
 case; CI runs ``all --repeat 1 --json`` and fails on any digest that
@@ -26,24 +26,6 @@ degree 1 to 4 (``dense_600``); ``(ShiftX(p), ShiftD(p), ShiftX(p),
 ShiftD(p))`` for ``p = t - t^2 + t^3 + 2t^4 - t^5 + t^6`` on ``D``, 39501
 terms (``word_on_D``); and ``ShiftD(t^2)`` on ``D^300``
 (``square_on_D300``).
-
-``exchange``: the weights ``t! C(i, t) C(j, t)`` of moving ``D^j`` past
-``x^i``, up to the exponent cap of 4096.  Each case imports weylnil afresh,
-so its first (cold) run, reported with the best, reads no cache an earlier
-case filled.  Integers are digested in hex, as a large numerator's decimal
-string exceeds Python's limit; a ``decide`` output is its exit code and
-standard output.  The cases: ``FactoredForm(1, 2, 2048, -7/3).expand()``,
-the descent's ``Y (Y^2 + 7/3 X)^2048`` (``expand_k2048``);
-``apply_generator(Fourier(), x^4096 D^4096)`` (``fourier_x4096D4096``) and
-``D^4096 * x^4096`` (``product_D4096x4096``), both of 4097 terms;
-``decide`` through ``cli.run`` on ``D^512*x^512+x^1024``,
-``D^1024*x^1024+x^2048`` and ``D^4096*x^4096`` (``decide_D512x512``,
-``decide_D1024x1024``, ``decide_D4096x4096``).  Each of the three has a
-nonconstant top coefficient in ``D``, so each is a stage-0 rejection that
-reads only the top row and prints the same text.  The first two have a
-constant top coefficient in ``x``; ``decide`` once took them through the
-Fourier swap of the whole input, whose reordered terms cancel to two, and
-these cases timed that swap.
 
 ``parse``: the best ``parse_expression`` call on the prints of ``q(D)``
 under ``(ShiftD(t/2 - t^3/3), ShiftX(t - t^2/2 + 2t^3/3), ShiftD(t^2 -
@@ -74,14 +56,18 @@ every run re-verifies each certificate twice.  Its output is each partner's
 operator and polynomial and the centralizer generator, as JSON.
 
 ``product``: the best run and the outputs' term count of the product
-kernel, digested with the integers in hex.  ``laws_50``: 50 seeded triples
-of the ``algebra_laws`` shape (six distinct monomials ``x^i D^j``, i, j <=
-4, coefficients p/q with 1 <= |p|, q <= 100) through its five law sides,
-``(a*b)*c``, ``a*(b*c)``, the Jacobi sum, ``[a, b*c]`` and ``[a, b]*c +
-b*[a, c]``; ``(x+D)^64 * (x+D)^64`` (``xD64_squared``), a dense product;
-``commutator((x+D)^64, x^3*D^5 + D^2*x^7)`` (``bracket_xD64``), a dense
-bracket; and ``D^4096 * x^4096`` (``D4096_x4096``), a sparse product over a
-4097-by-4097 key rectangle.
+kernel and of two other expansions, digested with the integers in hex, as a
+large numerator's decimal string exceeds Python's limit.  ``laws_50``: 50
+seeded triples of the ``algebra_laws`` shape (six distinct monomials ``x^i
+D^j``, i, j <= 4, coefficients p/q with 1 <= |p|, q <= 100) through its
+five law sides, ``(a*b)*c``, ``a*(b*c)``, the Jacobi sum, ``[a, b*c]`` and
+``[a, b]*c + b*[a, c]``; ``(x+D)^64 * (x+D)^64`` (``xD64_squared``), a
+dense product; ``commutator((x+D)^64, x^3*D^5 + D^2*x^7)``
+(``bracket_xD64``), a dense bracket; ``D^4096 * x^4096`` (``D4096_x4096``),
+a sparse product over a 4097-by-4097 key rectangle; ``FactoredForm(1, 2,
+2048, -7/3).expand()``, the descent's ``Y (Y^2 + 7/3 X)^2048``
+(``expand_k2048``); and ``apply_generator(Fourier(), x^4096 D^4096)``
+(``fourier_x4096D4096``), whose 4097 terms are those of ``D4096_x4096``.
 
 ``cli``: the best run of fixed ``cli.run`` calls in process, each output
 the exit codes and standard output of its calls.  ``decide_airy_json``:
@@ -112,7 +98,6 @@ import hashlib
 import importlib
 import io
 import json
-import operator
 import random
 import statistics
 import subprocess
@@ -123,7 +108,7 @@ from functools import partial
 
 
 def fresh_weylnil():
-    """Import weylnil afresh, dropping every module state of earlier cases."""
+    """Import weylnil afresh, dropping every module state of earlier sets."""
     for name in [n for n in sys.modules if n == "weylnil" or n.startswith("weylnil.")]:
         del sys.modules[name]
     importlib.import_module("weylnil.cli")
@@ -215,31 +200,6 @@ def product_outputs(elements):
     return {"terms_out": sum(len(e.nums) for e in elements), "digest": hex_digest(elements)}
 
 
-def _decide(wn, text):
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        code = wn.cli.run(["decide", text])
-    return code, buf.getvalue()
-
-
-def exchange_cases():
-    """Each case's input is built on its own fresh import."""
-    prepares = [
-        ("expand_k2048", lambda wn: wn.FactoredForm(1, 2, 2048, Fraction(-7, 3)).expand),
-        ("fourier_x4096D4096", lambda wn: partial(wn.apply_generator, wn.Fourier(), wn.WeylElement({(4096, 4096): 1}))),
-        ("product_D4096x4096", lambda wn: partial(operator.mul, wn.derivative() ** 4096, wn.coordinate() ** 4096)),
-        ("decide_D512x512", lambda wn: partial(_decide, wn, "D^512*x^512+x^1024")),
-        ("decide_D1024x1024", lambda wn: partial(_decide, wn, "D^1024*x^1024+x^2048")),
-        ("decide_D4096x4096", lambda wn: partial(_decide, wn, "D^4096*x^4096")),
-    ]
-    for name, prepare in prepares:
-        yield name, prepare(fresh_weylnil()), {}
-
-
-def exchange_outputs(out):
-    return {"digest": digest(repr(out)) if isinstance(out, tuple) else hex_digest([out])}
-
-
 def parse_cases():
     wn = fresh_weylnil()
     _, d = wn.generators()
@@ -280,16 +240,20 @@ def rejected_corpus(wn):
     ]
 
 
+def criterion1_corpus(wn, count):
+    """The certified operators of acceptance criterion 1 for seeds 1 to ``count``."""
+    return [
+        wn.random_orbit_element(seed, word_len=seed % 4, max_deg=5, max_q_deg=4, max_order=16)[0]
+        for seed in range(1, count + 1)
+    ]
+
+
 def descent_cases():
     wn = fresh_weylnil()
-    corpus = lambda: [
-        wn.random_orbit_element(seed, word_len=seed % 4, max_deg=5, max_q_deg=4, max_order=16)[0]
-        for seed in range(1, 201)
-    ]
-    criterion1 = corpus()
+    criterion1 = criterion1_corpus(wn, 200)
     rejected = rejected_corpus(wn)
     # copies of their own, which no earlier case has decided
-    derivative_side = [e for e in corpus() if e.depends_on_d()]
+    derivative_side = [e for e in criterion1_corpus(wn, 200) if e.depends_on_d()]
     facts = lambda ops: {"operators": len(ops), "terms": sum(len(e.nums) for e in ops)}
     return [
         ("criterion1", lambda: [wn.decide(e) for e in criterion1], facts(criterion1)),
@@ -355,11 +319,14 @@ def product_cases():
     triples = _law_triples(wn, 27, 50)
     power, other = (x + d) ** 64, x**3 * d**5 + d**2 * x**7
     dn, xn = d**4096, x**4096
+    form, corner = wn.FactoredForm(1, 2, 2048, Fraction(-7, 3)), wn.WeylElement({(4096, 4096): 1})
     return [
         ("laws_50", partial(_laws, wn, triples), {}),
         ("xD64_squared", lambda: [power * power], {}),
         ("bracket_xD64", lambda: [wn.commutator(power, other)], {}),
         ("D4096_x4096", lambda: [dn * xn], {}),
+        ("expand_k2048", lambda: [form.expand()], {}),
+        ("fourier_x4096D4096", lambda: [wn.apply_generator(wn.Fourier(), corner)], {}),
     ]
 
 
@@ -375,10 +342,7 @@ def _cli_calls(wn, calls):
 
 def cli_cases():
     wn = fresh_weylnil()
-    orbit = [
-        str(wn.random_orbit_element(seed, word_len=seed % 4, max_deg=5, max_q_deg=4, max_order=16)[0])
-        for seed in range(1, 97)
-    ]
+    orbit = [str(e) for e in criterion1_corpus(wn, 96)]
     rejected = [str(e) for e in rejected_corpus(wn)]
     return [
         (name, partial(_cli_calls, wn, calls), {"calls": len(calls)})
@@ -417,15 +381,13 @@ def import_set(repeat):
 SETS = {  # set name: (default repeat, run(repeat) -> table)
     "shift": (3, partial(time_cases, shift_cases, best, shift_outputs, lambda name, r: (
         f"{name:16s} {r['best_s']:10.4f} s  {r['terms_out']:8d} terms  {r['digest']}"))),
-    "exchange": (3, partial(time_cases, exchange_cases, cold_and_best, exchange_outputs, lambda name, r: (
-        f"{name:20s} cold {r['cold_s']:9.4f} s  best {r['best_s']:9.4f} s  {r['digest']}"))),
     "parse": (5, partial(time_cases, parse_cases, best, lambda e: {"digest": element_digest([e])}, lambda name, r: (
         f"{name:18s} {r['best_s'] * 1e3:9.3f} ms  {r['chars']:6d} chars  {r['digest']}"))),
     "descent": (5, partial(time_cases, descent_cases, cold_and_best, descent_outputs, lambda name, r: (
         f"{name:20s} cold {r['cold_s'] * 1e3:9.3f} ms  best {r['best_s'] * 1e3:9.3f} ms  "
         f"{r['operators']:4d} operators  {r['terms']:6d} terms  {r['digest']}"))),
     "product": (3, partial(time_cases, product_cases, best, product_outputs, lambda name, r: (
-        f"{name:14s} {r['best_s']:10.4f} s  {r['terms_out']:8d} terms  {r['digest']}"))),
+        f"{name:18s} {r['best_s']:10.4f} s  {r['terms_out']:8d} terms  {r['digest']}"))),
     "cli": (5, partial(time_cases, cli_cases, best, cli_outputs, lambda name, r: (
         f"{name:20s} {r['best_s'] * 1e3:9.3f} ms  {r['calls']:4d} calls  {r['digest']}"))),
     "import": (15, import_set),

@@ -439,7 +439,14 @@ def test_constructions_reuse_the_verdict_and_reverify_it(descent_calls):
 @pytest.mark.parametrize(
     "e",
     [d**3 + x * d, x * d, x * d + x**2, d**2, x**3, WeylElement.scalar(5)],
-    ids=["stage-1-rejection", "stage-0-rejection", "swapped-rejection", "derivative-only", "coordinate-only", "constant"],
+    ids=[
+        "stage-1-rejection",
+        "stage-0-rejection",
+        "stage-0-constant-x-top",
+        "derivative-only",
+        "coordinate-only",
+        "constant",
+    ],
 )
 def test_rejections_and_trivial_verdicts_are_kept_unverified(descent_calls, e):
     first = decide(e)
@@ -903,11 +910,11 @@ def test_eigen_obstruction_inputs_are_rejected_by_decide():
 NEGATIVE_CORPUS = ("x*D", "D^2 + x^2", "D^2 + 5*x^2", "D^3 + x*D", "x^2*D^2")
 
 
-def _random_word(rng):
+def _random_word(rng, length=3, max_deg=5):
     word = []
-    for _ in range(rng.randint(1, 3)):
+    for _ in range(rng.randint(1, length)):
         kind = rng.choice((ShiftX, ShiftD, Fourier))
-        word.append(Fourier() if kind is Fourier else kind(rand_shift_poly(rng, 1, 5)))
+        word.append(Fourier() if kind is Fourier else kind(rand_shift_poly(rng, 1, max_deg)))
     return tuple(word)
 
 
@@ -980,15 +987,19 @@ def _rejected_corpus():
     return module.rejected_corpus(weylnil)
 
 
+def _criterion1_corpus():
+    """The 200 certified operators of acceptance criterion 1."""
+    return [
+        random_orbit_element(seed, word_len=seed % 4, max_deg=5, max_q_deg=4, max_order=16)[0]
+        for seed in range(1, 201)
+    ]
+
+
 def test_anti_involution_keeps_the_verdict_kind():
     # psi = anti_involution reverses products, so psi[L, y] = -[psi L, psi y]
     # and ad_L is locally nilpotent exactly when ad_(psi L) is.  Reasons may
     # differ: x^3 + x*D is rejected at stage 0, its image D^3 + x*D at stage 1
-    operators = [
-        random_orbit_element(seed, word_len=seed % 4, max_deg=5, max_q_deg=4, max_order=16)[0]
-        for seed in range(1, 201)
-    ]
-    operators += _rejected_corpus()
+    operators = _criterion1_corpus() + _rejected_corpus()
     texts = NEGATIVE_CORPUS + SWAP_CORPUS + ("D^2048*x^2048+x^4096",)
     operators += [parse_expression(text) for text in texts]
     kinds = {}
@@ -997,6 +1008,100 @@ def test_anti_involution_keeps_the_verdict_kind():
         assert type(decide(anti_involution(e))) is kind, e
         kinds[kind] = kinds.get(kind, 0) + 1
     assert kinds == {StrictlyNilpotent: 200, NotStrictlyNilpotent: 48}
+
+
+def _coefficients(poly):
+    """A polynomial's coefficients as ``Fraction`` values, lowest first."""
+    return [poly.coeff(i) for i in range(poly.degree + 1)]
+
+
+def _times(f, g):
+    out = [Fraction(0)] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+def _compose(f, g):
+    """The coefficients of ``f(g(t))``, by Horner's rule."""
+    out = f[-1:]
+    for c in reversed(f[:-1]):
+        out = _times(out, g)
+        out[0] += c
+    return out
+
+
+def _integer_root(m, n):
+    """The integer ``r`` with ``r**n == m``, or None."""
+    low, high = 0, 1 << (m.bit_length() // n + 1)
+    while low < high:
+        mid = (low + high + 1) // 2
+        low, high = (mid, high) if mid**n <= m else (low, mid - 1)
+    return low if low**n == m else None
+
+
+def _affine_equivalent(f, g):
+    """Whether ``f(t) == g(a*t + b)`` for rationals ``a != 0`` and ``b``.
+
+    ``a**n`` is the ratio of the leading coefficients, so ``a`` is one of its
+    rational n-th roots; the next coefficient, ``g_n n a^(n-1) b + g_(n-1)
+    a^(n-1)``, then fixes ``b``, and the whole substitution is compared."""
+    n = len(g) - 1
+    if len(f) != len(g):
+        return False
+    ratio = f[n] / g[n]
+    top, bottom = _integer_root(abs(ratio.numerator), n), _integer_root(ratio.denominator, n)
+    if top is None or bottom is None:
+        return False
+    for a in (Fraction(top, bottom), Fraction(-top, bottom)):
+        if a**n == ratio:
+            b = (f[n - 1] - g[n - 1] * a ** (n - 1)) / (n * g[n] * a ** (n - 1))
+            if _compose(g, [b, a]) == f:
+                return True
+    return False
+
+
+def test_affine_equivalence_of_coefficient_lists():
+    poly = lambda *cs: [Fraction(c) for c in cs]
+    cubic, square = poly(2, 0, -1, "1/3"), poly(1, 0, 7)
+    assert _affine_equivalent(_compose(cubic, poly("5/2", "-4/3")), cubic)
+    assert _affine_equivalent(_compose(square, poly(-1, 3)), square)  # a = 3, a root of 9
+    assert _affine_equivalent(_compose(square, poly(2, -3)), square)  # a = -3
+    assert not _affine_equivalent(poly(0, 0, 2), poly(0, 0, 1))  # 2 is not a square
+    assert not _affine_equivalent(poly(0, 0, 0, 1), poly(0, 1, 0, 1))  # t^3 vs t^3 + t
+
+
+def test_symmetries_keep_the_verdict_kind_and_the_certificate_polynomial():
+    # L + c, phi(L) for an automorphism phi, psi(L) for psi = anti_involution
+    # and p(L) = 3L^2 - L + 1/2 are strictly nilpotent exactly when L is.
+    # The centralizer of a nonconstant q(D) is k[D], so the certificate
+    # polynomial of L is fixed up to t -> a*t + b: q_(L+c) ~ q_L + c,
+    # q_(phi L) ~ q_L, q_(psi L) ~ q_L and q_(p(L)) ~ p o q_L.  Images over
+    # 400 terms are skipped, as the cost of their descent is not the point
+    rng = random.Random(47)
+    p = [Fraction(1, 2), Fraction(-1), Fraction(3)]
+    same = lambda q: q
+    imaged = 0
+    for e in _criterion1_corpus() + _rejected_corpus():
+        v = decide(e)
+        c = Fraction(rng.choice((-1, 1)) * rng.randint(1, 20), rng.randint(1, 20))
+        relations = [
+            (e + c, lambda q: [q[0] + c, *q[1:]]),
+            (3 * e * e - e + Fraction(1, 2), lambda q: _compose(p, q)),
+            (anti_involution(e), same),
+        ]
+        image = apply_word(_random_word(rng, length=2, max_deg=3), e)
+        if len(image.terms) <= 400:
+            relations.append((image, same))
+            imaged += 1
+        for other, relate in relations:
+            out = decide(other)
+            assert type(out) is type(v), (e, other)
+            if isinstance(v, StrictlyNilpotent):
+                q, q_other = (_coefficients(w.certificate.gen_poly) for w in (v, out))
+                assert _affine_equivalent(q_other, relate(q)), (e, other)
+    assert imaged >= 220
 
 
 @pytest.mark.parametrize(
