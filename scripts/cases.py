@@ -64,8 +64,8 @@ five law sides, ``(a*b)*c``, ``a*(b*c)``, the Jacobi sum, ``[a, b*c]`` and
 ``[a, b]*c + b*[a, c]``; ``(x+D)^64 * (x+D)^64`` (``xD64_squared``), a
 dense product; ``commutator((x+D)^64, x^3*D^5 + D^2*x^7)``
 (``bracket_xD64``), a dense bracket; ``D^4096 * x^4096`` (``D4096_x4096``),
-a sparse product over a 4097-by-4097 key rectangle; ``FactoredForm(1, 2,
-2048, -7/3).expand()``, the descent's ``Y (Y^2 + 7/3 X)^2048``
+a sparse product over a 4097-by-4097 key rectangle; ``FactoredForm(2,
+2048, -7/3).expand()``, the descent's ``(Y^2 + 7/3 X)^2048``
 (``expand_k2048``); and ``apply_generator(Fourier(), x^4096 D^4096)``
 (``fourier_x4096D4096``), whose 4097 terms are those of ``D4096_x4096``.
 
@@ -319,7 +319,7 @@ def product_cases():
     triples = _law_triples(wn, 27, 50)
     power, other = (x + d) ** 64, x**3 * d**5 + d**2 * x**7
     dn, xn = d**4096, x**4096
-    form, corner = wn.FactoredForm(1, 2, 2048, Fraction(-7, 3)), wn.WeylElement({(4096, 4096): 1})
+    form, corner = wn.FactoredForm(2, 2048, Fraction(-7, 3)), wn.WeylElement({(4096, 4096): 1})
     return [
         ("laws_50", partial(_laws, wn, triples), {}),
         ("xD64_squared", lambda: [power * power], {}),

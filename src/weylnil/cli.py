@@ -126,16 +126,14 @@ def _cmd_polygon(ns) -> str:
         return "diagnostic: operator has constant coefficients; no edge to choose"
     weight = choose_weights(monic)
     nd = associated_poly(monic, weight)
-    # the edge point of largest coordinate exponent
-    i = nd.assoc.x_degree
     outcome = factor_form(nd)
     if isinstance(outcome, FormDiagnostic):
         last = f"diagnostic: {outcome.issue.value}: {outcome.message}"
     else:
         last = f"factored: {outcome.format()}"
+    # the edge's far end, the largest key of the top-weight part
     return (
-        f"weight: {weight.as_tuple()}\nvalue: {nd.value}\n"
-        f"support point: {(i, (nd.value - weight.x_weight * i) // weight.d_weight)}\n"
+        f"weight: {weight.as_tuple()}\nvalue: {nd.value}\nsupport point: {max(nd.assoc.nums)}\n"
         f"assoc: {format_bivariate(nd.assoc)}\n{last}"
     )
 

@@ -14,7 +14,13 @@ until the iterate is free of the coordinate.  Inverting the accumulated
 generators yields a certificate: an automorphism word and a polynomial whose
 evaluation at the derivative reproduces the input exactly.  Failure of the
 shape test at any stage is a sound rejection, because a nilpotently acting
-operator admits the binomial-power presentation at every stage.
+operator admits the binomial-power presentation at every stage.  Two of
+the three reasons are proved: a stage-0 rejection, and a Newton edge that
+ends at a vertex ``X^k Y^n`` with ``n >= 1`` at any stage
+(``positive-y-multiplicity``), for which weighting by a slight tilt of the
+edge's weight leaves that vertex as the top-weight part, so that the top
+part of ``ad_L^t(x)`` or of ``ad_L^t(D)`` is one nonzero monomial for every
+``t`` (``tests/test_descent.py`` proves both).
 
 Everything is exact rational arithmetic.  ``decide`` keeps its verdict on
 the element, so ``bispectral_partner``, ``centralizer_generator`` and

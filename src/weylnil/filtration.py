@@ -7,11 +7,15 @@ commutative bivariate polynomial in ``X`` (for the coordinate) and ``Y``
 it, namely whether it is a pure power ``(Y^r - c*X)^k``.  This module
 computes the weight data, selects the weights from the upper Newton edge
 through ``(0, order)``, and recognizes that factored shape on the top-weight
-part, an element whose ``x^i D^j`` reads ``X^i Y^j``: ``FactoredForm.expand``
-is the one construction of the power ``Y^n (Y^r - c*X)^k``, on the integer
-pair, and ``factor_form`` accepts when the top-weight part's pair equals it.
-The edge's points are the keys of that part, so only the weight is chosen;
-for the shape ``(Y^r - c*X)^k`` the edge ends at ``X^k``.
+part, an element whose ``x^i D^j`` reads ``X^i Y^j``.  The edge's points are
+the keys of that part, so only the weight is chosen, and the edge's far end
+is the largest key.  ``factor_form`` reads the far end first: one off the X
+axis is a vertex ``X^k Y^n`` with ``k, n >= 1``, which rules the operator
+out (``tests/test_descent.py`` proves it), so no power is built.  One on
+the X axis, ``X^k``, fixes the candidate ``(Y^r - c*X)^k``:
+``FactoredForm.expand`` is the one construction of that power, on the
+integer pair, and ``factor_form`` accepts when the top-weight part's pair
+equals it.
 """
 
 from __future__ import annotations
@@ -126,36 +130,32 @@ class FormIssue(Enum):
 
 
 class FactoredForm(Value):
-    """Exact presentation ``Y^y_power * (Y^ratio - scale*X)^multiplicity``;
-    ``expand`` builds that power, and ``factor_form`` compares a top-weight
-    part with it."""
+    """Exact presentation ``(Y^ratio - scale*X)^multiplicity``; ``expand``
+    builds that power, and ``factor_form`` compares a top-weight part with
+    it."""
 
-    __slots__ = ("y_power", "ratio", "multiplicity", "scale")
+    __slots__ = ("ratio", "multiplicity", "scale")
 
     def expand(self) -> WeylElement:
         """The power as a canonical x-side element whose key ``(i, j)``
         reads ``X^i Y^j``.  With ``scale = p/q`` in lowest terms it is
-        ``sum_s C(k, s) * (-p)^s * q^(k-s) / q^k * X^s * Y^(n + r*(k-s))``,
+        ``sum_s C(k, s) * (-p)^s * q^(k-s) / q^k * X^s * Y^(r*(k-s))``,
         canonical as built since ``gcd(q^k, p^k) == 1``; a zero scale
-        leaves the one term ``Y^(n + r*k)``.  Each numerator follows from
+        leaves the one term ``Y^(r*k)``.  Each numerator follows from
         the one before by the exact step ``* (k-s) * (-p) / ((s+1) * q)``."""
-        n, r, k = self.y_power, self.ratio, self.multiplicity
+        r, k = self.ratio, self.multiplicity
         p, q = -self.scale.numerator, self.scale.denominator
         den = w = q**k  # w == C(k, s) * (-scale.numerator)^s * scale.denominator^(k-s)
         nums = {}
         for s in range(k + 1 if p else 1):
-            nums[(s, n + r * (k - s))] = w
+            nums[(s, r * (k - s))] = w
             w = w * (k - s) * p // ((s + 1) * q)
         return _new("x", den, nums)
 
     def format(self) -> str:
         c = self.scale
         inner = _format_terms(((1, 1, (("Y", self.ratio),)), (-c.numerator, c.denominator, (("X", 1),))))
-        body = f"({inner})^{self.multiplicity}" if self.multiplicity != 1 else f"({inner})"
-        if self.y_power == 0:
-            return body
-        yy = "Y" if self.y_power == 1 else f"Y^{self.y_power}"
-        return f"{yy}*{body}"
+        return f"({inner})^{self.multiplicity}" if self.multiplicity != 1 else f"({inner})"
 
 
 class FormDiagnostic(Value):
@@ -164,28 +164,28 @@ class FormDiagnostic(Value):
     ``strictly_semisimple`` marks the harmonic-oscillator shape
     ``Y^2 + c*X^2`` on the equal-weight edge, whose operator acts diagonally
     rather than nilpotently.
-    ``partial`` carries the factorization that was found when the shape is
-    correct except for a positive Y power.
     """
 
-    __slots__ = ("issue", "message", "strictly_semisimple", "partial")
-    _defaults = {"strictly_semisimple": False, "partial": None}
+    __slots__ = ("issue", "message", "strictly_semisimple")
+    _defaults = {"strictly_semisimple": False}
 
 
 def factor_form(nd: NewtonData) -> Union[FactoredForm, FormDiagnostic]:
-    """Recognize ``assoc == Y^n * (Y^r - scale*X)^k`` exactly.
+    """Recognize ``assoc == (Y^r - scale*X)^k`` exactly.
 
     ``order`` is the Y-degree of ``assoc``, the operator's order, since the
-    Newton edge is anchored at ``(0, order)``.  The candidate parameters are
-    forced: ``k`` is the X-degree, ``r`` the weight ratio,
-    ``n = order - r*k``, and ``scale`` is read off the
-    coefficient of ``X * Y^(n + r*(k-1))``.  The candidate's ``expand()``
-    then accepts or rejects: ``assoc`` matches when its integer pair
-    ``(den, nums)`` equals the expansion's.  The pair, not the element, is
-    compared, because ``assoc`` keeps the operator's side and the expansion
-    is on the x side.
-    Success requires ``n == 0``; a matching shape with ``n > 0`` is reported
-    as a diagnostic carrying the factorization.
+    Newton edge is anchored at ``(0, order)``.  The edge's far end
+    ``X^k Y^n`` is ``assoc``'s largest key.  With ``n > 0`` the top-weight
+    part is divisible by ``Y^n`` and cannot be the power; the far end is
+    then a vertex off both axes, and the operator is not strictly nilpotent
+    (the proof is the docstring of
+    ``test_a_newton_edge_ending_off_the_x_axis_is_a_proved_rejection``).
+    Otherwise the candidate parameters are forced: ``k`` is the X-degree,
+    ``r`` the weight ratio, and ``scale`` is read off the coefficient of
+    ``X * Y^(r*(k-1))``.  The candidate's ``expand()`` then accepts or
+    rejects: ``assoc`` matches when its integer pair ``(den, nums)`` equals
+    the expansion's.  The pair, not the element, is compared, because
+    ``assoc`` keeps the operator's side and the expansion is on the x side.
     """
     f = nd.assoc
     nums, den, order = f.nums, f.den, f.order
@@ -193,19 +193,21 @@ def factor_form(nd: NewtonData) -> Union[FactoredForm, FormDiagnostic]:
         raise ValueError("top-weight polynomial must have monic Y^order term")
     if len(nums) == 1:
         return FormDiagnostic(FormIssue.MONOMIAL, "top-weight part is a single monomial")
+    k, n = max(nums)
+    if n > 0:
+        end = _format_terms(((1, 1, (("X", k), ("Y", n))),))
+        return FormDiagnostic(FormIssue.POSITIVE_Y_POWER, f"positive Y power: the Newton edge ends at {end}")
     rho, sigma = nd.weight.x_weight, nd.weight.d_weight
     if rho % sigma != 0:
         return FormDiagnostic(
             FormIssue.RATIO_NOT_INTEGER, f"weight ratio {rho}/{sigma} is not an integer"
         )
     r = rho // sigma
-    k = f.x_degree
-    n = order - r * k
-    if n < 0:
+    if order < r * k:
         return FormDiagnostic(
             FormIssue.LAMBDA_INCONSISTENT, "X-degree exceeds what the weight ratio allows"
         )
-    cross = (1, n + r * (k - 1))
+    cross = (1, r * (k - 1))
     scale = Fraction(-nums.get(cross, 0), k * den)
     if scale == 0:
         # with equal weights, order 2 and X-degree 2 the absent cross term is X*Y
@@ -214,17 +216,11 @@ def factor_form(nd: NewtonData) -> Union[FactoredForm, FormDiagnostic]:
             f"cross term at X*Y^{cross[1]} absent",
             strictly_semisimple=rho == sigma and order == 2 and k == 2 and (2, 0) in nums,
         )
-    candidate = FactoredForm(n, r, k, scale)
+    candidate = FactoredForm(r, k, scale)
     power = candidate.expand()
     if power.den != den or power.nums != nums:
         return FormDiagnostic(
             FormIssue.LAMBDA_INCONSISTENT,
             "expansion of the candidate binomial power does not match",
-        )
-    if n > 0:
-        return FormDiagnostic(
-            FormIssue.POSITIVE_Y_POWER,
-            f"positive Y power: factors as {candidate.format()}",
-            partial=candidate,
         )
     return candidate

@@ -206,7 +206,9 @@ def _stage_to_doc(stage: int, rec: StageRecord) -> dict:
         "support_point": [k, 0],
         "assoc": format_bivariate(rec.newton.assoc),
         "form": {
-            "y_power": form.y_power,
+            # a stage's form has no Y power since factor_form rejects one;
+            # the field stays, so every certified document is unchanged
+            "y_power": 0,
             "ratio": form.ratio,
             "multiplicity": form.multiplicity,
             "scale": str(form.scale),

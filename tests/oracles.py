@@ -12,7 +12,10 @@ independent of the exchange weights in ``automorphism``.  ``slow_shift``
 substitutes the shift generators monomial by monomial on top of the same
 expansion, independent of the packed Horner kernel in ``automorphism``.
 ``ccr_preserved`` checks a word against the defining relation ``[D, x] ==
-1`` on the images of the generators.
+1`` on the images of the generators.  ``vertex_chain`` predicts the
+top-weight part of each ``ad_L^t(y)`` from one top monomial of ``L`` by the
+Poisson bracket, and pairs it with the part read off the package's
+``commutator``; the tests of the proved rejections share it.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
-from weylnil import ShiftX, WeylElement, apply_word, ccr_check
+from weylnil import ShiftX, WeylElement, apply_word, ccr_check, commutator
 
 
 @lru_cache(maxsize=None)
@@ -123,3 +126,29 @@ def ccr_preserved(word, side: str = "x") -> bool:
     wd = apply_word(word, WeylElement({(0, 1): 1}, side))
     wx = apply_word(word, WeylElement({(1, 0): 1}, side))
     return ccr_check(wd, wx)
+
+
+def top_weight_part(e: WeylElement, weight) -> dict:
+    """The terms of ``e`` of largest weight ``wx*i + wd*j``, with ``weight =
+    (wx, wd)``, as ``{(i, j): Fraction}``."""
+    wx, wd = weight
+    top = max(wx * i + wd * j for i, j in e.nums)
+    return {(i, j): Fraction(n, e.den) for (i, j), n in e.nums.items() if wx * i + wd * j == top}
+
+
+def vertex_chain(op: WeylElement, y: WeylElement, weight, vertex, coefficient, steps: int = 5):
+    """Pairs ``(computed, predicted)`` of the top-weight part of
+    ``ad_op^t(y)`` for ``t < steps``, when ``op``'s top-weight part is
+    ``coefficient * X^a Y^b`` with ``(a, b) = vertex`` and ``y`` is the
+    monomial ``x^i D^j``.  By the Poisson bracket ``{X^a Y^b, X^p Y^q} = (b*p
+    - a*q) X^(a+p-1) Y^(b+q-1)`` the prediction is ``alpha_t
+    X^(i+t(a-1)) Y^(j+t(b-1))``, with ``alpha_0 = 1`` and ``alpha_(t+1) =
+    coefficient * alpha_t * (b*i - a*j + t*(a - b))``."""
+    (a, b), ((i, j),) = vertex, y.nums
+    cur, alpha, pairs = y, Fraction(1), []
+    for t in range(steps):
+        if t:
+            cur = commutator(op, cur)
+        pairs.append((top_weight_part(cur, weight), {(i + t * (a - 1), j + t * (b - 1)): alpha}))
+        alpha *= coefficient * (b * i - a * j + t * (a - b))
+    return pairs

@@ -69,7 +69,7 @@ POSITIVE_Y_TEXT = f"""\
 verdict: not-strictly-nilpotent
 reason: positive-y-multiplicity
 stage: 1
-detail: positive Y power: factors as Y*(Y^2 + X)
+detail: positive Y power: the Newton edge ends at X*Y
 note: {SOUNDNESS_NOTE}
 """
 
@@ -77,7 +77,7 @@ POSITIVE_Y_DOC = {
     "verdict": "not-strictly-nilpotent",
     "reason": "positive-y-multiplicity",
     "stage": 1,
-    "detail": "positive Y power: factors as Y*(Y^2 + X)",
+    "detail": "positive Y power: the Newton edge ends at X*Y",
     "prologue": [SOUNDNESS_NOTE],
     "stages": [],
 }
@@ -102,7 +102,7 @@ weight: (2, 1)
 value: 3
 support point: (1, 1)
 assoc: Y^3 + X*Y
-diagnostic: positive-y-power: positive Y power: factors as Y*(Y^2 + X)
+diagnostic: positive-y-power: positive Y power: the Newton edge ends at X*Y
 """
 
 

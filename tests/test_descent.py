@@ -65,6 +65,7 @@ from weylnil import (
 from weylnil.wire import verdict_to_doc
 
 from conftest import GENERATORS, rand_element, rand_shift_poly
+from oracles import top_weight_part, vertex_chain
 
 x, d = generators()
 airy = d**2 - x
@@ -267,12 +268,6 @@ def test_orbit_images_that_depend_on_both_variables_have_constant_tops(e):
         assert e.x_slice(e.x_degree).is_constant(), e
 
 
-def _top_weight_part(e, big_k):
-    """The terms of ``e`` of largest weight ``i + K*j``, as ``{(i, j): coefficient}``."""
-    top = max(i + big_k * j for i, j in e.nums)
-    return {(i, j): Fraction(n, e.den) for (i, j), n in e.nums.items() if i + big_k * j == top}
-
-
 def _nonconstant_derivative_top(rng):
     """An operator of order ``N`` in 1..4 whose ``D^N`` coefficient has degree
     ``d`` in 1..4, with sparse lower rows; in about half the draws the top
@@ -298,25 +293,17 @@ def test_nonconstant_derivative_top_is_rejected_at_stage_zero():
     2. Weight ``x^i D^j`` by ``i + K*j`` with ``K = x_degree(L) + 1``.  Then
        ``L``'s top-weight part is the one monomial ``c_d X^d Y^N``: every
        other term has ``j = N`` and ``i < d``, or ``j < N`` and ``i < K``.
-    3. ``x^a D^b x^p D^q`` is the sum over ``t`` of ``t! C(b,t) C(p,t)
-       x^(a+p-t) D^(b+q-t)``, whose ``t``-th term weighs ``a + p + K(b + q)
-       - t(1 + K)``.  In ``[L, M]`` the ``t = 0`` terms cancel, so every term
-       weighs at most ``wt(L) + wt(M) - (1 + K)``, and the part at that
-       weight comes from ``t = 1`` on the two top parts alone: their Poisson
-       bracket ``{X^a Y^b, X^p Y^q} = (b*p - a*q) X^(a+p-1) Y^(b+q-1)``.  So
-       when that bracket is nonzero, it is ``[L, M]``'s top part.
-    4. From ``x``, the ``k``-th top part of ``ad_L^k(x)`` is ``alpha_k
-       X^(1+k(d-1)) Y^(k(N-1))``, with ``alpha_0 = 1`` and ``alpha_(k+1) =
-       c_d * alpha_k * (N + k(d - N))``.  The factor is at least ``N`` when
-       ``d >= N``, so never zero.
-    5. From ``D``, the top part of ``ad_L^k(D)`` is ``alpha_k X^(k(d-1))
-       Y^(1+k(N-1))``, with factor ``-d - k(N - d)``, at most ``-d`` when
-       ``d <= N``, so never zero.
-    6. So for every ``k`` one of ``ad_L^k(x)`` and ``ad_L^k(D)`` is nonzero:
-       ``ad_L`` is not locally nilpotent, and ``L`` is not strictly
-       nilpotent.
+    3. That is a vertex ``X^a Y^b`` with ``a = d >= 1`` and ``b = N >= 1``,
+       so the lemma in the docstring of
+       ``test_a_newton_edge_ending_off_the_x_axis_is_a_proved_rejection``
+       applies: ``ad_L`` is not locally nilpotent, and ``L`` is not
+       strictly nilpotent.  From ``x``, when ``d >= N``, the top part of
+       ``ad_L^k(x)`` is ``alpha_k X^(1+k(d-1)) Y^(k(N-1))``, with factors
+       ``c_d (N + k(d - N))``; from ``D``, when ``d <= N``, that of
+       ``ad_L^k(D)`` is ``alpha_k X^(k(d-1)) Y^(1+k(N-1))``, with factors
+       ``c_d (-d - k(N - d))``.  Neither factor is ever zero.
 
-    The test checks the verdict, and steps 4 and 5 for ``k = 0..4``
+    The test checks the verdict, and both chains of step 3 for ``k = 0..4``
     against ``commutator``: each top part is the one predicted monomial,
     with the predicted coefficient."""
     rng = random.Random(34)
@@ -328,19 +315,109 @@ def test_nonconstant_derivative_top_is_rejected_at_stage_zero():
         assert (v.reason, v.stage, v.prologue, v.stages) == (Reason.NONCONSTANT_LEADING, 0, (), ()), op
         constant_x_top += op.x_slice(op.x_degree).is_constant()
         big_k, c_d = op.x_degree + 1, Fraction(op.nums[(deg, n)], op.den)
-        chains = []
-        if deg >= n:
-            chains.append((x, lambda k: (1 + k * (deg - 1), k * (n - 1)), lambda k: n + k * (deg - n)))
-        if deg <= n:
-            chains.append((d, lambda k: (k * (deg - 1), 1 + k * (n - 1)), lambda k: -deg - k * (n - deg)))
-        for cur, monomial, factor in chains:
-            alpha = Fraction(1)
-            for k in range(5):
-                assert _top_weight_part(cur, big_k) == {monomial(k): alpha}, (op, k)
-                cur = commutator(op, cur)
-                alpha *= c_d * factor(k)
+        for y in [x] * (deg >= n) + [d] * (deg <= n):
+            for k, (top, predicted) in enumerate(vertex_chain(op, y, (1, big_k), (deg, n), c_d)):
+                assert top == predicted, (op, k)
     # the class that decide once swapped, and rejected at stage 1 or later
     assert constant_x_top >= 50
+
+
+def _load(relative, name):
+    """The module at ``relative`` from the repository root, loaded from its
+    path and not changed."""
+    path = Path(__file__).resolve().parent.parent / relative
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _reject_trace_items(seed):
+    """The operators of the ``decide_reject`` benchmark workload's traced
+    run at ``seed``, drawn as ``perfbench/run.py`` draws them."""
+    workload = _load("perfbench/workloads.py", "perfbench_workloads").WORKLOADS["decide_reject"]
+    return [element for _, element in workload(weylnil, random.Random(f"decide_reject:{seed}")).trace_items()]
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ("D^5 + x^2*D^2", Reason.POSITIVE_Y_MULTIPLICITY),  # weight ratio 3/2
+        ("D^3 + x^2*D", Reason.POSITIVE_Y_MULTIPLICITY),  # weight ratio 1, no cross term
+        ("D^3 + x^2", Reason.ASSOC_NOT_FACTORED),  # the edge ends on the X axis
+    ],
+)
+def test_the_newton_edge_end_decides_the_positive_y_class(text, reason):
+    v = decide(parse_expression(text))
+    assert (v.reason, v.stage) == (reason, 1)
+
+
+def test_a_newton_edge_ending_off_the_x_axis_is_a_proved_rejection():
+    """A stage input whose Newton edge ends off the X axis is not strictly
+    nilpotent, so rejecting it as ``positive-y-multiplicity`` is sound.
+
+    Lemma.  Weight ``x^i D^j`` by ``u*i + w*j``, with integers ``u, w >=
+    1``.  If ``L``'s top-weight part is one monomial ``c X^a Y^b`` with ``a,
+    b >= 1``, then ``ad_L`` is not locally nilpotent (J. Dixmier, "Sur les
+    algèbres de Weyl", Bull. Soc. Math. France 96 (1968), the graded
+    argument).
+
+    Proof of the lemma.
+    1. ``x^a D^b x^p D^q`` is the sum over ``t`` of ``t! C(b,t) C(p,t)
+       x^(a+p-t) D^(b+q-t)``, whose ``t``-th term weighs ``u(a + p) + w(b +
+       q) - t(u + w)``.  In ``[A, B]`` the ``t = 0`` terms cancel, so every
+       term weighs at most ``wt(A) + wt(B) - (u + w)``, and the part at
+       that weight comes from ``t = 1`` on the two top parts alone: their
+       Poisson bracket ``{X^a Y^b, X^p Y^q} = (b*p - a*q) X^(a+p-1)
+       Y^(b+q-1)``.  So when that bracket is nonzero, it is ``[A, B]``'s top
+       part.
+    2. Take ``y = x``, exponent ``(i, j) = (1, 0)``, when ``a >= b``, and
+       ``y = D``, exponent ``(0, 1)``, otherwise.  By step 1 and induction
+       the top part of ``ad_L^t(y)`` is ``alpha_t X^(i+t(a-1))
+       Y^(j+t(b-1))``, with ``alpha_0 = 1`` and ``alpha_(t+1) = c alpha_t
+       (b*i - a*j + t(a - b))``.  The factor is ``b + t(a - b) >= b >= 1``
+       for ``y = x``, and ``-a - t(b - a) <= -a <= -1`` for ``y = D``.
+    3. So ``ad_L^t(y)`` is nonzero for every ``t``.
+
+    Proof of the rejection.
+    1. The rejected iterate ``L'`` is ``psi(L)/s``, with ``psi`` the
+       automorphism of the verdict's prologue and stages and ``s`` the
+       divided-out scalars, so ``ad_L`` is locally nilpotent exactly when
+       ``ad_L'`` is.
+    2. Let ``(rho, sigma)`` be ``L'``'s edge weight and ``v`` its top
+       weight; every support point has ``rho*i + sigma*j <= v``, and the
+       edge's far end ``(k, n)``, the top-weight part's largest key, has
+       ``n >= 1``, and ``k >= 1`` since that part is not one monomial.
+    3. Weight by ``(M*rho + 1, M*sigma)`` with ``M = x_degree(L') + 1``, so
+       a point weighs ``M(rho*i + sigma*j) + i``.  The far end weighs ``M*v
+       + k``; another edge point ``M*v + i`` with ``i < k``; a point off the
+       edge at most ``M(v - 1) + i < M*v``, since ``i < M``.  So the top
+       part is the one monomial ``c X^k Y^n``, and the lemma applies.
+
+    The test replays ``L'`` from each rejection's verdict, checks step 3,
+    and checks step 2 of the lemma for ``t = 0..4`` against ``commutator``.
+    Every other rejection after stage 0 ends its edge on the X axis."""
+    pinned = ["D^3 + x*D", "D^4 + x*D^2", "D^5 + x^2*D^2", "D^3 + x^2*D"]
+    corpus = [parse_expression(text) for text in pinned] + _rejected_corpus() + _reject_trace_items(1)
+    proved = 0
+    for e in corpus:
+        v = decide(e)
+        assert isinstance(v, NotStrictlyNilpotent), e
+        if v.stage == 0:
+            continue
+        *_, last = _replay(v, e)
+        w = choose_weights(last)
+        (rho, sigma), (k, n) = w.as_tuple(), max(associated_poly(last, w).assoc.nums)
+        assert (n > 0) == (v.reason is Reason.POSITIVE_Y_MULTIPLICITY), e
+        if n == 0:
+            continue
+        big_m = last.x_degree + 1
+        tilt, c = (big_m * rho + 1, big_m * sigma), Fraction(last.nums[(k, n)], last.den)
+        assert k >= 1 and top_weight_part(last, tilt) == {(k, n): c}, e
+        for t, (top, predicted) in enumerate(vertex_chain(last, x if k >= n else d, tilt, (k, n), c)):
+            assert top == predicted, (e, t)
+        proved += 1
+    assert proved >= 100, proved
 
 
 def test_decide_trivially_constant():
@@ -786,7 +863,7 @@ def _swap_image_zero():
         (
             lambda: descent_step(airy),
             "factor_form",
-            lambda: lambda nd: FactoredForm(0, 1, 2, Fraction(1)),
+            lambda: lambda nd: FactoredForm(1, 2, Fraction(1)),
             "weight ratio 1 after normalization contradicts the vanishing next-to-top coefficient",
         ),
         (
@@ -979,12 +1056,8 @@ def test_scaling_multiplies_lead_and_certificate_polynomial():
 
 def _rejected_corpus():
     """``scripts/cases.py``'s ``rejected_corpus``: 40 images of criterion 2's
-    negative corpus.  The script is loaded from its path and not changed."""
-    path = Path(__file__).resolve().parent.parent / "scripts" / "cases.py"
-    spec = importlib.util.spec_from_file_location("evidence_cases", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.rejected_corpus(weylnil)
+    negative corpus."""
+    return _load("scripts/cases.py", "evidence_cases").rejected_corpus(weylnil)
 
 
 def _criterion1_corpus():

@@ -134,12 +134,12 @@ def test_factor_form_quartic():
     e = d**4 + 2 * x * d**2 + 2 * d + x**2
     nd = associated_poly(e, Weight(2, 1))
     ff = factor_form(nd)
-    assert ff == FactoredForm(y_power=0, ratio=2, multiplicity=2, scale=Fraction(-1))
+    assert ff == FactoredForm(ratio=2, multiplicity=2, scale=Fraction(-1))
     assert ff.expand() == nd.assoc
 
 
 def test_expand_with_zero_scale_is_one_canonical_term():
-    assert FactoredForm(1, 2, 3, Fraction(0)).expand().nums == {(0, 7): 1}
+    assert FactoredForm(2, 3, Fraction(0)).expand().nums == {(0, 6): 1}
 
 
 def test_factor_form_positive_y_power():
@@ -147,7 +147,19 @@ def test_factor_form_positive_y_power():
     out = factor_form(nd)
     assert isinstance(out, FormDiagnostic)
     assert out.issue is FormIssue.POSITIVE_Y_POWER
-    assert out.partial == FactoredForm(1, 2, 1, Fraction(-1))
+    assert out.message == "positive Y power: the Newton edge ends at X*Y"
+
+
+def test_factor_form_reads_the_edge_end_before_the_weight_ratio():
+    # Y^5 + X^2*Y^2 has weight ratio 3/2 and Y^3 + 2*X*Y^2 - X^2*Y factors
+    # over no binomial power; both edges end off the X axis
+    for nd, end in (
+        (NewtonData(Weight(3, 2), 10, WeylElement({(0, 5): 1, (2, 2): 1})), "X^2*Y^2"),
+        (NewtonData(Weight(1, 1), 3, WeylElement({(0, 3): 1, (1, 2): 2, (2, 1): -1})), "X^2*Y"),
+    ):
+        out = factor_form(nd)
+        assert out.issue is FormIssue.POSITIVE_Y_POWER
+        assert out.message == f"positive Y power: the Newton edge ends at {end}"
 
 
 def test_factor_form_lambda_inconsistency():
@@ -264,22 +276,25 @@ def _fraction_expansion(n, r, k, scale):
 
 
 def _expansion_oracle(f, r, order):
-    """The outcome kind of factor_form by the full Fraction expansion, with
-    the candidate parameters forced as factor_form forces them."""
-    k = max(i for i, _ in f)
-    n = order - r * k
-    if n < 0:
+    """The outcome kind of factor_form by the full Fraction expansion: a
+    positive Y power exactly when the edge's far end ``X^k Y^j``, the
+    largest key, has ``j > 0``; otherwise the candidate parameters are
+    forced as factor_form forces them."""
+    k, j = max(f)
+    if j > 0:
+        return FormIssue.POSITIVE_Y_POWER
+    if order < r * k:
         return FormIssue.LAMBDA_INCONSISTENT
-    scale = -f.get((1, n + r * (k - 1)), Fraction(0)) / k
-    if scale == 0 or _fraction_expansion(n, r, k, scale) != f:
+    scale = -f.get((1, r * (k - 1)), Fraction(0)) / k
+    if scale == 0 or _fraction_expansion(0, r, k, scale) != f:
         return FormIssue.LAMBDA_INCONSISTENT
-    return FormIssue.POSITIVE_Y_POWER if n > 0 else "accepted"
+    return "accepted"
 
 
-def _assert_expansion(n, r, k, scale):
-    power = FactoredForm(n, r, k, scale).expand()
+def _assert_expansion(r, k, scale):
+    power = FactoredForm(r, k, scale).expand()
     assert power.side == "x" and power.den >= 1 and gcd(power.den, *power.nums.values()) == 1
-    assert power == WeylElement(_fraction_expansion(n, r, k, scale)), (n, r, k, scale)
+    assert power == WeylElement(_fraction_expansion(0, r, k, scale)), (r, k, scale)
 
 
 def test_factor_form_agrees_with_the_expansion_oracle():
@@ -290,7 +305,7 @@ def test_factor_form_agrees_with_the_expansion_oracle():
         scale = Fraction(rng.choice((-1, 1)) * rng.randint(1, 40), rng.randint(1, 40))
         order = n + r * k
         f = _fraction_expansion(n, r, k, scale)
-        _assert_expansion(n, r, k, scale)
+        _assert_expansion(r, k, scale)
         edge = [(s, n + r * (k - s)) for s in range(1, k + 1)]
         variant = rng.randrange(4)
         if variant == 1:  # one coefficient perturbed
@@ -307,21 +322,16 @@ def test_factor_form_agrees_with_the_expansion_oracle():
                 key = (s, key[1] + 1)
             f[key] = f.get(key, 0) + Fraction(rng.randint(1, 9), rng.randint(1, 9))
         out = factor_form(NewtonData(Weight(r, 1), order, WeylElement(f)))
-        if isinstance(out, FactoredForm):
-            kind = "accepted"
-        else:
-            kind = out.issue
-            if kind is FormIssue.POSITIVE_Y_POWER:
-                assert out.partial.expand() == WeylElement(f)
+        kind = "accepted" if isinstance(out, FactoredForm) else out.issue
         assert kind == _expansion_oracle(f, r, order), (r, k, n, scale, variant)
         kinds.add((kind, variant > 0))
     # expansions alone at multiplicities up to 40, with zero, negative
     # integer and non-integer scales
     for k in range(1, 41):
-        n, r, sign = rng.randint(0, 3), rng.randint(1, 4), rng.choice((-1, 1))
+        r, sign = rng.randint(1, 4), rng.choice((-1, 1))
         odd_half = Fraction(sign * rng.randrange(1, 80, 2), 2 * rng.randint(1, 20))
         for scale in (Fraction(0), Fraction(-rng.randint(1, 40)), odd_half):
-            _assert_expansion(n, r, k, scale)
+            _assert_expansion(r, k, scale)
     assert kinds >= {
         ("accepted", False),
         (FormIssue.POSITIVE_Y_POWER, False),

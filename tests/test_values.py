@@ -49,9 +49,8 @@ from weylnil._value import Value
 
 T2 = UniPoly((0, 0, 1))
 NEWTON = NewtonData(Weight(2, 1), 2, WeylElement({(0, 2): 1, (1, 0): -1}))
-FORM = FactoredForm(0, 2, 1, Fraction(1))
-PARTIAL = FactoredForm(1, 1, 1, Fraction(-2, 3))
-DIAG = FormDiagnostic(FormIssue.POSITIVE_Y_POWER, "positive Y power", partial=PARTIAL)
+FORM = FactoredForm(2, 1, Fraction(1))
+DIAG = FormDiagnostic(FormIssue.POSITIVE_Y_POWER, "positive Y power")
 CERT = Certificate((ShiftD(UniPoly((0, 1, Fraction(1, 2)))), Fourier()), T2, "d")
 STAGE = StageRecord(
     NEWTON, FORM, WeylElement({(0, 2): 1, (1, 0): -1}), (ShiftX(T2), FourierInverse()), WeylElement({(0, 1): 1})
@@ -60,10 +59,10 @@ STAGE = StageRecord(
 NEWTON_REPR = (
     "NewtonData(weight=Weight(x_weight=2, d_weight=1), value=2, assoc=WeylElement('D^2 - x', side='x'))"
 )
-FORM_REPR = "FactoredForm(y_power=0, ratio=2, multiplicity=1, scale=Fraction(1, 1))"
+FORM_REPR = "FactoredForm(ratio=2, multiplicity=1, scale=Fraction(1, 1))"
 DIAG_REPR = (
     "FormDiagnostic(issue=<FormIssue.POSITIVE_Y_POWER: 'positive-y-power'>, message='positive Y power', "
-    "strictly_semisimple=False, partial=FactoredForm(y_power=1, ratio=1, multiplicity=1, scale=Fraction(-2, 3)))"
+    "strictly_semisimple=False)"
 )
 
 # one sample of each value type with the repr its frozen-dataclass form printed
@@ -179,7 +178,7 @@ def test_copies_and_pickles_are_equal(value):
 def test_keywords_and_defaults():
     assert NotStrictlyNilpotent() == NotStrictlyNilpotent(None, (), (), Fraction(1))
     diag = FormDiagnostic(issue=FormIssue.MONOMIAL, message="monomial")
-    assert (diag.strictly_semisimple, diag.partial) == (False, None)
+    assert diag.strictly_semisimple is False
     verdict = StrictlyNilpotent(certificate=CERT)
     assert (verdict.prologue, verdict.stages, verdict.lead) == ((), (), 1)
     assert Weight(d_weight=3, x_weight=1) == Weight(1, 3)
@@ -187,8 +186,8 @@ def test_keywords_and_defaults():
 
 def test_positional_match_patterns_read_the_fields():
     match NotStrictlyNilpotent(DIAG, (FourierInverse(),)):
-        case NotStrictlyNilpotent(FormDiagnostic(issue, _, False, partial), (FourierInverse(),)):
-            assert (issue, partial) == (FormIssue.POSITIVE_Y_POWER, PARTIAL)
+        case NotStrictlyNilpotent(FormDiagnostic(issue, message, False), (FourierInverse(),)):
+            assert (issue, message) == (FormIssue.POSITIVE_Y_POWER, "positive Y power")
         case _:
             pytest.fail("the rejection did not match")
     match Weight(3, 2):
